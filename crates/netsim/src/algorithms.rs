@@ -76,9 +76,16 @@ fn ring_path(n: u64, origin: u64, hops: u64) -> Vec<u32> {
 /// module only emit acyclic dependency graphs, so a stall here is an
 /// engine or builder bug, not a scenario — externally-scripted flow sets
 /// go through the fallible engine entry instead.
+///
+/// Test builds also replay every schedule through the reference event
+/// loop and assert a bit-identical result, so each collective a test
+/// simulates doubles as a differential case for the engine.
 fn run(topo: &Topology, flows: &[Flow], pieces: u64) -> SimResult {
+    let result = simulate_flows(topo, flows, pieces);
+    #[cfg(test)]
+    crate::engine::reference::assert_matches(topo, flows, pieces, &result);
     // fmlint::allow(panic-in-lib, reason = "builder schedules are acyclic by construction; a stall is an engine bug, per the doc above")
-    simulate_flows(topo, flows, pieces).expect("builder schedules are acyclic")
+    result.expect("builder schedules are acyclic")
 }
 
 /// AllGather/ReduceScatter flows on a lowered ring: every position
@@ -768,5 +775,50 @@ mod tests {
         };
         let (best, worst) = (t(RootPosition::Best), t(RootPosition::Worst));
         assert!((best - worst).abs() < 1e-15);
+    }
+
+    #[test]
+    fn every_schedule_matches_the_reference_loop() {
+        // `run` checks each schedule against the reference event loop in
+        // test builds; this sweep hands it every builder. The algorithm
+        // steers only AllReduce and AllToAll, the root only Broadcast and
+        // Reduce.
+        use Collective::{AllReduce, AllToAll, Broadcast, Reduce};
+        let every_root = [
+            RootPosition::Best,
+            RootPosition::Worst,
+            RootPosition::Average,
+        ];
+        for (size, per_domain) in [(2u64, 2u64), (6, 2), (8, 1), (8, 4)] {
+            let g = CommGroup::new(size, per_domain);
+            for sys in [a100_nvs4(), perlmutter(per_domain)] {
+                for collective in Collective::ALL {
+                    let algorithms: &[Algorithm] = match collective {
+                        AllReduce | AllToAll => &Algorithm::ALL,
+                        _ => &[Algorithm::Ring],
+                    };
+                    let roots: &[RootPosition] = match collective {
+                        Broadcast | Reduce => &every_root,
+                        _ => &[RootPosition::Best],
+                    };
+                    for &algorithm in algorithms {
+                        for &root in roots {
+                            for pieces in [1, 8, 64] {
+                                let opts = SimOptions {
+                                    pieces,
+                                    algorithm,
+                                    root,
+                                };
+                                for derate in [1.0, 0.5] {
+                                    simulate_collective_derated(
+                                        collective, 1e8, g, &sys, &opts, derate,
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }

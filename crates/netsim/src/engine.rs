@@ -7,6 +7,9 @@ use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+#[cfg(test)]
+pub(crate) mod reference;
+
 /// A simulation that could not run to completion.
 ///
 /// The engine executes whatever flow set it is given; a flow set whose
@@ -22,7 +25,7 @@ pub enum SimError {
     /// The event loop stopped making progress before every scheduled
     /// transfer executed: the heap drained with pieces still gated on
     /// unmet dependencies (a dependency cycle or a dependency on a
-    /// flow that never completes), or the event-count watchdog tripped.
+    /// flow that never completes).
     Stalled {
         /// Link transfers actually executed.
         executed: u64,
@@ -52,7 +55,10 @@ impl std::error::Error for SimError {}
 pub struct EventStats {
     /// Completed link transfers.
     pub transfers: u64,
-    /// Heap re-insertions due to link contention.
+    /// Times a transfer found its link busy: once if it arrives while
+    /// another piece occupies the link, and once more for every piece that
+    /// then occupies the link ahead of it. Zero when no two transfers ever
+    /// contend.
     pub requeues: u64,
 }
 
@@ -124,72 +130,107 @@ impl Flow {
     }
 }
 
-/// One pending transfer: piece `piece` of flow `flow` over the link at
-/// `path[hop]`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Transfer {
-    ready: f64,
-    flow: u32,
-    hop: u32,
-    piece: u32,
+/// Identity of one transfer, piece `piece` of flow `flow` over the link
+/// at `path[hop]`, packed as `flow · 2⁶⁴ + hop · 2³² + piece` so that its
+/// integer order is `(flow, hop, piece)` order: the engine's tie-break
+/// between transfers that contend for a link at the same instant.
+type Key = u128;
+
+fn key(flow: u32, hop: u32, piece: u32) -> Key {
+    (flow as Key) << 64 | (hop as Key) << 32 | piece as Key
 }
 
-// Total order for the heap: earliest ready time first, deterministic
-// tie-breaking on (flow, hop, piece).
-impl Eq for Transfer {}
-impl Ord for Transfer {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.ready
-            .total_cmp(&other.ready)
-            .then(self.flow.cmp(&other.flow))
-            .then(self.hop.cmp(&other.hop))
-            .then(self.piece.cmp(&other.piece))
+fn unpack(key: Key) -> (u32, u32, u32) {
+    ((key >> 64) as u32, (key >> 32) as u32, key as u32)
+}
+
+/// Marks a link's wake event, whose key is `WAKE | link`. It sits above
+/// every transfer key bit, so a wake sorts after every arrival at the
+/// same instant.
+const WAKE: Key = 1 << 96;
+
+/// An event-heap entry: a transfer arriving at its link, or a link's wake.
+/// `time` holds the event time in the integer order of `f64::total_cmp`
+/// (see [`total_order`]), so that heap comparisons are integer
+/// comparisons.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Event {
+    time: i64,
+    key: Key,
+}
+
+impl Event {
+    fn new(time: f64, key: Key) -> Self {
+        Event {
+            time: total_order(time.to_bits() as i64),
+            key,
+        }
+    }
+
+    fn time(self) -> f64 {
+        f64::from_bits(total_order(self.time) as u64)
     }
 }
-impl PartialOrd for Transfer {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
+
+/// Maps `f64` bits to an integer whose order is `f64::total_cmp`'s, by
+/// flipping the magnitude bits of negative values; its own inverse.
+fn total_order(bits: i64) -> i64 {
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
+}
+
+/// One link's state.
+///
+/// Transfers that found the link busy wait in `waiting`, lowest key
+/// first. While any wait, one live wake event at `free`, the instant the
+/// link frees, starts the lowest-keyed waiter once every arrival at that
+/// instant has been seen; an arrival at that instant with a smaller key
+/// takes the link first. A piece that starts while others wait moves
+/// `free`, and with it the wake, past the waiters.
+#[derive(Debug, Clone, Default)]
+struct LinkState {
+    /// When the link finishes serializing its current piece.
+    free: f64,
+    waiting: BinaryHeap<Reverse<Key>>,
 }
 
 /// Simulates the pipelined execution of `flows` over `topo`, with each
 /// flow split into `pieces` pieces. A piece may be forwarded as soon as it
 /// has been received (and its cross-flow dependencies have completed);
-/// each link carries one piece at a time.
+/// each link carries one piece at a time, and among transfers ready for
+/// a free link the lowest `(flow, hop, piece)` goes first.
 ///
 /// Returns the completion time of the last piece plus engine stats, or
 /// [`SimError::Stalled`] when the flow set cannot run to completion
-/// (dependency cycle, dependency on a flow that never runs, or the
-/// event-count watchdog tripping).
+/// (dependency cycle, or dependency on a flow that never runs).
+///
+/// The loop decides exactly as a loop that sends a transfer finding its
+/// link busy back into the event heap at the instant the link frees (the
+/// reference the tests compare against), provided no transfer ends at the
+/// instant it starts (`end > start`; a positive hop latency suffices).
+/// Then nothing is pushed at the current instant, so a wake, ordered after
+/// the instant's arrivals, has seen every contender for its link.
 pub(crate) fn simulate_flows(
     topo: &Topology,
     flows: &[Flow],
     pieces: u64,
 ) -> Result<SimResult, SimError> {
     let pieces = pieces.max(1) as usize;
-    let mut link_free = vec![0.0f64; topo.len()];
-    let mut heap: BinaryHeap<Reverse<Transfer>> = BinaryHeap::new();
+    let mut links = vec![LinkState::default(); topo.len()];
+    let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
     let mut stats = EventStats::default();
     let mut finish = 0.0f64;
 
     // Progress accounting for stall detection. Every piece of every flow
     // crosses every hop of its path exactly once, so the completed
     // schedule executes exactly `expected` transfers; draining the heap
-    // short of that means some pieces' gates never opened. The watchdog
-    // bounds total heap pops: each pop either executes a transfer or
-    // requeues behind a busy link, and a queued transfer requeues at
-    // most once per transfer that executes on its link ahead of it, so a
-    // healthy run pops O(expected²) events in the worst case — the
-    // budget is that with slack; tripping it means the loop is spinning
-    // without executing, which the requeue discipline (strictly
-    // advancing ready times) should make impossible. It is a defensive
-    // backstop; the heap-drain check below is the real detector.
+    // short of that means some pieces' gates never opened. The loop needs
+    // no watchdog: each transfer enters the heap once, as an arrival, and
+    // a wake is pushed only when a queue forms or a piece starts, so a
+    // run pops at most `3 · expected` events.
     let expected: u64 = flows
         .iter()
         .map(|f| f.path.len() as u64 * pieces as u64)
         .sum();
-    let budget = 1024u64.saturating_add(expected.saturating_mul(expected.saturating_add(4)));
-    let mut pops = 0u64;
 
     // Dependency bookkeeping: dependents[f] lists the flows gated on f;
     // pending[g][p] counts unmet dependencies of piece p of flow g;
@@ -211,62 +252,82 @@ pub(crate) fn simulate_flows(
     for (fi, f) in flows.iter().enumerate() {
         if f.deps.is_empty() {
             for p in 0..pieces {
-                heap.push(Reverse(Transfer {
-                    ready: 0.0,
-                    flow: fi as u32,
-                    hop: 0,
-                    piece: p as u32,
-                }));
+                heap.push(Reverse(Event::new(0.0, key(fi as u32, 0, p as u32))));
             }
         }
     }
 
-    while let Some(Reverse(t)) = heap.pop() {
-        pops += 1;
-        if pops > budget {
-            return Err(SimError::Stalled {
-                executed: stats.transfers,
-                expected,
-            });
-        }
-        let flow = &flows[t.flow as usize];
-        let link = flow.path[t.hop as usize];
-        let start = t.ready.max(link_free[link as usize]);
-        if start > t.ready {
-            // Link busy: requeue at the time it becomes free so ordering
-            // stays chronological.
-            stats.requeues += 1;
-            heap.push(Reverse(Transfer { ready: start, ..t }));
-            continue;
-        }
-        let (lat, bw) = topo.link_params(link);
+    while let Some(Reverse(ev)) = heap.pop() {
+        let now = ev.time();
+        let woken = ev.key & WAKE != 0;
+        let (next, link_id, start) = if woken {
+            let link_id = ev.key as u32;
+            let link = &mut links[link_id as usize];
+            if link.free != now {
+                // Stale: an arrival took the link at the instant it freed
+                // and moved the wake.
+                continue;
+            }
+            match link.waiting.pop() {
+                Some(Reverse(k)) => (k, link_id, now),
+                None => continue,
+            }
+        } else {
+            let (fi, hop, _) = unpack(ev.key);
+            let link_id = flows[fi as usize].path[hop as usize];
+            let link = &mut links[link_id as usize];
+            let start = now.max(link.free);
+            if start > now {
+                // Link busy: wait for it to free.
+                stats.requeues += 1;
+                if link.waiting.is_empty() {
+                    heap.push(Reverse(Event::new(link.free, WAKE | link_id as Key)));
+                }
+                link.waiting.push(Reverse(ev.key));
+                continue;
+            }
+            if now == link.free && link.waiting.peek().is_some_and(|&Reverse(k)| k < ev.key) {
+                // The link frees at this instant and a lower-keyed waiter
+                // goes first. This transfer queues behind it; the wake's
+                // start counts its requeue with the other waiters'.
+                link.waiting.push(Reverse(ev.key));
+                continue;
+            }
+            (ev.key, link_id, start)
+        };
+        let (fi, hop, piece) = unpack(next);
+        let flow = &flows[fi as usize];
+        let link = &mut links[link_id as usize];
+        let (lat, bw) = topo.link_params(link_id);
         let piece_bytes = flow.bytes / pieces as f64;
         // The link is occupied for the serialization time only; the hop
         // latency is propagation and delays arrival without blocking the
         // next piece from entering the wire.
         let end = start + lat + piece_bytes / bw;
-        link_free[link as usize] = start + piece_bytes / bw;
+        link.free = start + piece_bytes / bw;
+        if !link.waiting.is_empty() {
+            if link.free > start {
+                // Every waiter finds the link busy once more.
+                stats.requeues += link.waiting.len() as u64;
+                heap.push(Reverse(Event::new(link.free, WAKE | link_id as Key)));
+            } else if woken {
+                // A zero-time piece left the link free at this instant:
+                // the next waiter goes now too.
+                heap.push(Reverse(ev));
+            }
+        }
         stats.transfers += 1;
         finish = finish.max(end);
-        if (t.hop as usize) + 1 < flow.path.len() {
-            heap.push(Reverse(Transfer {
-                ready: end,
-                hop: t.hop + 1,
-                ..t
-            }));
+        if (hop as usize) + 1 < flow.path.len() {
+            heap.push(Reverse(Event::new(end, key(fi, hop + 1, piece))));
         } else {
             // The piece left the flow's last link: release dependents.
-            for &g in &dependents[t.flow as usize] {
-                let (gi, pi) = (g as usize, t.piece as usize);
+            for &g in &dependents[fi as usize] {
+                let (gi, pi) = (g as usize, piece as usize);
                 gate[gi][pi] = gate[gi][pi].max(end);
                 pending[gi][pi] -= 1;
                 if pending[gi][pi] == 0 {
-                    heap.push(Reverse(Transfer {
-                        ready: gate[gi][pi],
-                        flow: g,
-                        hop: 0,
-                        piece: t.piece,
-                    }));
+                    heap.push(Reverse(Event::new(gate[gi][pi], key(g, 0, piece))));
                 }
             }
         }
@@ -289,7 +350,7 @@ mod tests {
     use super::*;
     use crate::topology::RingTopology;
     use collectives::CommGroup;
-    use systems::{system, GpuGeneration, NvsSize};
+    use systems::{perlmutter, system, GpuGeneration, NvsSize};
 
     fn topo(size: u64, per_domain: u64) -> Topology {
         let sys = system(GpuGeneration::A100, NvsSize::Nvs4);
@@ -472,5 +533,70 @@ mod tests {
             simulate_flows(&t, &flows, 1),
             Err(SimError::Stalled { executed: 0, .. })
         ));
+    }
+
+    /// splitmix64: dependency-free, seeded randomness for the
+    /// differential cases.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    #[test]
+    fn matches_the_reference_loop_on_random_flow_sets() {
+        // Few distinct volumes and link speeds, so pieces often reach a
+        // link at the same instant and the tie-break decides; the tiny
+        // volume's pieces serialize in less than a rounding step, leaving
+        // the link free at the instant they start; paths up to 2n − 1 hops
+        // revisit links; one flow in 16 gets a dependency that may close
+        // a cycle.
+        let systems = [
+            system(GpuGeneration::A100, NvsSize::Nvs4),
+            system(GpuGeneration::B200, NvsSize::Nvs8),
+            perlmutter(4),
+        ];
+        let mut rng = SplitMix(0x5EED);
+        let (mut contended, mut stalled) = (0, 0);
+        for _ in 0..4000 {
+            let size = 2 + rng.below(8);
+            let divisors: Vec<u64> = (1..=size).filter(|&d| size.is_multiple_of(d)).collect();
+            let per_domain = divisors[rng.below(divisors.len() as u64) as usize];
+            let sys = &systems[rng.below(systems.len() as u64) as usize];
+            let t = RingTopology::build(CommGroup::new(size, per_domain), sys).topology();
+            let n_flows = 1 + rng.below(12);
+            let flows: Vec<Flow> = (0..n_flows)
+                .map(|fi| {
+                    let bytes = [1e-12, 1e3, 1e6, 64e6][rng.below(4) as usize];
+                    let path = ring_path(size, rng.below(size), 1 + rng.below(2 * size - 1));
+                    let mut deps: Vec<u32> = (0..fi)
+                        .filter(|_| rng.below(4) == 0)
+                        .map(|d| d as u32)
+                        .collect();
+                    if rng.below(16) == 0 {
+                        deps.push(rng.below(n_flows) as u32);
+                    }
+                    Flow::after(bytes, path, deps)
+                })
+                .collect();
+            let pieces = 1 + rng.below(8);
+            let got = simulate_flows(&t, &flows, pieces);
+            reference::assert_matches(&t, &flows, pieces, &got);
+            match got {
+                Ok(r) if r.stats.requeues > 0 => contended += 1,
+                Err(_) => stalled += 1,
+                Ok(_) => {}
+            }
+        }
+        assert!(
+            contended > 1000 && stalled > 100,
+            "{contended} contended, {stalled} stalled"
+        );
     }
 }

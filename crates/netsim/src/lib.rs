@@ -22,9 +22,13 @@
 //! * The engine (`simulate_flows` internally) executes *flows* — a
 //!   tensor pipelined in pieces along a path of links — with cross-flow
 //!   per-piece dependencies, which is enough to express ring pipelines,
-//!   reduce-tree joins and broadcast-tree chains in one event loop. Every
-//!   piece transfer on every link is a heap event; a piece is forwarded as
-//!   soon as it has been received and its link is free.
+//!   reduce-tree joins and broadcast-tree chains in one event loop. A
+//!   piece's arrival at each link of its path is a heap event, and a piece
+//!   is forwarded as soon as it has been received and its link is free. A
+//!   piece that finds its link busy waits in that link's own queue, lowest
+//!   `(flow, hop, piece)` first, and one wake event per busy link starts
+//!   the next waiter when the link frees, so contention costs a queue
+//!   push rather than a heap round trip at every instant the link frees.
 //! * [`RingTopology`] and [`TreeTopology`] know the *shape* of their
 //!   schedule (domain-major ring boundaries, domain-major binary tree
 //!   parents) and lower into the generic [`Topology`].

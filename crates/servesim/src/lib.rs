@@ -53,12 +53,19 @@ use serde::{Deserialize, Serialize};
 use txmodel::InferenceConfig;
 
 /// Why a plan cannot be simulated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum SimError {
     /// The weights alone overflow HBM — no decode batch fits at all.
     Infeasible,
     /// A disaggregated split with no prefill or no decode replicas.
     BadSplit,
+    /// A [`SimSpec`] field holds a value the simulator cannot run: a zero
+    /// batch ceiling or output length, an empty decode table, a zero
+    /// request rate, or a negative or non-finite service time.
+    InvalidSpec {
+        /// Dotted path of the field.
+        field: String,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -66,6 +73,9 @@ impl std::fmt::Display for SimError {
         match self {
             SimError::Infeasible => write!(f, "no decode batch fits in HBM"),
             SimError::BadSplit => write!(f, "disaggregated split needs both pools non-empty"),
+            SimError::InvalidSpec { field } => {
+                write!(f, "serving spec field {field} is out of range")
+            }
         }
     }
 }
@@ -149,6 +159,54 @@ impl SimSpec {
             kv_transfer_typical: kv_typ,
             kv_transfer_long: kv_long,
         })
+    }
+
+    /// Checks what [`simulate_serving`] trusts. `SimSpec` has public fields
+    /// and round-trips through JSON, and some values would make the
+    /// simulator loop forever or panic: a zero batch ceiling or output
+    /// length, a disaggregated split without a pool on either side, an
+    /// empty decode table, or a NaN service time. A zero request rate
+    /// and negative or infinite service times are rejected with them, as
+    /// no plan prices them.
+    pub fn validate(&self) -> Result<(), SimError> {
+        let invalid = |field: &str| {
+            Err(SimError::InvalidSpec {
+                field: field.to_string(),
+            })
+        };
+        if let PdPlacement::Disaggregated { prefill_replicas } = self.mode {
+            if prefill_replicas == 0 || prefill_replicas >= self.replicas {
+                return Err(SimError::BadSplit);
+            }
+        }
+        if self.batch_ceiling == 0 {
+            return invalid("batch_ceiling");
+        }
+        if self.decode_steps.is_empty() {
+            return invalid("decode_steps");
+        }
+        if self.traffic.output.typical == 0 {
+            return invalid("traffic.output.typical");
+        }
+        if self.traffic.output.long == 0 {
+            return invalid("traffic.output.long");
+        }
+        if self.traffic.request_rate_milli == 0 {
+            return invalid("traffic.request_rate_milli");
+        }
+        let times = [
+            ("prefill_typical", self.prefill_typical),
+            ("prefill_long", self.prefill_long),
+            ("kv_transfer_typical", self.kv_transfer_typical),
+            ("kv_transfer_long", self.kv_transfer_long),
+        ];
+        let steps = self.decode_steps.iter().map(|&t| ("decode_steps", t));
+        for (field, t) in times.into_iter().chain(steps) {
+            if !(t.is_finite() && t >= 0.0) {
+                return invalid(field);
+            }
+        }
+        Ok(())
     }
 
     /// Prefill latency for a request of `prompt` tokens (two-point mix:
@@ -245,15 +303,17 @@ struct Tally {
     last_finish: f64,
 }
 
-/// Sorted-sample quantile (nearest-rank; NaN-free inputs by
-/// construction). Empty samples report 0 — a trace with no tokens has
-/// no latency to speak of.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
+/// Nearest-rank quantile, found by selection rather than a full sort
+/// (reorders `samples`). Samples equal under `total_cmp` are equal bit
+/// for bit, so the result is the sorted sample's. Empty samples report
+/// 0 — a trace with no tokens has no latency to speak of.
+fn percentile(samples: &mut [f64], q: f64) -> f64 {
+    if samples.is_empty() {
         return 0.0;
     }
-    let rank = (q * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
+    let rank = (q * samples.len() as f64).ceil() as usize;
+    let index = rank.clamp(1, samples.len()) - 1;
+    *samples.select_nth_unstable_by(index, f64::total_cmp).1
 }
 
 /// Generates the seeded Poisson arrival trace with two-point length
@@ -364,9 +424,21 @@ fn run_prefill_pool(spec: &SimSpec, servers: usize, trace: &[Request]) -> Vec<(f
         .collect()
 }
 
+/// [`simulate_serving`] for a spec from outside the program: checks it
+/// with [`SimSpec::validate`] first, so a hostile spec (say, one
+/// deserialized from JSON) yields a typed error rather than a hang or a
+/// panic.
+pub fn try_simulate_serving(spec: &SimSpec, params: &SimParams) -> Result<SimReport, SimError> {
+    spec.validate()?;
+    Ok(simulate_serving(spec, params))
+}
+
 /// Simulates the spec's placement over a seeded arrival trace and
 /// reports measured throughput and latency percentiles. Deterministic:
 /// same spec + params → bit-identical report, on any thread count.
+///
+/// Trusts its spec, as [`SimSpec::from_plan`] builds it; a spec from
+/// outside the program should go through [`try_simulate_serving`].
 pub fn simulate_serving(spec: &SimSpec, params: &SimParams) -> SimReport {
     let trace = arrival_trace(&spec.traffic, params);
     let mut tally = Tally::default();
@@ -406,16 +478,14 @@ pub fn simulate_serving(spec: &SimSpec, params: &SimParams) -> SimReport {
         None => 0.0,
     };
     let makespan = (tally.last_finish - first_arrival).max(f64::MIN_POSITIVE);
-    tally.ttfts.sort_by(f64::total_cmp);
-    tally.gaps.sort_by(f64::total_cmp);
     SimReport {
         completed: trace.len() as u64,
         makespan,
         delivered_tokens_per_gpu_second: tally.tokens as f64 / makespan / spec.gpus as f64,
-        ttft_p50: percentile(&tally.ttfts, 0.50),
-        ttft_p99: percentile(&tally.ttfts, 0.99),
-        tpot_p50: percentile(&tally.gaps, 0.50),
-        tpot_p99: percentile(&tally.gaps, 0.99),
+        ttft_p50: percentile(&mut tally.ttfts, 0.50),
+        ttft_p99: percentile(&mut tally.ttfts, 0.99),
+        tpot_p50: percentile(&mut tally.gaps, 0.50),
+        tpot_p99: percentile(&mut tally.gaps, 0.99),
         mean_occupancy: if tally.busy_time > 0.0 {
             tally.occupancy_time / tally.busy_time
         } else {
@@ -532,10 +602,132 @@ mod tests {
 
     #[test]
     fn percentile_is_nearest_rank() {
-        let v = [1.0, 2.0, 3.0, 4.0];
-        assert_eq!(percentile(&v, 0.50), 2.0);
-        assert_eq!(percentile(&v, 0.99), 4.0);
-        assert_eq!(percentile(&v, 0.0), 1.0);
-        assert_eq!(percentile(&[], 0.5), 0.0);
+        let mut v = [4.0, 1.0, 3.0, 2.0];
+        assert_eq!(percentile(&mut v, 0.50), 2.0);
+        assert_eq!(percentile(&mut v, 0.99), 4.0);
+        assert_eq!(percentile(&mut v, 0.0), 1.0);
+        assert_eq!(percentile(&mut [], 0.5), 0.0);
+        // Selection reads the same element a full sort would, ties and
+        // -0.0 included, at every rank.
+        let samples: Vec<f64> = (0..97u32)
+            .map(|i| [0.5, -0.0, 0.0, 2.0, 1e-3][(i * 7 % 5) as usize] * f64::from(i % 4))
+            .collect();
+        let mut sorted = samples.clone();
+        sorted.sort_by(f64::total_cmp);
+        for q in [0.0, 0.01, 0.5, 0.9, 0.99, 1.0] {
+            let mut v = samples.clone();
+            let rank = (q * 97.0_f64).ceil() as usize;
+            let want = sorted[rank.clamp(1, 97) - 1];
+            assert_eq!(percentile(&mut v, q).to_bits(), want.to_bits(), "q {q}");
+        }
+    }
+
+    /// The spec fields of a hostile JSON document, applied to a priced
+    /// spec, must come back as a typed error on a short trace.
+    fn rejects(mode: PdPlacement, edit: impl FnOnce(&mut SimSpec), err: SimError) {
+        let mut hostile = spec(mode);
+        edit(&mut hostile);
+        let json = serde_json::to_string(&hostile).unwrap();
+        let back: SimSpec = serde_json::from_str(&json).unwrap();
+        let params = SimParams {
+            seed: 1,
+            requests: 10,
+        };
+        assert_eq!(try_simulate_serving(&back, &params), Err(err));
+    }
+
+    fn invalid(field: &str) -> SimError {
+        SimError::InvalidSpec {
+            field: field.to_string(),
+        }
+    }
+
+    #[test]
+    fn zero_batch_ceiling_is_rejected() {
+        rejects(
+            PdPlacement::Colocated,
+            |s| s.batch_ceiling = 0,
+            invalid("batch_ceiling"),
+        );
+    }
+
+    #[test]
+    fn zero_output_length_is_rejected() {
+        rejects(
+            PdPlacement::Colocated,
+            |s| s.traffic.output.typical = 0,
+            invalid("traffic.output.typical"),
+        );
+        rejects(
+            PdPlacement::Colocated,
+            |s| s.traffic.output.long = 0,
+            invalid("traffic.output.long"),
+        );
+    }
+
+    #[test]
+    fn disaggregated_split_without_decoders_is_rejected() {
+        let disagg = PdPlacement::Disaggregated {
+            prefill_replicas: 2,
+        };
+        for prefill_replicas in [0, 8, 9] {
+            rejects(
+                disagg,
+                |s| s.mode = PdPlacement::Disaggregated { prefill_replicas },
+                SimError::BadSplit,
+            );
+        }
+    }
+
+    #[test]
+    fn empty_decode_table_is_rejected() {
+        rejects(
+            PdPlacement::Colocated,
+            |s| s.decode_steps.clear(),
+            invalid("decode_steps"),
+        );
+    }
+
+    #[test]
+    fn zero_rate_and_bad_service_times_are_rejected() {
+        rejects(
+            PdPlacement::Colocated,
+            |s| s.traffic.request_rate_milli = 0,
+            invalid("traffic.request_rate_milli"),
+        );
+        // JSON carries no NaN, so these are set after the round trip.
+        let params = SimParams::default();
+        let mut nan_prefill = spec(PdPlacement::Colocated);
+        nan_prefill.prefill_typical = f64::NAN;
+        assert_eq!(
+            try_simulate_serving(&nan_prefill, &params),
+            Err(invalid("prefill_typical"))
+        );
+        let mut negative_step = spec(PdPlacement::Colocated);
+        negative_step.decode_steps[3] = -1e-3;
+        assert_eq!(
+            try_simulate_serving(&negative_step, &params),
+            Err(invalid("decode_steps"))
+        );
+    }
+
+    #[test]
+    fn valid_specs_simulate_as_before() {
+        let params = SimParams {
+            seed: 3,
+            requests: 200,
+        };
+        for mode in [
+            PdPlacement::Colocated,
+            PdPlacement::Disaggregated {
+                prefill_replicas: 2,
+            },
+        ] {
+            let s = spec(mode);
+            assert_eq!(
+                try_simulate_serving(&s, &params),
+                Ok(simulate_serving(&s, &params))
+            );
+        }
     }
 }

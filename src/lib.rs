@@ -78,7 +78,9 @@ pub mod prelude {
         Plan, PlanSet, Planner, SearchOptions, SearchSpace, SearchStats, ServingCtx, ServingReport,
         SloSpec, TpStrategy,
     };
-    pub use servesim::{simulate_serving, SimParams as ServeSimParams, SimReport, SimSpec};
+    pub use servesim::{
+        simulate_serving, try_simulate_serving, SimParams as ServeSimParams, SimReport, SimSpec,
+    };
     pub use systems::{
         perlmutter, system, GpuGeneration, NvsSize, ReliabilitySpec, SystemBuilder, SystemSpec,
     };
