@@ -31,12 +31,26 @@
 
 use criterion::{criterion_group, Criterion};
 use perfmodel::partition::build_profile;
-use perfmodel::{
-    best_placement_eval, optimize, ParallelConfig, Placement, SearchOptions, TpStrategy,
-};
+use perfmodel::{best_placement_eval, Evaluation, ParallelConfig, Placement, Planner, TpStrategy};
 use std::time::Duration;
-use systems::{perlmutter, system, GpuGeneration, NvsSize};
-use txmodel::{gpt3_175b, gpt3_175b_moe, gpt3_1t, moe_1t, vit_64k};
+use systems::{perlmutter, system, GpuGeneration, NvsSize, SystemSpec};
+use txmodel::{gpt3_175b, gpt3_175b_moe, gpt3_1t, moe_1t, vit_64k, TransformerConfig};
+
+/// The planner's pruned single-optimum query on one `(gpus, strategy)`
+/// space.
+fn best(
+    model: &TransformerConfig,
+    sys: &SystemSpec,
+    gpus: u64,
+    global_batch: u64,
+    strategy: TpStrategy,
+) -> Option<Evaluation> {
+    Planner::new(model, sys)
+        .gpus(gpus)
+        .global_batch(global_batch)
+        .strategy(strategy)
+        .best_evaluation()
+}
 
 fn bench_search_scaling(c: &mut Criterion) {
     let gpt = gpt3_1t().config;
@@ -53,18 +67,7 @@ fn bench_search_scaling(c: &mut Criterion) {
             .build()
             .expect("pool builds");
         g.bench_function(&format!("gpt_summa_n16384_t{threads}"), |b| {
-            b.iter(|| {
-                pool.install(|| {
-                    optimize(
-                        &gpt,
-                        &sys,
-                        &SearchOptions::default()
-                            .gpus(16384)
-                            .global_batch(4096)
-                            .strategy(TpStrategy::Summa),
-                    )
-                })
-            })
+            b.iter(|| pool.install(|| best(&gpt, &sys, 16384, 4096, TpStrategy::Summa)))
         });
     }
     g.finish();
@@ -137,52 +140,16 @@ fn bench_search(c: &mut Criterion) {
     let mut g = c.benchmark_group("search");
     g.sample_size(10);
     g.bench_function("gpt_1d_n1024", |b| {
-        b.iter(|| {
-            optimize(
-                &gpt,
-                &sys,
-                &SearchOptions::default()
-                    .gpus(1024)
-                    .global_batch(4096)
-                    .strategy(TpStrategy::OneD),
-            )
-        })
+        b.iter(|| best(&gpt, &sys, 1024, 4096, TpStrategy::OneD))
     });
     g.bench_function("gpt_1d_n16384", |b| {
-        b.iter(|| {
-            optimize(
-                &gpt,
-                &sys,
-                &SearchOptions::default()
-                    .gpus(16384)
-                    .global_batch(4096)
-                    .strategy(TpStrategy::OneD),
-            )
-        })
+        b.iter(|| best(&gpt, &sys, 16384, 4096, TpStrategy::OneD))
     });
     g.bench_function("gpt_summa_n16384", |b| {
-        b.iter(|| {
-            optimize(
-                &gpt,
-                &sys,
-                &SearchOptions::default()
-                    .gpus(16384)
-                    .global_batch(4096)
-                    .strategy(TpStrategy::Summa),
-            )
-        })
+        b.iter(|| best(&gpt, &sys, 16384, 4096, TpStrategy::Summa))
     });
     g.bench_function("vit_2d_n16384", |b| {
-        b.iter(|| {
-            optimize(
-                &vit,
-                &sys,
-                &SearchOptions::default()
-                    .gpus(16384)
-                    .global_batch(4096)
-                    .strategy(TpStrategy::TwoD),
-            )
-        })
+        b.iter(|| best(&vit, &sys, 16384, 4096, TpStrategy::TwoD))
     });
     g.finish();
 }
@@ -198,40 +165,13 @@ fn bench_moe_search(c: &mut Criterion) {
     let mut g = c.benchmark_group("moe-search");
     g.sample_size(10);
     g.bench_function("moe1t_1d_n1024", |b| {
-        b.iter(|| {
-            optimize(
-                &moe1t,
-                &sys,
-                &SearchOptions::default()
-                    .gpus(1024)
-                    .global_batch(4096)
-                    .strategy(TpStrategy::OneD),
-            )
-        })
+        b.iter(|| best(&moe1t, &sys, 1024, 4096, TpStrategy::OneD))
     });
     g.bench_function("moe1t_1d_n16384", |b| {
-        b.iter(|| {
-            optimize(
-                &moe1t,
-                &sys,
-                &SearchOptions::default()
-                    .gpus(16384)
-                    .global_batch(4096)
-                    .strategy(TpStrategy::OneD),
-            )
-        })
+        b.iter(|| best(&moe1t, &sys, 16384, 4096, TpStrategy::OneD))
     });
     g.bench_function("gpt175b_moe8_n4096", |b| {
-        b.iter(|| {
-            optimize(
-                &moe175b,
-                &sys,
-                &SearchOptions::default()
-                    .gpus(4096)
-                    .global_batch(1024)
-                    .strategy(TpStrategy::OneD),
-            )
-        })
+        b.iter(|| best(&moe175b, &sys, 4096, 1024, TpStrategy::OneD))
     });
     g.finish();
 }
@@ -241,7 +181,7 @@ fn bench_moe_search(c: &mut Criterion) {
 /// and multi-scale spaces. Tracked against `search` so the planner's
 /// post-sweep overhead stays visible in the trajectory.
 fn bench_planner_topk(c: &mut Criterion) {
-    use perfmodel::{Objective, Planner};
+    use perfmodel::Objective;
     let gpt = gpt3_1t().config;
     let gpt175 = gpt3_175b().config;
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
@@ -278,7 +218,7 @@ fn bench_planner_topk(c: &mut Criterion) {
 /// k-th-incumbent and Pareto-bound prunes (and its exactness cost, were
 /// it to regress to a slowdown) stays visible in the trajectory.
 fn bench_planner_topk_pruned(c: &mut Criterion) {
-    use perfmodel::{Objective, Planner};
+    use perfmodel::Objective;
     let gpt = gpt3_1t().config;
     let moe = moe_1t().config;
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
@@ -291,8 +231,7 @@ fn bench_planner_topk_pruned(c: &mut Criterion) {
             .strategy(TpStrategy::Summa)
             .top_k(8)
             .pareto([Objective::IterationTime, Objective::HbmHeadroom])
-            .branch_and_bound(pruned)
-            .prune_dominated(pruned)
+            .prune(pruned)
     };
     g.bench_function("gpt_summa_n16384_top8_pruned", |b| {
         let p = gpt_planner(true);
@@ -309,8 +248,7 @@ fn bench_planner_topk_pruned(c: &mut Criterion) {
             .strategy(TpStrategy::OneD)
             .top_k(8)
             .pareto([Objective::IterationTime, Objective::HbmHeadroom])
-            .branch_and_bound(pruned)
-            .prune_dominated(pruned)
+            .prune(pruned)
     };
     g.bench_function("moe1t_n1024_top8_pruned", |b| {
         let p = moe_planner(true);
@@ -380,7 +318,7 @@ fn bench_trainsim(c: &mut Criterion) {
 /// and one fault-injected training replay (trace sampling + three
 /// iteration-variant sims + the multi-day replay loop).
 fn bench_reliability(c: &mut Criterion) {
-    use perfmodel::{Objective, Planner};
+    use perfmodel::Objective;
     use systems::ReliabilitySpec;
     use trainsim::{simulate_training, FaultPlan, TrainingParams};
     let model = gpt3_175b().config;
@@ -421,7 +359,7 @@ fn bench_reliability(c: &mut Criterion) {
 /// (Poisson trace + admission + prefill pool + decode loop).
 fn bench_serving(c: &mut Criterion) {
     use perfmodel::serving::{assess_slo, SloSpec};
-    use perfmodel::{Objective, Planner};
+    use perfmodel::Objective;
     use servesim::{simulate_serving, SimParams, SimSpec};
     use txmodel::gpt3_175b_chat;
     let preset = gpt3_175b_chat();

@@ -6,11 +6,12 @@ use serde_json::{json, Value};
 use systems::SystemSpec;
 use txmodel::TransformerConfig;
 
-/// The figure pipeline's search entry point since the `Planner` redesign:
-/// best feasible evaluation of the standard single-scale space, or `None`
-/// if nothing fits HBM. Selection is pinned bit-identical to the legacy
-/// `optimize` free function (see `tests/wrapper_determinism.rs`), so the
-/// `out/` artifacts regenerate byte-identically.
+/// The figure pipeline's search entry point: best feasible evaluation of
+/// the standard single-scale space, or `None` if nothing fits HBM — the
+/// ranked query at k = 1, bit-identical to
+/// [`Planner::best_evaluation`] (see `tests/pruning_exactness.rs`) and
+/// pinned to the pre-planner search (`tests/wrapper_determinism.rs`), so
+/// the `out/` artifacts regenerate byte-identically.
 pub fn plan_best(
     model: &TransformerConfig,
     sys: &SystemSpec,
@@ -41,8 +42,8 @@ pub fn planner<'a>(
 }
 
 /// Pinned-configuration evaluation under its best placement (the
-/// Figs. 1–3 "assignment is optimal" path) — delegates to the
-/// `best_placement_eval` wrapper, itself `Planner::evaluate_config`.
+/// Figs. 1–3 "assignment is optimal" path) — delegates to
+/// `best_placement_eval`, itself `Planner::evaluate_config`.
 pub fn pinned_eval(
     model: &TransformerConfig,
     sys: &SystemSpec,

@@ -27,12 +27,12 @@
 //! # fmsched
 //!
 //! A miniature loom/shuttle-style model checker: protocol models of the
-//! real concurrent code (the L2 memo shard insert race, the
-//! branch-and-bound CAS incumbent loop, the rayon-pool chunk claim)
-//! explored under an exhaustive DFS scheduler with a seeded random-walk
-//! fallback, asserting schedule-independence of every result. See
-//! [`sched`] for the explorer and the "writing a new model" guide, and
-//! [`models`] for the three protocols and their regression twins.
+//! real concurrent code (the L2 memo shard insert race, the search's
+//! k-th-best threshold, the rayon-pool chunk claim, serving batch
+//! admission) explored under an exhaustive DFS scheduler with a seeded
+//! random-walk fallback, asserting schedule-independence of every result.
+//! See [`sched`] for the explorer and the "writing a new model" guide,
+//! and [`models`] for the four protocols and their regression twins.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

@@ -1,24 +1,23 @@
-//! fmsched models of the four real concurrency protocols on the search
-//! hot path, each with a *regression twin* re-introducing a historical
-//! (or representative) bug so the checker's teeth are themselves tested.
+//! fmsched models of four concurrency protocols (three on the search hot
+//! path, one in serving admission), each with a *regression twin*
+//! re-introducing a historical (or representative) bug so the checker's
+//! teeth are themselves tested.
 //!
 //! | Model | Real code | Claim |
 //! |-------|-----------|-------|
 //! | [`ShardedMemo`] | `perfmodel::partition::cache::memo_f64` (L2 shard insert race) | racing first-computes of a *pure* function publish bit-identical values; no lost insert; every caller returns the same bits |
-//! | [`CasIncumbent`] | `perfmodel::planner` branch-and-bound incumbent (`AtomicU64` CAS loop) | incumbent is monotone non-increasing and ends at the sequential minimum on every schedule; admissible-bound pruning never loses the optimum |
-//! | [`TopkIncumbent`] | `perfmodel::ord::TopkIncumbent` (ranked-path k-th-best threshold: mutex k-set + CAS-published threshold, relaxed readers) | threshold is monotone non-increasing, never below the true k-th-best key, and ends at the k-th-best published key; k-th-incumbent pruning never drops a true top-k candidate |
+//! | [`TopkIncumbent`] | `perfmodel::ord::TopkIncumbent` (the search's k-th-best threshold and best key: mutex k-set, both cells written under the lock, relaxed readers; `k = 1` is the single-optimum incumbent) | threshold and best key are monotone non-increasing; the threshold never falls below the true k-th-best key and ends at the k-th-best published key; the best key ends at the smallest published key; k-th-incumbent pruning never drops a true top-k candidate |
 //! | [`ChunkClaim`] | `vendor/rayon` chunk claim/steal (`fetch_add` self-scheduling) | every chunk is claimed exactly once, all slots are filled, and the reassembled output is input-ordered regardless of interleaving |
 //! | [`BatchAdmit`] | `servesim` decode-batch admission (ceiling-gated slot claim) | the resident batch never exceeds the ceiling, free slots never go negative, and every request is admitted exactly once |
 //!
-//! The twins (`impure_compute`, `torn_store`, `torn_publish`,
-//! `split_claim`, `split_admit`) correspond to the pre-PR-6 duplicate
-//! profile build (which was only harmless because the build is pure —
-//! the twin shows exactly why purity is load-bearing), a
-//! store-instead-of-CAS incumbent that can move *backwards*, a k-th-best
-//! threshold published outside the k-set lock with a blind store (a
-//! stale maximum raises the threshold), a read-then-write chunk claim
-//! that double-processes chunks, and a check-then-claim batch admission
-//! that over-admits past the KV-derived ceiling. The regression tests in
+//! The twins (`impure_compute`, `torn_publish`, `split_claim`,
+//! `split_admit`) correspond to an earlier duplicate profile build
+//! (which was only harmless because the build is pure — the twin shows
+//! exactly why purity is load-bearing), a k-th-best threshold published
+//! outside the k-set lock with a blind store (a stale maximum raises the
+//! threshold), a read-then-write chunk claim that double-processes
+//! chunks, and a check-then-claim batch admission that over-admits past
+//! the KV-derived ceiling. The regression tests in
 //! `tests/sched_protocols.rs` assert [`crate::sched::explore`] finds
 //! each of them.
 
@@ -180,172 +179,6 @@ impl Model for ShardedMemo {
 }
 
 // ---------------------------------------------------------------------------
-// Branch-and-bound incumbent: CAS loop + admissible-bound pruning
-// ---------------------------------------------------------------------------
-
-/// Per-thread program counter for [`CasIncumbent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum IncPc {
-    /// Read the incumbent for the prune check.
-    ReadBound,
-    /// Load the incumbent into the CAS loop's register.
-    Load,
-    /// Attempt `compare_exchange(loaded, time)`.
-    Cas,
-    /// Finished (published, beaten, or pruned).
-    Done,
-}
-
-/// Model of the planner's branch-and-bound incumbent
-/// (`crates/perfmodel/src/planner/mod.rs`): each thread holds one
-/// candidate with an admissible lower bound (`lb <= time`); it reads the
-/// shared incumbent, gives up if `lb` already exceeds it (the prune),
-/// otherwise evaluates and publishes its time through a
-/// load/compare-exchange loop that only ever *lowers* the incumbent.
-///
-/// Claims, on **every** schedule:
-/// * the incumbent is monotone non-increasing ([`Model::check_step`]);
-/// * the final incumbent equals the sequential minimum over all
-///   candidate times — pruning with admissible bounds never loses the
-///   optimum ([`Model::check_final`]).
-///
-/// The `torn_store` twin replaces the CAS with a blind store of the
-/// loaded-register comparison's conclusion — the historical "torn
-/// incumbent" shape, where a stale winner overwrites a better value
-/// published in between and the incumbent moves *up*.
-#[derive(Debug, Clone)]
-pub struct CasIncumbent {
-    /// Regression twin: publish with a store instead of compare-exchange.
-    pub torn_store: bool,
-    /// `(lower_bound, time)` per thread; `lb <= time` is asserted at
-    /// construction (admissibility is a *precondition* the real code
-    /// documents, not something the checker should discover).
-    candidates: Vec<(u64, u64)>,
-    incumbent: u64,
-    prev_incumbent: u64,
-    pc: Vec<IncPc>,
-    /// CAS-loop register (the value `Load` read).
-    loaded: Vec<u64>,
-    /// Threads that pruned (for the final claim's bookkeeping).
-    pruned: Vec<bool>,
-}
-
-impl CasIncumbent {
-    /// One thread per candidate. Panics if any bound is inadmissible
-    /// (`lb > time`) — that is a misuse of the model, not a schedule
-    /// outcome.
-    pub fn new(candidates: &[(u64, u64)], torn_store: bool) -> Self {
-        assert!(
-            candidates.iter().all(|&(lb, t)| lb <= t),
-            "lower bounds must be admissible (lb <= time): {candidates:?}"
-        );
-        let n = candidates.len();
-        Self {
-            torn_store,
-            candidates: candidates.to_vec(),
-            incumbent: u64::MAX,
-            prev_incumbent: u64::MAX,
-            pc: vec![IncPc::ReadBound; n],
-            loaded: vec![0; n],
-            pruned: vec![false; n],
-        }
-    }
-}
-
-impl Model for CasIncumbent {
-    fn name(&self) -> &'static str {
-        "bb-incumbent"
-    }
-
-    fn threads(&self) -> usize {
-        self.candidates.len()
-    }
-
-    fn reset(&mut self) {
-        self.incumbent = u64::MAX;
-        self.prev_incumbent = u64::MAX;
-        self.pc.fill(IncPc::ReadBound);
-        self.loaded.fill(0);
-        self.pruned.fill(false);
-    }
-
-    fn done(&self, tid: usize) -> bool {
-        self.pc[tid] == IncPc::Done
-    }
-
-    fn step(&mut self, tid: usize) {
-        self.prev_incumbent = self.incumbent;
-        let (lb, time) = self.candidates[tid];
-        match self.pc[tid] {
-            IncPc::ReadBound => {
-                // One atomic load; pruning on a *stale* incumbent is
-                // sound because the incumbent only decreases.
-                if lb > self.incumbent {
-                    self.pruned[tid] = true;
-                    self.pc[tid] = IncPc::Done;
-                } else {
-                    self.pc[tid] = IncPc::Load;
-                }
-            }
-            IncPc::Load => {
-                self.loaded[tid] = self.incumbent;
-                self.pc[tid] = if self.loaded[tid] > time {
-                    IncPc::Cas
-                } else {
-                    // Already beaten; nothing to publish.
-                    IncPc::Done
-                };
-            }
-            IncPc::Cas => {
-                if self.torn_store {
-                    // The bug: publish without re-validating. A better
-                    // value landed in between? Overwritten.
-                    self.incumbent = time;
-                    self.pc[tid] = IncPc::Done;
-                } else if self.incumbent == self.loaded[tid] {
-                    // compare_exchange success.
-                    self.incumbent = time;
-                    self.pc[tid] = IncPc::Done;
-                } else {
-                    // compare_exchange failure: reload and retry. The
-                    // loop terminates because the incumbent strictly
-                    // decreases between a thread's load and its failed
-                    // CAS.
-                    self.pc[tid] = IncPc::Load;
-                }
-            }
-            IncPc::Done => unreachable!("stepped a finished thread"),
-        }
-    }
-
-    fn check_step(&self) -> Result<(), String> {
-        if self.incumbent > self.prev_incumbent {
-            return Err(format!(
-                "incumbent moved up: {} -> {} (must be monotone non-increasing)",
-                self.prev_incumbent, self.incumbent
-            ));
-        }
-        Ok(())
-    }
-
-    fn check_final(&self) -> Result<(), String> {
-        let true_min = self
-            .candidates
-            .iter()
-            .map(|&(_, t)| t)
-            .min()
-            .unwrap_or(u64::MAX);
-        if self.incumbent != true_min {
-            return Err(format!(
-                "final incumbent {} != sequential minimum {} (pruned: {:?})",
-                self.incumbent, true_min, self.pruned
-            ));
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Ranked-path k-th-best threshold: locked k-set + published min-threshold
 // ---------------------------------------------------------------------------
 
@@ -364,22 +197,24 @@ enum TopkPc {
     Done,
 }
 
-/// Model of the ranked planner's shared k-th-best threshold
-/// (`perfmodel::ord::TopkIncumbent`): each thread holds one candidate
-/// with an admissible lower bound (`lb <= key`); it relaxed-reads the
-/// published threshold, gives up if `lb` already exceeds it (the
-/// k-th-incumbent prune), otherwise evaluates and inserts its key into
-/// the mutex-guarded k-best set, publishing the set's maximum as the new
-/// threshold through the same monotone `publish_min` discipline as the
-/// single-optimum incumbent.
+/// Model of the search's shared k-th-best threshold
+/// (`perfmodel::ord::TopkIncumbent`; `k = 1` is the single-optimum
+/// incumbent): each thread holds one candidate with an admissible lower
+/// bound (`lb <= key`); it relaxed-reads the published threshold, gives
+/// up if `lb` already exceeds it (the k-th-incumbent prune), otherwise
+/// evaluates and, under the k-set lock, inserts its key into the k-best
+/// set, lowers the best key to it if it improves, and lowers the
+/// threshold to the set's maximum — compare-then-store, never upward.
 ///
 /// Claims, on **every** schedule:
-/// * the threshold is monotone non-increasing and never falls below the
-///   true k-th-best key over *all* candidates — a stale read can only be
-///   conservative ([`crate::sched::Model::check_step`]);
+/// * the threshold and the best key are monotone non-increasing, and the
+///   threshold never falls below the true k-th-best key over *all*
+///   candidates — a stale read can only be conservative
+///   ([`crate::sched::Model::check_step`]);
 /// * no pruned thread held a true top-k candidate (at least `k` strictly
-///   better keys exist), and the final threshold equals the k-th-best
-///   *published* key exactly ([`crate::sched::Model::check_final`]).
+///   better keys exist), the final threshold equals the k-th-best
+///   *published* key exactly, and the final best key equals the smallest
+///   published key ([`crate::sched::Model::check_final`]).
 ///
 /// The `torn_publish` twin hoists the threshold store out of the k-set
 /// lock and drops the min: a thread computes the set's maximum, stalls,
@@ -400,6 +235,8 @@ pub struct TopkIncumbent {
     kept: Vec<u64>,
     threshold: u64,
     prev_threshold: u64,
+    best: u64,
+    prev_best: u64,
     pc: Vec<TopkPc>,
     /// Twin only: the stale maximum awaiting its blind store.
     register: Vec<u64>,
@@ -429,6 +266,8 @@ impl TopkIncumbent {
             kept: Vec::new(),
             threshold: u64::MAX,
             prev_threshold: u64::MAX,
+            best: u64::MAX,
+            prev_best: u64::MAX,
             pc: vec![TopkPc::ReadThreshold; n],
             register: vec![0; n],
             pruned: vec![false; n],
@@ -460,6 +299,8 @@ impl Model for TopkIncumbent {
         self.kept.clear();
         self.threshold = u64::MAX;
         self.prev_threshold = u64::MAX;
+        self.best = u64::MAX;
+        self.prev_best = u64::MAX;
         self.pc.fill(TopkPc::ReadThreshold);
         self.register.fill(0);
         self.pruned.fill(false);
@@ -471,6 +312,7 @@ impl Model for TopkIncumbent {
 
     fn step(&mut self, tid: usize) {
         self.prev_threshold = self.threshold;
+        self.prev_best = self.best;
         let (lb, key) = self.candidates[tid];
         match self.pc[tid] {
             TopkPc::ReadThreshold => {
@@ -484,8 +326,9 @@ impl Model for TopkIncumbent {
                 }
             }
             TopkPc::Insert => {
-                // The k-set update and the threshold publish are one
-                // atomic step: the real code holds the mutex for both.
+                // The k-set update and both cell writes are one atomic
+                // step: the real code holds the mutex for all three.
+                self.best = self.best.min(key);
                 let entered = if self.kept.len() < self.k {
                     self.kept.push(key);
                     true
@@ -507,7 +350,7 @@ impl Model for TopkIncumbent {
                         self.pc[tid] = TopkPc::StorePublish;
                         return;
                     }
-                    // publish_min under the lock: monotone by
+                    // Compare-then-store under the lock: monotone by
                     // construction.
                     self.threshold = self.threshold.min(max);
                 }
@@ -527,6 +370,12 @@ impl Model for TopkIncumbent {
             return Err(format!(
                 "threshold moved up: {} -> {} (must be monotone non-increasing)",
                 self.prev_threshold, self.threshold
+            ));
+        }
+        if self.best > self.prev_best {
+            return Err(format!(
+                "best key moved up: {} -> {} (must be monotone non-increasing)",
+                self.prev_best, self.best
             ));
         }
         // Admissible floor: the k-set only ever holds published keys, so
@@ -586,6 +435,14 @@ impl Model for TopkIncumbent {
                 "final threshold {} != k-th best published key {expect} \
                  (published: {published:?})",
                 self.threshold
+            ));
+        }
+        let smallest = published.first().copied().unwrap_or(u64::MAX);
+        if self.best != smallest {
+            return Err(format!(
+                "final best key {} != smallest published key {smallest} \
+                 (published: {published:?})",
+                self.best
             ));
         }
         Ok(())
@@ -938,15 +795,6 @@ mod tests {
     }
 
     #[test]
-    fn incumbent_is_correct_and_twin_is_caught() {
-        let cands = [(5, 10), (1, 3), (2, 7)];
-        let r = explore(&mut CasIncumbent::new(&cands, false), &Budget::default());
-        assert!(r.passed(), "{:?}", r.violation);
-        let bad = explore(&mut CasIncumbent::new(&cands, true), &Budget::default());
-        assert!(bad.violation.is_some());
-    }
-
-    #[test]
     fn chunk_claim_is_correct_and_twin_is_caught() {
         let r = explore(&mut ChunkClaim::new(2, 3, false), &Budget::default());
         assert!(r.passed(), "{:?}", r.violation);
@@ -970,6 +818,12 @@ mod tests {
             &Budget::default(),
         );
         assert!(bad.violation.is_some());
+        // k = 1: the single-optimum incumbent.
+        let r = explore(
+            &mut TopkIncumbent::new(1, &[(5, 10), (1, 3), (2, 7)], false),
+            &Budget::default(),
+        );
+        assert!(r.passed(), "{:?}", r.violation);
     }
 
     #[test]
@@ -987,12 +841,6 @@ mod tests {
     #[should_panic(expected = "zero-capacity")]
     fn zero_capacity_batch_is_rejected_at_construction() {
         let _ = BatchAdmit::new(1, 0, false);
-    }
-
-    #[test]
-    #[should_panic(expected = "admissible")]
-    fn inadmissible_bounds_are_rejected_at_construction() {
-        let _ = CasIncumbent::new(&[(11, 10)], false);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! fmsched acceptance suite: the five real protocols verified at
+//! fmsched acceptance suite: the four real protocols verified at
 //! CI-meaningful exploration depths, the historical regression shapes
 //! provably *caught*, and the bridge test tying the `chunk-claim`
 //! model to the vendored rayon pool that actually runs.
@@ -7,7 +7,7 @@
 //! bridge test installs a process-wide `rayon::sched_hook` observer and
 //! must not share a process with other pool users.
 
-use fmcheck::models::{BatchAdmit, CasIncumbent, ChunkClaim, ShardedMemo, TopkIncumbent};
+use fmcheck::models::{BatchAdmit, ChunkClaim, ShardedMemo, TopkIncumbent};
 use fmcheck::sched::{explore, Budget, ViolationKind};
 
 /// The acceptance floor from the PR issue: the exhaustive explorer must
@@ -22,17 +22,22 @@ fn protocols_hold_on_every_schedule_at_acceptance_depth() {
     assert!(memo.passed(), "l2-memo: {:?}", memo.violation);
     assert!(memo.exhaustive, "l2-memo must be explored exhaustively");
 
-    // 3 candidates through the branch-and-bound incumbent: a bound that
-    // prunes against the winner, a winning candidate, and a dominated
-    // one racing the CAS. (A 4th thread multiplies the space to ~19M
-    // schedules / 40s — exhaustive but not CI material.)
+    // 3 candidates through the threshold at k = 1, the single-optimum
+    // incumbent: a bound that prunes against the winner, a winning
+    // candidate, and a dominated one racing the publish.
     let cands = [(2, 9), (1, 4), (3, 12)];
-    let inc = explore(&mut CasIncumbent::new(&cands, false), &Budget::default());
-    assert!(inc.passed(), "bb-incumbent: {:?}", inc.violation);
-    assert!(inc.exhaustive, "bb-incumbent must be explored exhaustively");
+    let inc = explore(
+        &mut TopkIncumbent::new(1, &cands, false),
+        &Budget::default(),
+    );
+    assert!(inc.passed(), "topk-incumbent k=1: {:?}", inc.violation);
+    assert!(
+        inc.exhaustive,
+        "topk-incumbent k=1 must be explored exhaustively"
+    );
 
-    // 4 candidates through the ranked path's k-th-best threshold with
-    // k = 2: a winner, a runner-up, a dominated straggler, and one whose
+    // 4 candidates through the k-th-best threshold with k = 2: a
+    // winner, a runner-up, a dominated straggler, and one whose
     // admissible bound prunes against the published threshold on the
     // schedules where it arrives late.
     let topk_cands = [(2, 9), (1, 4), (3, 12), (10, 11)];
@@ -92,23 +97,6 @@ fn regression_duplicate_profile_build_is_caught() {
     // The counterexample is a real schedule, replayable by hand: both
     // threads must have probed before either inserted.
     assert!(v.schedule.len() >= 4, "counterexample too short: {v:?}");
-}
-
-/// Historical regression 2: a torn (store-instead-of-CAS) incumbent
-/// publish lets a stale winner overwrite a better value, moving the
-/// incumbent *up*. The monotonicity invariant must catch it on some
-/// schedule.
-#[test]
-fn regression_torn_incumbent_is_caught() {
-    let cands = [(2, 9), (1, 4), (3, 12)];
-    let r = explore(&mut CasIncumbent::new(&cands, true), &Budget::default());
-    let v = r.violation.expect("torn incumbent store must be caught");
-    assert_eq!(v.kind, ViolationKind::Invariant);
-    assert!(
-        v.message.contains("moved up") || v.message.contains("sequential minimum"),
-        "unexpected violation: {}",
-        v.message
-    );
 }
 
 /// Seeded regression for the ranked path: a k-th-best threshold store

@@ -64,16 +64,6 @@ pub struct ParallelConfig {
     /// bubble by `v` at the cost of `v×` point-to-point traffic and
     /// slightly higher activation memory. Must divide the layers per
     /// stage `d/np`.
-    ///
-    /// Contract relied on by the search's dominated-candidate
-    /// elimination (`Planner::best_evaluation`): at `np == 1` this knob
-    /// must not enter the timing model at all (no pipeline ⇒ no bubble,
-    /// no p2p) and may only *increase* memory — which is why an
-    /// `interleave > 1, np == 1` candidate can be dropped in favor of
-    /// its `interleave = 1` twin without evaluating either. If a future
-    /// change makes interleave affect single-stage timing or shrink
-    /// memory, that prune (and `tests/pruning_exactness.rs`) must be
-    /// revisited.
     pub interleave: u64,
     /// ZeRO-3-style weight/gradient sharding over the data-parallel group
     /// (paper Limitations: "weights (and gradients) can also be

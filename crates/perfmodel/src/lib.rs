@@ -33,9 +33,12 @@
 //!    fanned out over the rayon pool against a build-once
 //!    [`ProfileCache`] — returning a [`PlanSet`]: the top-k ranked
 //!    [`Plan`]s and the exact Pareto frontier across the selected
-//!    objectives, fully serializable. The original free functions
-//!    ([`optimize`], [`sweep_partitions`], [`best_placement_eval`])
-//!    remain as thin, bit-identical wrappers.
+//!    objectives, fully serializable. One pipeline serves every query
+//!    (see [`planner`]): it evaluates the lowest-bound candidates first
+//!    and skips, exactly, every candidate whose admissible lower bound
+//!    keeps it out of the result. [`Planner::best_evaluation`] is its
+//!    single-optimum query, [`Planner::evaluations`] the unpruned sweep,
+//!    and [`best_placement_eval`] prices one pinned configuration.
 //!
 //! ```
 //! use perfmodel::{Objective, Planner, TpStrategy};
@@ -89,10 +92,7 @@ pub use planner::{
     SearchSpace, WeightedTerm,
 };
 pub use reliability::GoodputReport;
-pub use search::{
-    best_placement_eval, best_placement_eval_with_profile, enumerate_partitions, optimize,
-    sweep_partitions, SearchOptions,
-};
+pub use search::best_placement_eval;
 pub use sensitivity::{elasticities, Elasticity, HardwareAxis};
 pub use serving::{PdPlacement, ServingCtx, ServingReport, SloSpec};
 pub use training::training_days;

@@ -5,23 +5,20 @@
 //! everywhere (fmlint's `partial-cmp-unwrap` lint points here):
 //!
 //! * Ordering is [`f64::total_cmp`]: `-inf < finite < +inf < NaN`. A NaN
-//!   candidate time therefore never wins a minimization, and a NaN
-//!   incumbent is displaced by any real value — with bare `<`/`>` a NaN
-//!   incumbent is *sticky* (every comparison against it is false), which
-//!   silently disables branch-and-bound publishing for the rest of the
-//!   sweep.
+//!   candidate time therefore never wins a minimization, and a NaN key
+//!   never improves a threshold — with bare `<`/`>` a NaN threshold would
+//!   be *sticky* (every comparison against it is false), silently
+//!   disabling pruning for the rest of the sweep.
 //! * Bound pruning is deliberately **not** total-order:
 //!   [`exceeds_bound`] uses IEEE `>`, so a NaN lower bound (vacuous
 //!   information) never prunes. Under `total_cmp` NaN sorts *above*
-//!   every incumbent and would prune a candidate whose true time is
+//!   every threshold and would prune a candidate whose true time is
 //!   unknown — an unsound cutoff. The distinction is pinned by the
-//!   property tests below and by the `bb-incumbent` fmsched model
-//!   (`fmcheck::models::CasIncumbent`).
+//!   property tests below and by the `topk-incumbent` fmsched model
+//!   (`fmcheck::models::TopkIncumbent`).
 //!
-//! The shared-incumbent cell stores times as raw bits in an `AtomicU64`
-//! ([`publish_min`]). For non-negative floats (iteration times), bit
-//! patterns order exactly as `total_cmp` — including NaN above +inf — so
-//! the CAS loop and these helpers agree by construction.
+//! The search's one shared cutoff is [`TopkIncumbent`]: the k-th-best
+//! and best keys, written under one lock and read lock-free.
 
 use std::cmp::Ordering;
 use std::sync::atomic::{AtomicU64, Ordering as MemOrdering};
@@ -52,51 +49,28 @@ pub fn exceeds_bound(lb: f64, bound: f64) -> bool {
     lb > bound
 }
 
-/// Lowers the shared incumbent to `time` if it improves (lock-free
-/// compare-exchange loop over the time's raw bits). Returns `true` when
-/// `time` was published.
-///
-/// "Improves" is exactly [`is_improvement`] — the loop *decodes* the
-/// cell and compares under the total order, so the discipline is sound
-/// for any float, negative ranking keys included. (For the non-negative
-/// iteration times the single-optimum path stores, bit patterns happen
-/// to order identically to `total_cmp` too, NaN above +inf included.)
-/// The loop terminates because the cell's value strictly decreases
-/// between a load and a failed exchange. This is the protocol
-/// model-checked as `fmcheck::models::CasIncumbent`.
-pub fn publish_min(cell: &AtomicU64, time: f64) -> bool {
-    let bits = time.to_bits();
-    let mut cur = cell.load(MemOrdering::Relaxed);
-    while is_improvement(time, f64::from_bits(cur)) {
-        match cell.compare_exchange_weak(cur, bits, MemOrdering::Relaxed, MemOrdering::Relaxed) {
-            Ok(_) => return true,
-            Err(c) => cur = c,
-        }
-    }
-    false
-}
-
-/// Shared concurrent k-th-best threshold for the *ranked* branch-and-
-/// bound (the top-k analogue of the single-optimum atomic incumbent):
-/// workers [`TopkIncumbent::publish`] every evaluated ranking key, and
-/// readers prune a candidate when its admissible key lower bound exceeds
+/// Shared concurrent k-th-best threshold for the search's branch-and-
+/// bound (`k = 1` is the single-optimum incumbent): workers
+/// [`TopkIncumbent::publish`] every evaluated ranking key, and readers
+/// prune a candidate when its admissible key lower bound exceeds
 /// [`TopkIncumbent::threshold`] — the current k-th best key.
 ///
-/// Internals: the k best keys seen so far live behind a small mutex; the
+/// Internals: the k best keys seen so far live behind a small mutex. The
 /// published threshold (the worst retained key) and the running best key
-/// are `AtomicU64` cells lowered through the same [`publish_min`] CAS
-/// discipline, so relaxed readers may observe a *stale* (higher)
-/// threshold but never a torn or raised one — staleness costs a missed
-/// prune, never an unsound one. The threshold is `+inf` until `k` keys
-/// have been published (nothing is prunable before k candidates are
-/// ranked) and `-inf` for `k = 0` (an empty top-k retains nothing).
+/// are `AtomicU64` cells written only under that mutex, compare-then-
+/// store, and only ever lowered. Relaxed readers may therefore observe a
+/// *stale* (higher) value but never a torn or raised one — staleness
+/// costs a missed prune, never an unsound one. The threshold is `+inf`
+/// until `k` keys have been published (nothing is prunable before k
+/// candidates are ranked) and `-inf` for `k = 0` (an empty top-k retains
+/// nothing).
 ///
 /// NaN keys are kept in the k-set — they rank last under the total
-/// order, so any real key displaces them — but are never *published* as
-/// a threshold ([`publish_min`] rejects NaN), so a NaN score can neither
-/// make the threshold sticky nor prune through it. Keys may be negative
-/// (maximizing objectives negate their value), which is why the cells go
-/// through the decode-and-`total_cmp` CAS rather than raw bit order.
+/// order, so any real key displaces them — but never lower a cell
+/// ([`is_improvement`] rejects NaN), so a NaN score can neither make the
+/// threshold sticky nor prune through it. Keys may be negative
+/// (maximizing objectives negate their value), so the cells compare
+/// decoded floats under `total_cmp`, not raw bit patterns.
 /// Model-checked as `fmcheck::models::TopkIncumbent` (`topk-incumbent`).
 pub struct TopkIncumbent {
     k: usize,
@@ -132,14 +106,15 @@ impl TopkIncumbent {
         f64::from_bits(self.best.load(MemOrdering::Relaxed))
     }
 
-    /// Publishes one evaluated candidate's ranking key, lowering the
-    /// threshold when the key enters the k-set.
+    /// Publishes one evaluated candidate's ranking key, lowering the best
+    /// key when it improves and the threshold when the key enters the
+    /// k-set.
     pub fn publish(&self, key: f64) {
-        publish_min(&self.best, key);
+        let mut kept = self.kept.lock().unwrap_or_else(|e| e.into_inner());
+        lower(&self.best, key);
         if self.k == 0 {
             return;
         }
-        let mut kept = self.kept.lock().unwrap_or_else(|e| e.into_inner());
         if kept.len() < self.k {
             kept.push(key);
         } else {
@@ -163,8 +138,17 @@ impl TopkIncumbent {
                     max = v;
                 }
             }
-            publish_min(&self.threshold, max);
+            lower(&self.threshold, max);
         }
+    }
+}
+
+/// Lowers `cell` to `value` when it improves under the total order (so
+/// never to NaN). Callers hold the [`TopkIncumbent`] lock, which makes
+/// the compare-then-store race-free.
+fn lower(cell: &AtomicU64, value: f64) {
+    if is_improvement(value, f64::from_bits(cell.load(MemOrdering::Relaxed))) {
+        cell.store(value.to_bits(), MemOrdering::Relaxed);
     }
 }
 
@@ -183,12 +167,18 @@ mod tests {
     }
 
     #[test]
-    fn nan_incumbent_is_not_sticky() {
-        // The latent bug the helper fixes: with bare `>`, a NaN incumbent
-        // rejects every candidate.
-        let cell = AtomicU64::new(f64::NAN.to_bits());
-        assert!(publish_min(&cell, 3.5));
-        assert_eq!(f64::from_bits(cell.load(MemOrdering::Relaxed)), 3.5);
+    fn nan_keys_never_publish() {
+        // A NaN key enters the k-set but lowers neither cell, so the next
+        // real key still publishes: no NaN can make a cell sticky.
+        let topk = TopkIncumbent::new(1);
+        topk.publish(f64::NAN);
+        assert_eq!(topk.threshold(), f64::INFINITY);
+        assert_eq!(topk.best(), f64::INFINITY);
+        topk.publish(3.5);
+        assert_eq!(topk.threshold(), 3.5);
+        assert_eq!(topk.best(), 3.5);
+        topk.publish(f64::NAN);
+        assert_eq!(topk.threshold(), 3.5);
     }
 
     #[test]
@@ -199,82 +189,11 @@ mod tests {
         assert!(!exceeds_bound(1.0, f64::INFINITY));
     }
 
-    /// Decodes a sampled pair into a candidate `(lb, time)`, steering a
-    /// healthy fraction of cases into the degenerate corners (NaN and
-    /// infinite lower bounds, infinite times).
-    fn candidate(kind: u32, x: f64) -> (f64, f64) {
-        let time = x.abs();
-        match kind {
-            0 => (f64::NAN, time),               // vacuous bound
-            1 => (f64::NEG_INFINITY, time),      // trivial bound
-            2 => (f64::INFINITY, f64::INFINITY), // infeasible candidate
-            3 => (time, f64::NAN),               // evaluation blew up
-            _ => ((time * 0.5).min(time), time), // admissible finite bound
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(500))]
-
-        /// Replays the planner's branch-and-bound loop (prune on a stale
-        /// incumbent, evaluate, publish) over adversarial candidates and
-        /// requires the surviving minimum to equal the exact sequential
-        /// minimum: pruning with NaN/infinite bounds must stay exact.
-        #[test]
-        fn bb_pruning_stays_exact_under_nan_and_inf(
-            k0 in 0u32..5, x0 in 0.0f64..1e6,
-            k1 in 0u32..5, x1 in 0.0f64..1e6,
-            k2 in 0u32..5, x2 in 0.0f64..1e6,
-            k3 in 0u32..5, x3 in 0.0f64..1e6,
-            k4 in 0u32..5, x4 in 0.0f64..1e6,
-        ) {
-            let cands = [
-                candidate(k0, x0),
-                candidate(k1, x1),
-                candidate(k2, x2),
-                candidate(k3, x3),
-                candidate(k4, x4),
-            ];
-            let cell = AtomicU64::new(f64::INFINITY.to_bits());
-            let mut survivors = Vec::new();
-            for &(lb, time) in &cands {
-                let inc = f64::from_bits(cell.load(MemOrdering::Relaxed));
-                // The planner's cutoff: prune only on a provable excess.
-                if exceeds_bound(lb, inc) {
-                    // Soundness of the prune itself: the bound was
-                    // admissible, so the skipped time cannot beat inc.
-                    let beats_inc = time.partial_cmp(&inc) == Some(Ordering::Less);
-                    prop_assert!(!beats_inc, "pruned a better candidate");
-                    continue;
-                }
-                publish_min(&cell, time);
-                survivors.push(time);
-            }
-            let true_min = cands
-                .iter()
-                .map(|&(_, t)| t)
-                .min_by(|a, b| time_cmp(*a, *b));
-            let got = survivors.into_iter().min_by(|a, b| time_cmp(*a, *b));
-            // Every candidate the exact minimum could come from survived.
-            // Pruning must not change the optimum.
-            prop_assert_eq!(got.map(f64::to_bits), true_min.map(f64::to_bits));
-            // And the shared incumbent converged to it (NaN times are
-            // never published, so the cell holds the best real time).
-            let best_real = cands
-                .iter()
-                .map(|&(_, t)| t)
-                .filter(|t| !t.is_nan())
-                .min_by(|a, b| time_cmp(*a, *b))
-                .unwrap_or(f64::INFINITY);
-            // The incumbent must converge to the sequential minimum.
-            prop_assert_eq!(cell.load(MemOrdering::Relaxed), best_real.to_bits());
-        }
-    }
-
     /// Decodes a sampled pair into a ranked candidate `(lb, key)`. Keys
     /// are *signed* (maximizing objectives negate their value), so the
-    /// offset pushes half the range negative; the degenerate corners
-    /// mirror [`candidate`] for the ranked path.
+    /// offset pushes half the range negative; a healthy fraction of cases
+    /// land in the degenerate corners (NaN and infinite bounds, infinite
+    /// and NaN keys).
     fn ranked_candidate(kind: u32, x: f64) -> (f64, f64) {
         let key = x - 5e5;
         match kind {
@@ -340,6 +259,15 @@ mod tests {
             survivor_ranked.sort_by(|&a, &b| time_cmp(cands[a].1, cands[b].1).then(a.cmp(&b)));
             prop_assert!(survivor_ranked.len() >= k);
             prop_assert_eq!(&survivor_ranked[..k], true_topk);
+            // The best cell ends at the smallest real published key (NaN
+            // keys never publish), whatever k is.
+            let best_real = survivors
+                .iter()
+                .map(|&i| cands[i].1)
+                .filter(|key| !key.is_nan())
+                .min_by(|a, b| time_cmp(*a, *b))
+                .unwrap_or(f64::INFINITY);
+            prop_assert_eq!(topk.best().to_bits(), best_real.to_bits());
             // The final threshold is admissible: never below the true
             // k-th-best real key (an unpublishable NaN k-th best leaves
             // the threshold conservatively high).

@@ -205,6 +205,14 @@ impl ProfileCache {
 /// them sees every event. Note the counters are global: concurrent
 /// searches (e.g. parallel `cargo test` threads) add to the same tallies,
 /// so tests should assert on deltas, not absolute values.
+///
+/// Which stage of the planner's search pipeline (see [`crate::planner`])
+/// feeds each counter: the profile counters come from the
+/// [`ProfileCache`] build that precedes the assess stage; the memo
+/// counters from the assess stage's lower bounds and from every
+/// evaluation (seeds, sweep, or the unpruned sweep); the three prune
+/// counters from the eliminate and sweep stages, split by query kind as
+/// each field says.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Collective-time memo probes answered by the thread-local L1.
@@ -218,12 +226,17 @@ pub struct SearchStats {
     pub profile_builds: u64,
     /// Wall-clock nanoseconds spent inside [`ProfileCache::build`].
     pub profile_build_nanos: u64,
-    /// Candidates skipped by the branch-and-bound incumbent test.
+    /// Single-optimum queries ([`crate::Planner::best_evaluation`]):
+    /// candidates skipped in the sweep stage, where each survivor is
+    /// checked once more against the live threshold.
     pub bound_pruned: u64,
-    /// Candidates eliminated as dominated before placement enumeration.
+    /// Single-optimum queries: candidates dropped in the elimination
+    /// stage, whose lower bound is past the seed's evaluated time.
     pub dominated_pruned: u64,
-    /// Candidates skipped by the ranked-path prune (k-th-incumbent test
-    /// *and* Pareto lower-bound domination both fired).
+    /// Ranked queries ([`crate::Planner::execute`]): every skipped
+    /// candidate, from the elimination and the sweep stage alike (its
+    /// bound is past the k-th-best threshold, and its bound vector is
+    /// strictly dominated by an evaluated point).
     pub topk_pruned: u64,
 }
 

@@ -1,50 +1,53 @@
 //! The composable planning surface over the S3 design-space search.
 //!
-//! [`Planner`] replaces the free-function entry points (`optimize`,
-//! `sweep_partitions`, `best_placement_eval` — still available as thin,
-//! bit-identical wrappers) with one builder that composes:
+//! [`Planner`] is one builder that composes:
 //!
 //! * a typed [`SearchSpace`] — GPU counts, batch, TP strategies,
 //!   microbatch/interleave/ZeRO/expert knobs, pp/dp/tp degree bounds —
 //!   plus arbitrary user [`Planner::constrain`] predicates;
 //! * an [`Objective`] — iteration time, training days, tokens/s/GPU, HBM
 //!   headroom, GPU-seconds cost, or weighted/lexicographic combinations;
-//! * execution over the rayon pool (the same [`ProfileCache`]-backed
-//!   evaluated sweep the wrappers use, so results stay bit-identical
-//!   across thread counts), streaming each candidate through an optional
-//!   [`Planner::on_candidate`] progress hook;
+//! * execution over the rayon pool against a build-once [`ProfileCache`],
+//!   bit-identical across thread counts;
 //!
 //! into a [`PlanSet`]: the top-k ranked [`Plan`]s **and** the exact
 //! Pareto frontier across the selected objectives, fully serializable.
 //!
-//! Three execution paths share the candidate machinery:
+//! # One search pipeline
 //!
-//! * [`Planner::evaluations`] — the **full sweep**: every candidate
-//!   evaluated, needed whenever the caller consumes the raw evaluation
-//!   list (figures, `include_infeasible`, streaming hooks).
-//! * [`Planner::execute`] — the **pruned ranked** path (top-k + Pareto):
-//!   a k-th-incumbent branch-and-bound ([`crate::ord::TopkIncumbent`])
-//!   prunes candidates whose admissible per-objective key lower bound
-//!   (`Objective::key_lower_bound`) provably lands outside the top-k,
-//!   *and* whose bound vector is strictly dominated by an
-//!   already-evaluated point — only candidates failing both tests are
-//!   skipped, so the ranked list and the Pareto frontier stay
-//!   bit-identical to the full sweep's. Falls back to the full sweep
-//!   whenever a hook is installed, infeasible candidates are kept, the
-//!   pruning flags are off, or the objective admits no admissible bound.
-//! * [`Planner::best_evaluation`] — the **pruned single-optimum** path
-//!   (`optimize` delegates here): memory-infeasible candidates, provably
-//!   dominated candidates, and candidates whose admissible lower bound
-//!   cannot beat the running incumbent are skipped before their placement
-//!   loops run. Both prunes are exact (see
-//!   `evaluate::iteration_time_lower_bound`), so the result is
-//!   bit-identical to the full sweep's first feasible minimum — just much
-//!   cheaper.
+//! Every entry point runs the same pipeline and differs only in the
+//! query it poses:
 //!
-//! Both paths switch to placement-level parallelism (one work item per
-//! `(candidate, placement)` pair) when there are too few candidates to
-//! occupy the pool — the "few fat candidates" shape of pinned-config
-//! comparisons — and both report what they skipped through
+//! | Entry point | Query |
+//! |---|---|
+//! | [`Planner::execute`] | the configured objective and `top_k`, frontier across the Pareto objectives |
+//! | [`Planner::best_evaluation`] | top 1 by iteration time, no frontier |
+//! | [`Planner::evaluations`] | pruning off: every candidate |
+//!
+//! 1. **Assess** (parallel): the placement-independent memory ledger
+//!    gates each candidate on HBM; when the query can prune, admissible
+//!    lower bounds on the ranking key and on every frontier key
+//!    (`Objective::key_lower_bound` over
+//!    `evaluate::iteration_time_lower_bound`) come with it.
+//! 2. **Seed**: the `top_k` lowest-bound candidates are evaluated
+//!    unconditionally; their keys set the k-th-best threshold
+//!    ([`crate::ord::TopkIncumbent`]).
+//! 3. **Eliminate**: every other candidate is dropped when its bound is
+//!    past that threshold, past the primary-stage cut of a lexicographic
+//!    objective, and — only when a frontier is asked for — its bound
+//!    vector is strictly dominated by an evaluated point. A NaN bound
+//!    never prunes ([`crate::ord::exceeds_bound`]).
+//! 4. **Sweep** (parallel): the survivors are evaluated best-first, each
+//!    checked once more against the live threshold and frontier archive.
+//! 5. **Reassemble** the evaluations in enumeration order.
+//!
+//! Every prune is exact: a skipped candidate provably cannot enter the
+//! top-k or the frontier, so every result is bit-identical to the
+//! unpruned sweep's ([`SearchSpace::prune`]). Races on the shared
+//! threshold only change *which redundant work is skipped*. Each stage
+//! evaluates its batch with one work item per candidate, or — when the
+//! batch is too small to occupy the pool — one per `(candidate,
+//! placement)` pair. Skip counts are reported through
 //! [`crate::search_stats`].
 //!
 //! ```
@@ -89,33 +92,32 @@ use crate::partition::cache::{
 use crate::partition::{build_profile, ProfileCache};
 use crate::placement::enumerate_placements;
 use crate::search::{best_placement_with_memory, enumerate_partitions};
+use plan::{pareto_frontier, plan_of};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use systems::SystemSpec;
 use txmodel::{InferenceConfig, TransformerConfig};
 
-/// Relative slack on every lower-bound-vs-incumbent comparison: a
-/// candidate is pruned only when `lb > incumbent · (1 + PRUNE_EPS)`. The
-/// bound and the evaluation assemble the same terms in different
-/// floating-point orders (bucketed sum vs `m·(tf+tb)`), so a mathematical
-/// tie can differ by a few ulps; the slack turns those ties into
-/// evaluations instead of prunes, keeping the result bit-identical to the
-/// unpruned sweep.
+/// Relative slack on every lower-bound-vs-threshold comparison: a
+/// candidate is pruned only when its bound exceeds the threshold by more
+/// than `PRUNE_EPS` relative. The bound and the evaluation assemble the
+/// same terms in different floating-point orders (bucketed sum vs
+/// `m·(tf+tb)`), so a mathematical tie can differ by a few ulps; the
+/// slack turns those ties into evaluations instead of prunes, keeping the
+/// result bit-identical to the unpruned sweep.
 const PRUNE_EPS: f64 = 1e-9;
 
-/// Candidate-count threshold below which the pool is fanned out over
+/// Batch-size threshold below which a batch is fanned out over
 /// `(candidate, placement)` pairs instead of candidates (in units of the
 /// current thread count).
 const FANOUT_FACTOR: usize = 4;
 
 /// Widens `bound` upward by the relative [`PRUNE_EPS`] slack (identity on
-/// non-finite bounds). The signed-key analogue of the single-optimum
-/// path's `incumbent · (1 + PRUNE_EPS)`, which would *tighten* a negative
-/// bound: ranking keys may be negative (maximizing objectives negate, a
-/// weighted sum can land anywhere), so the slack must be applied through
-/// `|bound|`.
+/// non-finite bounds). Ranking keys may be negative (maximizing
+/// objectives negate, a weighted sum can land anywhere), so the slack is
+/// applied through `|bound|`: `bound · (1 + PRUNE_EPS)` would *tighten* a
+/// negative bound.
 fn relax_up(bound: f64) -> f64 {
     if bound.is_finite() {
         bound + PRUNE_EPS * bound.abs()
@@ -136,10 +138,10 @@ fn relax_down(bound: f64) -> f64 {
     }
 }
 
-/// Shared archive of evaluated candidates' exact Pareto key vectors —
-/// the ranked sweep's dominance oracle, kept frontier-filtered so it
-/// stays small. Workers race on it through a mutex; a stale read only
-/// misses a prune, never fabricates one.
+/// Shared archive of evaluated candidates' exact frontier key vectors —
+/// the pipeline's dominance oracle, kept frontier-filtered so it stays
+/// small. Workers race on it through a mutex; a stale read only misses a
+/// prune, never fabricates one.
 #[derive(Default)]
 struct DominanceArchive {
     points: Mutex<Vec<Vec<f64>>>,
@@ -164,6 +166,8 @@ impl DominanceArchive {
     /// Records one evaluated point's exact key vector, dropping it if an
     /// archived point already dominates it and evicting points it
     /// dominates (IEEE dominance, same predicate as the final frontier).
+    /// Eviction never shrinks what the archive covers: the evicting
+    /// point is componentwise no worse than the evicted one.
     fn insert(&self, kv: Vec<f64>) {
         let dominates = |a: &[f64], b: &[f64]| {
             a.iter().zip(b).all(|(x, y)| x <= y) && a.iter().zip(b).any(|(x, y)| x < y)
@@ -177,9 +181,47 @@ impl DominanceArchive {
     }
 }
 
+/// One question posed to the search pipeline (`Planner::search`).
+struct Query<'q> {
+    /// Ranking objective: its k-th-best key is the pruning threshold.
+    objective: &'q Objective,
+    /// How many ranked candidates the query retains (the seed count).
+    top_k: usize,
+    /// Objectives spanning the frontier. Empty when no frontier is asked
+    /// for, which skips the dominance test and its archive.
+    frontier: &'q [Objective],
+    /// Keep memory-infeasible candidates; such a query never prunes.
+    keep_infeasible: bool,
+    /// Whether the query may skip candidates at all.
+    prune: bool,
+    ctx: &'q ObjectiveCtx,
+}
+
+/// A candidate past the memory gate, with its stage-1 assessment.
+struct Candidate {
+    /// Position in the enumeration.
+    index: usize,
+    memory: MemoryUsage,
+    /// Admissible lower bound on the ranking key (`-inf` when the query
+    /// does not prune).
+    rank_lb: f64,
+    /// Admissible lower bounds on the frontier keys, in query order.
+    frontier_lb: Vec<f64>,
+}
+
+/// What the pipeline returns for one [`Query`].
+struct Sweep {
+    /// Every evaluated candidate, in enumeration order.
+    evals: Vec<Evaluation>,
+    /// Candidates past the memory gate, evaluated or skipped.
+    candidates: u64,
+    /// Of those, the ones that fit in HBM.
+    feasible: u64,
+}
+
 /// The serializable part of a planner: everything except the model/system
-/// borrows and the closure hooks. Round-trips through JSON so a planning
-/// problem can be stored, diffed and replayed
+/// borrows and the constraint closures. Round-trips through JSON so a
+/// planning problem can be stored, diffed and replayed
 /// ([`Planner::from_config`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlannerConfig {
@@ -193,8 +235,8 @@ pub struct PlannerConfig {
     /// How many ranked plans [`PlanSet::top`] retains.
     pub top_k: usize,
     /// Keep memory-infeasible candidates in the sweep (flagged, never
-    /// ranked). `false` — the default — prunes them before placement
-    /// enumeration, exactly like `optimize` always has.
+    /// ranked). `false` — the default — drops them before placement
+    /// enumeration.
     pub include_infeasible: bool,
     /// Serving traffic for the inference objectives. When set, the
     /// memory gate switches from the training ledger to the inference
@@ -219,7 +261,6 @@ impl Default for PlannerConfig {
 }
 
 type Constraint = Arc<dyn Fn(&ParallelConfig) -> bool + Send + Sync>;
-type CandidateHook = Arc<dyn Fn(&Evaluation) + Send + Sync>;
 
 /// Builder-style planner over one `(model, system)` pair. See the
 /// [module docs](self) for the full tour.
@@ -229,24 +270,17 @@ pub struct Planner<'a> {
     system: &'a SystemSpec,
     config: PlannerConfig,
     constraints: Vec<Constraint>,
-    on_candidate: Option<CandidateHook>,
 }
 
 impl<'a> Planner<'a> {
     /// A planner with the default [`PlannerConfig`] (512 GPUs, batch
     /// 4096, 1D TP, iteration-time objective, top-8).
     pub fn new(model: &'a TransformerConfig, system: &'a SystemSpec) -> Self {
-        Self {
-            model,
-            system,
-            config: PlannerConfig::default(),
-            constraints: Vec::new(),
-            on_candidate: None,
-        }
+        Self::from_config(model, system, PlannerConfig::default())
     }
 
-    /// Rebuilds a planner from a serialized [`PlannerConfig`] (closure
-    /// hooks cannot be serialized and start empty).
+    /// Rebuilds a planner from a serialized [`PlannerConfig`] (constraint
+    /// closures cannot be serialized and start empty).
     pub fn from_config(
         model: &'a TransformerConfig,
         system: &'a SystemSpec,
@@ -257,11 +291,10 @@ impl<'a> Planner<'a> {
             system,
             config,
             constraints: Vec::new(),
-            on_candidate: None,
         }
     }
 
-    /// The declarative state (serializable; hooks excluded).
+    /// The declarative state (serializable; constraints excluded).
     pub fn config(&self) -> &PlannerConfig {
         &self.config
     }
@@ -339,18 +372,9 @@ impl<'a> Planner<'a> {
         self
     }
 
-    /// Shorthand for [`SearchSpace::branch_and_bound`] on the current
-    /// space (gates the pruned paths of [`Planner::best_evaluation`] and
-    /// [`Planner::execute`]; both exact).
-    pub fn branch_and_bound(self, yes: bool) -> Self {
-        self.with_space(|s| s.branch_and_bound(yes))
-    }
-
-    /// Shorthand for [`SearchSpace::prune_dominated`] on the current
-    /// space (gates the pruned paths of [`Planner::best_evaluation`] and
-    /// [`Planner::execute`]; both exact).
-    pub fn prune_dominated(self, yes: bool) -> Self {
-        self.with_space(|s| s.prune_dominated(yes))
+    /// Shorthand for [`SearchSpace::prune`] on the current space.
+    pub fn prune(self, yes: bool) -> Self {
+        self.with_space(|s| s.prune(yes))
     }
 
     /// Adds a user constraint predicate; candidates failing any predicate
@@ -361,14 +385,6 @@ impl<'a> Planner<'a> {
         pred: impl Fn(&ParallelConfig) -> bool + Send + Sync + 'static,
     ) -> Self {
         self.constraints.push(Arc::new(pred));
-        self
-    }
-
-    /// Installs a streaming progress hook, called once per evaluated
-    /// candidate *from the worker threads* (concurrently, in no defined
-    /// order — aggregate with atomics or locks).
-    pub fn on_candidate(mut self, hook: impl Fn(&Evaluation) + Send + Sync + 'static) -> Self {
-        self.on_candidate = Some(Arc::new(hook));
         self
     }
 
@@ -443,10 +459,7 @@ impl<'a> Planner<'a> {
         let mut out = Vec::new();
         for &strategy in &strategies {
             for &gpus in &gpu_counts {
-                out.extend(enumerate_partitions(
-                    self.model,
-                    &space.options_for(gpus, strategy),
-                ));
+                out.extend(enumerate_partitions(self.model, space, gpus, strategy));
             }
         }
         if !space.unbounded_degrees() {
@@ -463,110 +476,76 @@ impl<'a> Planner<'a> {
     }
 
     /// The evaluated sweep: every candidate under its best placement, in
-    /// enumeration order, bit-identical across thread counts. This is the
-    /// engine the legacy wrappers (`optimize`, `sweep_partitions`)
-    /// delegate to. Memory-infeasible candidates are pruned before
-    /// placement enumeration unless [`Planner::include_infeasible`] is
-    /// set.
+    /// enumeration order, bit-identical across thread counts — the search
+    /// pipeline with pruning off. Memory-infeasible candidates are
+    /// dropped before placement enumeration unless
+    /// [`Planner::include_infeasible`] is set.
     pub fn evaluations(&self) -> Vec<Evaluation> {
-        let partitions = self.candidates();
-        let cache = ProfileCache::build(self.model, &self.system.gpu, &partitions);
-        let global_batch = self.config.space.global_batch;
-        let prune = !self.config.include_infeasible;
-        let threads = rayon::current_num_threads();
-        if threads > 1 && partitions.len() < threads * FANOUT_FACTOR {
-            // Few fat candidates: candidate-level fan-out cannot occupy
-            // the pool, so spread the placement loops across it instead.
-            let work: Vec<(usize, MemoryUsage)> = partitions
-                .iter()
-                .enumerate()
-                .filter_map(|(i, cfg)| {
-                    let memory = self.candidate_memory(cache.get(cfg), cfg, global_batch);
-                    (!prune || memory.fits(self.system.gpu.hbm_capacity)).then_some((i, memory))
-                })
-                .collect();
-            let evals = self.placement_fanout(&work, &partitions, &cache, global_batch);
-            if let Some(hook) = &self.on_candidate {
-                for e in &evals {
-                    hook(e);
-                }
-            }
-            return evals;
-        }
-        partitions
-            .par_iter()
-            .filter_map(|cfg| {
-                let profile = cache.get(cfg);
-                let memory = self.candidate_memory(profile, cfg, global_batch);
-                if prune && !memory.fits(self.system.gpu.hbm_capacity) {
-                    return None;
-                }
-                let e = best_placement_with_memory(
-                    profile,
-                    self.model,
-                    cfg,
-                    global_batch,
-                    self.system,
-                    memory,
-                );
-                if let Some(hook) = &self.on_candidate {
-                    hook(&e);
-                }
-                Some(e)
-            })
-            .collect()
+        let ctx = self.objective_ctx();
+        self.search(&Query {
+            objective: &self.config.objective,
+            top_k: self.config.top_k,
+            frontier: &[],
+            keep_infeasible: self.config.include_infeasible,
+            prune: false,
+            ctx: &ctx,
+        })
+        .evals
     }
 
-    /// The single fastest feasible candidate — `optimize`'s engine — or
-    /// `None` when nothing fits in HBM. Bit-identical to
-    /// `evaluations().into_iter().filter(|e| e.feasible).min_by(time)`
-    /// for any thread count and any prune-flag setting, but avoids
-    /// evaluating most of the space:
+    /// The single fastest feasible candidate, or `None` when nothing fits
+    /// in HBM: the pipeline's "top 1 by iteration time, no frontier"
+    /// query. Bit-identical to
+    /// `evaluations().into_iter().filter(|e| e.feasible).min_by(time)` —
+    /// the first minimum in enumeration order — for any thread count,
+    /// pruned or not, but with pruning on (the default) it evaluates a
+    /// small fraction of the space.
     ///
-    /// 1. **Assess** (parallel): per-candidate memory accounting (prunes
-    ///    HBM-infeasible candidates, as `optimize` always has) and the
-    ///    admissible `iteration_time_lower_bound`.
-    /// 2. **Dominated elimination** (`prune_dominated`): candidates whose
-    ///    timing is provably matched by an earlier-enumerated twin are
-    ///    dropped — at `np = 1` the pipeline terms vanish, so an
-    ///    `interleave > 1` candidate is bit-identical in time and no
-    ///    better in memory than its `interleave = 1` twin. Then the
-    ///    smallest-lower-bound survivor is evaluated as a *seed*
-    ///    incumbent and every candidate whose bound exceeds it is
-    ///    dropped. A dropped candidate can never be the sweep's *first*
-    ///    minimum, so the selection is unchanged.
-    /// 3. **Branch-and-bound sweep** (`branch_and_bound`, parallel): the
-    ///    survivors are evaluated with a shared atomic incumbent;
-    ///    a candidate whose lower bound exceeds the incumbent skips its
-    ///    placement loop entirely. Pruning is monotone-safe: bounds never
-    ///    exceed true times, so every minimum-achiever is evaluated, and
-    ///    the final reduction takes the first minimum in enumeration
-    ///    order — the incumbent race can only change *which redundant
-    ///    work is skipped*, never the result.
-    ///
-    /// Skip counts are reported through [`crate::search_stats`]
-    /// (`bound_pruned`, `dominated_pruned`). The
-    /// [`Planner::on_candidate`] hook fires only for candidates actually
-    /// evaluated.
+    /// Skips are reported through [`crate::search_stats`]: candidates
+    /// eliminated against the seed count as `dominated_pruned`, skips in
+    /// the sweep as `bound_pruned`.
     pub fn best_evaluation(&self) -> Option<Evaluation> {
+        let ctx = self.objective_ctx();
+        self.search(&Query {
+            objective: &Objective::IterationTime,
+            top_k: 1,
+            frontier: &[],
+            keep_infeasible: false,
+            prune: self.config.space.prune,
+            ctx: &ctx,
+        })
+        .evals
+        .into_iter()
+        .min_by(|a, b| ord::time_cmp(a.iteration_time, b.iteration_time))
+    }
+
+    /// The search pipeline behind every entry point; the module docs
+    /// describe its five stages.
+    fn search(&self, q: &Query) -> Sweep {
         let partitions = self.candidates();
         let cache = ProfileCache::build(self.model, &self.system.gpu, &partitions);
         let global_batch = self.config.space.global_batch;
-        let use_bb = self.config.space.branch_and_bound;
-        let use_dom = self.config.space.prune_dominated;
+        let hbm = self.system.gpu.hbm_capacity;
         let sys_fp = system_fingerprint(self.system);
+        let prune = q.prune
+            && !q.keep_infeasible
+            && q.objective.bounds_key()
+            && q.frontier.iter().all(Objective::bounds_key);
 
-        // Pass 1: memory + lower bound, in enumeration order.
-        let assessed: Vec<Option<(MemoryUsage, f64)>> = partitions
+        // Stage 1 (assess, parallel).
+        let assessed: Vec<Option<(MemoryUsage, f64, Vec<f64>)>> = partitions
             .par_iter()
             .map(|cfg| {
                 let (profile, fps) = cache.get_with_fps(cfg);
                 let memory = self.candidate_memory(profile, cfg, global_batch);
-                if !memory.fits(self.system.gpu.hbm_capacity) {
+                if !q.keep_infeasible && !memory.fits(hbm) {
                     return None;
                 }
-                let lb = if use_bb || use_dom {
-                    iteration_time_lower_bound(
+                if !prune {
+                    return Some((memory, f64::NEG_INFINITY, Vec::new()));
+                }
+                let b = CandidateBounds {
+                    time_lb: iteration_time_lower_bound(
                         profile,
                         self.model,
                         cfg,
@@ -574,149 +553,163 @@ impl<'a> Planner<'a> {
                         self.system,
                         sys_fp,
                         *fps,
-                    )
-                } else {
-                    f64::NEG_INFINITY
+                    ),
+                    memory_total: memory.total(),
+                    gpus: cfg.total_gpus() as f64,
                 };
-                Some((memory, lb))
+                let frontier_lb = q
+                    .frontier
+                    .iter()
+                    .map(|o| o.key_lower_bound(&b, q.ctx))
+                    .collect();
+                Some((memory, q.objective.key_lower_bound(&b, q.ctx), frontier_lb))
             })
             .collect();
-
-        // Structural dominance: at np = 1 every pipeline term is zero, so
-        // interleave does not enter the timing at all and only inflates
-        // activation memory — the interleave = 1 twin (always enumerated
-        // earlier, always valid, always no worse in memory) ties it bit
-        // for bit, and a later-enumerated tie can never be the first
-        // minimum. The twin must still pass the user predicates, or it
-        // was never a candidate.
-        let mut survivors: Vec<(usize, MemoryUsage, f64)> = Vec::new();
-        let mut dominated = 0u64;
-        for (i, a) in assessed.iter().enumerate() {
-            let Some((memory, lb)) = a else { continue };
-            let cfg = &partitions[i];
-            if use_dom && cfg.np == 1 && cfg.interleave > 1 {
-                let twin = ParallelConfig {
-                    interleave: 1,
-                    ..*cfg
-                };
-                if self.constraints.iter().all(|p| p(&twin)) {
-                    dominated += 1;
-                    continue;
-                }
-            }
-            survivors.push((i, *memory, *lb));
-        }
-
-        // Seed-based elimination: fully evaluate the most promising
-        // survivor; anything whose admissible bound exceeds its time
-        // cannot beat it (nor, a fortiori, the true minimum).
-        let mut seed: Option<(usize, Evaluation)> = None;
-        let mut incumbent0 = f64::INFINITY;
-        if use_dom {
-            if let Some(&(si, memory, _)) = survivors.iter().min_by(|a, b| ord::time_cmp(a.2, b.2))
-            {
-                let cfg = &partitions[si];
-                let (profile, _) = cache.get_with_fps(cfg);
-                let e = best_placement_with_memory(
-                    profile,
-                    self.model,
-                    cfg,
-                    global_batch,
-                    self.system,
-                    memory,
-                );
-                incumbent0 = e.iteration_time;
-                seed = Some((si, e));
-                let before = survivors.len();
-                survivors.retain(|&(i, _, lb)| i == si || lb <= incumbent0 * (1.0 + PRUNE_EPS));
-                dominated += (before - survivors.len()) as u64;
-            }
-        }
-        note_dominated_pruned(dominated);
-
-        let threads = rayon::current_num_threads();
-        if threads > 1 && !survivors.is_empty() && survivors.len() < threads * FANOUT_FACTOR {
-            // Too few survivors for candidate-level parallelism: fan out
-            // over their placements (no per-candidate bound checks — each
-            // survivor is evaluated exactly once).
-            let work: Vec<(usize, MemoryUsage)> =
-                survivors.iter().map(|&(i, m, _)| (i, m)).collect();
-            let evals = self.placement_fanout(&work, &partitions, &cache, global_batch);
-            if let Some(hook) = &self.on_candidate {
-                for e in &evals {
-                    hook(e);
-                }
-            }
-            return evals
-                .into_iter()
-                .min_by(|a, b| ord::time_cmp(a.iteration_time, b.iteration_time));
-        }
-
-        // Pass 2: branch-and-bound sweep. The incumbent is the running
-        // minimum evaluated time, shared across workers as raw f64 bits
-        // (non-negative floats order identically to their bit patterns).
-        let incumbent = AtomicU64::new(incumbent0.to_bits());
-        let results: Vec<Option<Evaluation>> = survivors
-            .par_iter()
-            .map(|&(i, memory, lb)| {
-                if use_bb {
-                    let inc = f64::from_bits(incumbent.load(Ordering::Relaxed));
-                    // IEEE `>` (not total_cmp): a NaN bound must never
-                    // prune — see `crate::ord::exceeds_bound`.
-                    if ord::exceeds_bound(lb, inc * (1.0 + PRUNE_EPS)) {
-                        return None;
-                    }
-                }
-                let cfg = &partitions[i];
-                let e = match &seed {
-                    Some((si, se)) if *si == i => se.clone(),
-                    _ => {
-                        let (profile, _) = cache.get_with_fps(cfg);
-                        best_placement_with_memory(
-                            profile,
-                            self.model,
-                            cfg,
-                            global_batch,
-                            self.system,
-                            memory,
-                        )
-                    }
-                };
-                ord::publish_min(&incumbent, e.iteration_time);
-                if let Some(hook) = &self.on_candidate {
-                    hook(&e);
-                }
-                Some(e)
-            })
-            .collect();
-        note_bound_pruned(results.iter().filter(|r| r.is_none()).count() as u64);
-        results
+        let mut work: Vec<Candidate> = assessed
             .into_iter()
-            .flatten()
-            .min_by(|a, b| ord::time_cmp(a.iteration_time, b.iteration_time))
+            .enumerate()
+            .filter_map(|(index, a)| {
+                a.map(|(memory, rank_lb, frontier_lb)| Candidate {
+                    index,
+                    memory,
+                    rank_lb,
+                    frontier_lb,
+                })
+            })
+            .collect();
+        let candidates = work.len() as u64;
+        let feasible = work.iter().filter(|c| c.memory.fits(hbm)).count() as u64;
+        if !prune {
+            let evals = self.evaluate_batch(&partitions, &cache, &work, &|_| false, &|_| {});
+            return Sweep {
+                evals: evals.into_iter().map(|(_, e)| e).collect(),
+                candidates,
+                feasible,
+            };
+        }
+
+        // Stage 2 (seed): the top_k smallest bounds, ties broken by
+        // enumeration index — a total order, so the seed set is
+        // deterministic.
+        let by_bound = |a: &Candidate, b: &Candidate| {
+            ord::time_cmp(a.rank_lb, b.rank_lb).then(a.index.cmp(&b.index))
+        };
+        let k = q.top_k.min(work.len());
+        if k > 0 && k < work.len() {
+            work.select_nth_unstable_by(k - 1, by_bound);
+        }
+        let mut rest = work.split_off(k);
+        let topk = ord::TopkIncumbent::new(q.top_k);
+        let archive = (!q.frontier.is_empty()).then(DominanceArchive::default);
+        let publish = |e: &Evaluation| {
+            topk.publish(q.objective.key(e, q.ctx));
+            if let Some(archive) = &archive {
+                archive.insert(q.frontier.iter().map(|o| o.key(e, q.ctx)).collect());
+            }
+        };
+        let mut evaluated = self.evaluate_batch(&partitions, &cache, &work, &|_| false, &publish);
+
+        // A candidate may be skipped once at least k evaluated candidates
+        // outrank it. For a multi-stage lexicographic objective its bound
+        // must also clear the primary stage's tolerance cut above the
+        // best key: a candidate inside the band survives to later stages,
+        // where no admissible bound exists. The cut `b + tol·|b|` is
+        // monotone in `b` only for `tol ≤ 1`; wider tolerances never
+        // prune.
+        let lex_cut_tol = match q.objective {
+            Objective::Lexicographic { stages } if stages.len() > 1 => {
+                Some(stages[0].rel_tolerance.max(0.0))
+            }
+            _ => None,
+        };
+        let prunable = |c: &Candidate| {
+            ord::exceeds_bound(c.rank_lb, relax_up(topk.threshold()))
+                && match lex_cut_tol {
+                    None => true,
+                    Some(tol) if tol <= 1.0 => {
+                        let best = topk.best();
+                        ord::exceeds_bound(c.rank_lb, relax_up(best + tol * best.abs()))
+                    }
+                    Some(_) => false,
+                }
+                && archive
+                    .as_ref()
+                    .is_none_or(|a| a.strictly_covers(&c.frontier_lb))
+        };
+
+        // Stage 3 (eliminate against the seeds' threshold).
+        let before = rest.len();
+        rest.retain(|c| !prunable(c));
+        let eliminated = (before - rest.len()) as u64;
+
+        // Stage 4 (sweep the survivors best-first, parallel).
+        rest.sort_unstable_by(by_bound);
+        let swept = self.evaluate_batch(&partitions, &cache, &rest, &prunable, &publish);
+        let skipped = (rest.len() - swept.len()) as u64;
+        evaluated.extend(swept);
+        if q.frontier.is_empty() {
+            note_dominated_pruned(eliminated);
+            note_bound_pruned(skipped);
+        } else {
+            note_topk_pruned(eliminated + skipped);
+        }
+
+        // Stage 5 (reassemble in enumeration order).
+        evaluated.sort_unstable_by_key(|&(i, _)| i);
+        Sweep {
+            evals: evaluated.into_iter().map(|(_, e)| e).collect(),
+            candidates,
+            feasible,
+        }
     }
 
-    /// Placement-level parallel evaluation of `work` (pairs of candidate
-    /// index into `partitions` + precomputed memory accounting): flattens
-    /// every `(candidate, placement)` pair into one work list, scores all
-    /// pairs across the pool as bare breakdown totals, then picks each
-    /// candidate's first-minimum placement in placement order — the same
-    /// argmin `best_placement_with_memory`'s sequential loop computes —
-    /// and materializes one [`Evaluation`] per candidate, in `work`
-    /// order.
-    fn placement_fanout(
+    /// Evaluates the entries of `batch` that `skip` lets through under
+    /// their best placement, handing each evaluation to `publish` as it
+    /// lands, and returns `(enumeration index, evaluation)` pairs in
+    /// batch order. A batch that can occupy the pool fans out one work
+    /// item per candidate; a smaller one (the "few fat candidates" shape)
+    /// fans out one per `(candidate, placement)` pair and evaluates every
+    /// entry without consulting `skip`. Both shapes pick each candidate's
+    /// first-minimum placement in placement order, the argmin
+    /// `best_placement_with_memory`'s sequential loop computes, so an
+    /// entry's evaluation is bit-identical either way.
+    fn evaluate_batch(
         &self,
-        work: &[(usize, MemoryUsage)],
         partitions: &[ParallelConfig],
         cache: &ProfileCache,
-        global_batch: u64,
-    ) -> Vec<Evaluation> {
+        batch: &[Candidate],
+        skip: &(dyn Fn(&Candidate) -> bool + Sync),
+        publish: &(dyn Fn(&Evaluation) + Sync),
+    ) -> Vec<(usize, Evaluation)> {
+        let global_batch = self.config.space.global_batch;
+        let threads = rayon::current_num_threads();
+        if threads == 1 || batch.len() >= threads * FANOUT_FACTOR {
+            return batch
+                .par_iter()
+                .filter_map(|c| {
+                    if skip(c) {
+                        return None;
+                    }
+                    let cfg = &partitions[c.index];
+                    let e = best_placement_with_memory(
+                        cache.get(cfg),
+                        self.model,
+                        cfg,
+                        global_batch,
+                        self.system,
+                        c.memory,
+                    );
+                    publish(&e);
+                    Some((c.index, e))
+                })
+                .collect();
+        }
         let mut pairs: Vec<(usize, Placement)> = Vec::new();
-        let mut spans: Vec<(usize, usize)> = Vec::with_capacity(work.len());
-        for &(i, _) in work {
+        let mut spans: Vec<(usize, usize)> = Vec::with_capacity(batch.len());
+        for c in batch {
             let start = pairs.len();
-            let ps = enumerate_placements(&partitions[i], self.system.nvs_size);
-            pairs.extend(ps.into_iter().map(|p| (i, p)));
+            let placements = enumerate_placements(&partitions[c.index], self.system.nvs_size);
+            pairs.extend(placements.into_iter().map(|p| (c.index, p)));
             spans.push((start, pairs.len()));
         }
         let sys_fp = system_fingerprint(self.system);
@@ -738,33 +731,35 @@ impl<'a> Planner<'a> {
                 .total()
             })
             .collect();
-        work.iter()
+        batch
+            .iter()
             .zip(&spans)
-            .map(|(&(i, memory), &(start, end))| {
-                let cfg = &partitions[i];
+            .map(|(c, &(start, end))| {
                 let mut best = start;
                 for j in start + 1..end {
                     if ord::is_improvement(times[j], times[best]) {
                         best = j;
                     }
                 }
-                let (profile, _) = cache.get_with_fps(cfg);
-                evaluate_placement(
-                    profile,
+                let cfg = &partitions[c.index];
+                let e = evaluate_placement(
+                    cache.get(cfg),
                     self.model,
                     cfg,
                     &pairs[best].1,
                     global_batch,
                     self.system,
-                    memory,
-                )
+                    c.memory,
+                );
+                publish(&e);
+                (c.index, e)
             })
             .collect()
     }
 
     /// Evaluates one pinned configuration under its best placement using
     /// this planner's batch size (the Fig. 1–3 "assignment is optimal"
-    /// path; the legacy `best_placement_eval` wraps this).
+    /// path; [`crate::best_placement_eval`] wraps this).
     pub fn evaluate_config(&self, cfg: &ParallelConfig) -> Evaluation {
         let profile = build_profile(
             self.model,
@@ -806,13 +801,13 @@ impl<'a> Planner<'a> {
     /// Pareto frontier is computed across the selected objectives.
     /// Deterministic and thread-count invariant.
     ///
-    /// When the space's pruning flags are on (the default) and the
-    /// objectives admit admissible bounds, the sweep runs through the
-    /// ranked branch-and-bound (`ranked_pruned_evaluations`):
-    /// provably out-of-top-k *and* dominated candidates skip their
-    /// placement loops, with the resulting `PlanSet` — counts, top-k
-    /// ranking, Pareto frontier, every score — bit-identical to the full
-    /// sweep's.
+    /// The pipeline prunes when [`SearchSpace::prune`] is on (the
+    /// default), infeasible candidates are not kept, and every selected
+    /// objective admits an admissible key bound: candidates provably
+    /// outside the top-k *and* off the frontier skip their placement
+    /// loops, and every skip counts as `topk_pruned` in
+    /// [`crate::search_stats`]. The `PlanSet` — counts, ranking,
+    /// frontier, every score — is bit-identical either way.
     ///
     /// Trusts its configuration (builder-constructed spaces are valid by
     /// construction); replayed/deserialized configurations should go
@@ -824,25 +819,21 @@ impl<'a> Planner<'a> {
         } else {
             self.config.pareto.clone()
         };
-        let (evals, pruned_counts) = match self.ranked_pruned_evaluations(&ctx, &pareto_objectives)
-        {
-            Some((evals, fitting)) => (evals, Some(fitting)),
-            None => (self.evaluations(), None),
-        };
+        let sweep = self.search(&Query {
+            objective: &self.config.objective,
+            top_k: self.config.top_k,
+            frontier: &pareto_objectives,
+            keep_infeasible: self.config.include_infeasible,
+            prune: self.config.space.prune,
+            ctx: &ctx,
+        });
+        let evals = sweep.evals;
         let feasible_idx: Vec<usize> = evals
             .iter()
             .enumerate()
             .filter(|(_, e)| e.feasible)
             .map(|(i, _)| i)
             .collect();
-        // The pruned path skips candidates it proved irrelevant, but the
-        // reported counts cover the whole space: memory feasibility is
-        // placement-independent, so the assess pass counts exactly the
-        // candidates the full sweep would have returned (all feasible).
-        let (candidates, feasible) = match pruned_counts {
-            Some(fitting) => (fitting, fitting),
-            None => (evals.len() as u64, feasible_idx.len() as u64),
-        };
         // Scores reported per plan: ranking objective first, then the
         // frontier's (plan_of dedups).
         let mut score_objectives = vec![self.config.objective.clone()];
@@ -855,204 +846,18 @@ impl<'a> Planner<'a> {
         PlanSet {
             objective: self.config.objective.clone(),
             pareto_objectives,
-            candidates,
-            feasible,
+            candidates: sweep.candidates,
+            feasible: sweep.feasible,
             top,
             pareto,
         }
     }
-
-    /// The ranked branch-and-bound sweep behind [`Planner::execute`]:
-    /// returns the evaluated (feasible) candidates in enumeration order
-    /// plus the exact count of memory-feasible candidates, or `None` when
-    /// the configuration requires the full sweep.
-    ///
-    /// A candidate is skipped only when **both** exact prunes fire:
-    ///
-    /// * **k-th-incumbent prune** — its admissible ranking-key lower
-    ///   bound ([`Objective::key_lower_bound`]) exceeds the shared
-    ///   concurrent k-th-best key ([`ord::TopkIncumbent`], the top-k
-    ///   analogue of the single-optimum atomic incumbent), so at least k
-    ///   already-evaluated candidates outrank it and it can never enter
-    ///   [`PlanSet::top`]. For a multi-stage lexicographic objective the
-    ///   bound must *additionally* clear the primary stage's tolerance
-    ///   cut above the running best key — a candidate inside the
-    ///   tolerance band survives to later stages, where no admissible
-    ///   bound exists. (The cut `b + tol·|b|` is monotone in `b` only for
-    ///   `tol ≤ 1`; wider tolerances fall back to no-prune.)
-    /// * **Pareto-safe prune** — its per-objective lower-bound vector is
-    ///   strictly dominated, in every component and beyond the float
-    ///   slack, by an already-evaluated point
-    ///   ([`DominanceArchive::strictly_covers`]), so it can never sit on
-    ///   [`PlanSet::pareto`].
-    ///
-    /// Candidates are processed in ascending-bound order with the first
-    /// `top_k` evaluated unconditionally as threshold seeds, which is
-    /// what makes the threshold bite early; the race on the shared
-    /// threshold/archive only changes *which redundant work is skipped*,
-    /// never a result bit (stale reads are conservative). Skip counts are
-    /// reported as `topk_pruned` in [`crate::search_stats`].
-    ///
-    /// Falls back (`None`) when: a [`Planner::on_candidate`] hook is
-    /// installed (its contract is one call per candidate of the full
-    /// sweep), [`Planner::include_infeasible`] is set, either
-    /// [`SearchSpace::branch_and_bound`] or
-    /// [`SearchSpace::prune_dominated`] is off, any selected objective
-    /// admits no bound, or the space is small enough that the full
-    /// sweep's placement-level fan-out is the better shape.
-    fn ranked_pruned_evaluations(
-        &self,
-        ctx: &ObjectiveCtx,
-        pareto_objectives: &[Objective],
-    ) -> Option<(Vec<Evaluation>, u64)> {
-        let space = &self.config.space;
-        if self.config.include_infeasible
-            || self.on_candidate.is_some()
-            || !space.branch_and_bound
-            || !space.prune_dominated
-        {
-            return None;
-        }
-        let objective = &self.config.objective;
-        if !objective.bounds_key() || !pareto_objectives.iter().all(|o| o.bounds_key()) {
-            return None;
-        }
-        let partitions = self.candidates();
-        let threads = rayon::current_num_threads();
-        if threads > 1 && partitions.len() < threads * FANOUT_FACTOR {
-            return None;
-        }
-        let cache = ProfileCache::build(self.model, &self.system.gpu, &partitions);
-        let global_batch = space.global_batch;
-        let sys_fp = system_fingerprint(self.system);
-        // Primary-stage tolerance of a multi-stage lexicographic
-        // objective (see the method docs); `None` means the k-th
-        // incumbent alone decides.
-        let lex_cut_tol: Option<f64> = match objective {
-            Objective::Lexicographic { stages } if stages.len() > 1 => {
-                Some(stages[0].rel_tolerance.max(0.0))
-            }
-            _ => None,
-        };
-
-        // Pass 1 (assess, parallel): placement-independent memory
-        // accounting plus the admissible key bounds for the ranking
-        // objective and every Pareto axis.
-        let assessed: Vec<Option<(MemoryUsage, f64, Vec<f64>)>> = partitions
-            .par_iter()
-            .map(|cfg| {
-                let (profile, fps) = cache.get_with_fps(cfg);
-                let memory = self.candidate_memory(profile, cfg, global_batch);
-                if !memory.fits(self.system.gpu.hbm_capacity) {
-                    return None;
-                }
-                let time_lb = iteration_time_lower_bound(
-                    profile,
-                    self.model,
-                    cfg,
-                    global_batch,
-                    self.system,
-                    sys_fp,
-                    *fps,
-                );
-                let b = CandidateBounds {
-                    time_lb,
-                    memory_total: memory.total(),
-                    gpus: cfg.total_gpus() as f64,
-                };
-                let rank_lb = objective.key_lower_bound(&b, ctx);
-                let pareto_lb: Vec<f64> = pareto_objectives
-                    .iter()
-                    .map(|o| o.key_lower_bound(&b, ctx))
-                    .collect();
-                Some((memory, rank_lb, pareto_lb))
-            })
-            .collect();
-
-        // Ascending-bound evaluation order (ties broken by enumeration
-        // index): classic best-first B&B, so the threshold tightens as
-        // fast as the bounds allow.
-        let mut work: Vec<(usize, MemoryUsage, f64, Vec<f64>)> = assessed
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, a)| a.map(|(m, r, p)| (i, m, r, p)))
-            .collect();
-        let fitting = work.len() as u64;
-        work.sort_by(|a, b| ord::time_cmp(a.2, b.2).then(a.0.cmp(&b.0)));
-
-        let topk = ord::TopkIncumbent::new(self.config.top_k);
-        let archive = DominanceArchive::default();
-        let evaluate = |i: usize, memory: MemoryUsage| -> Evaluation {
-            let cfg = &partitions[i];
-            let (profile, _) = cache.get_with_fps(cfg);
-            let e = best_placement_with_memory(
-                profile,
-                self.model,
-                cfg,
-                global_batch,
-                self.system,
-                memory,
-            );
-            topk.publish(objective.key(&e, ctx));
-            archive.insert(pareto_objectives.iter().map(|o| o.key(&e, ctx)).collect());
-            e
-        };
-
-        // Pass 2a (seeds): the top_k smallest-bound candidates are the
-        // likeliest top-k members — evaluate them unconditionally to warm
-        // the threshold before any prune decision is made.
-        let (seed_work, rest_work) = work.split_at(self.config.top_k.min(work.len()));
-        let seed_evals: Vec<(usize, Evaluation)> = seed_work
-            .par_iter()
-            .map(|&(i, memory, _, _)| (i, evaluate(i, memory)))
-            .collect();
-
-        // Pass 2b (branch-and-bound sweep).
-        let rest: Vec<Option<(usize, Evaluation)>> = rest_work
-            .par_iter()
-            .map(|&(i, memory, rank_lb, ref pareto_lb)| {
-                let out_of_topk = ord::exceeds_bound(rank_lb, relax_up(topk.threshold()));
-                let past_lex_cut = match lex_cut_tol {
-                    None => true,
-                    Some(tol) if tol <= 1.0 => {
-                        let best = topk.best();
-                        ord::exceeds_bound(rank_lb, relax_up(best + tol * best.abs()))
-                    }
-                    Some(_) => false,
-                };
-                if out_of_topk && past_lex_cut && archive.strictly_covers(pareto_lb) {
-                    return None;
-                }
-                Some((i, evaluate(i, memory)))
-            })
-            .collect();
-
-        // Reassemble in enumeration order; report the skips.
-        let mut slots: Vec<Option<Evaluation>> = vec![None; partitions.len()];
-        for (i, e) in seed_evals {
-            slots[i] = Some(e);
-        }
-        let mut pruned = 0u64;
-        for r in rest {
-            match r {
-                Some((i, e)) => slots[i] = Some(e),
-                None => pruned += 1,
-            }
-        }
-        note_topk_pruned(pruned);
-        let evals: Vec<Evaluation> = slots.into_iter().flatten().collect();
-        Some((evals, fitting))
-    }
 }
-
-use plan::{pareto_frontier, plan_of};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::search::{optimize, sweep_partitions, SearchOptions};
     use crate::TpStrategy;
-    use std::sync::atomic::{AtomicUsize, Ordering};
     use systems::{system, GpuGeneration, NvsSize};
     use txmodel::{gpt3_175b, gpt3_1t, moe_1t};
 
@@ -1061,44 +866,62 @@ mod tests {
     }
 
     #[test]
-    fn best_plan_matches_legacy_optimize() {
+    fn best_plan_matches_best_evaluation() {
+        // The ranked query's first plan and the single-optimum query are
+        // the same pipeline at k = 1: same configuration, same bits.
         let model = gpt3_1t().config;
         let sys = b200_nvs8();
-        let opts = SearchOptions::default()
+        let planner = Planner::new(&model, &sys)
             .gpus(256)
             .global_batch(4096)
             .strategy(TpStrategy::OneD);
-        let legacy = optimize(&model, &sys, &opts).unwrap();
-        let plans = Planner::new(&model, &sys)
-            .space(SearchSpace::from(&opts))
-            .execute();
+        let single = planner.best_evaluation().unwrap();
+        let plans = planner.execute();
         let best = plans.best().unwrap();
-        assert_eq!(best.eval.iteration_time, legacy.iteration_time);
-        assert_eq!(best.eval.config, legacy.config);
+        assert_eq!(best.eval, single);
         assert_eq!(plans.candidates, plans.feasible);
     }
 
     #[test]
     fn top_k_is_sweep_prefix() {
         // Under the iteration-time objective the top-k list is exactly
-        // the feasible prefix of the legacy sorted sweep.
+        // the feasible prefix of the stably time-sorted sweep.
         let model = gpt3_1t().config;
         let sys = b200_nvs8();
-        let opts = SearchOptions::default()
+        let planner = Planner::new(&model, &sys)
             .gpus(128)
             .strategy(TpStrategy::OneD);
-        let sweep: Vec<_> = sweep_partitions(&model, &sys, &opts)
-            .into_iter()
-            .filter(|e| e.feasible)
-            .collect();
-        let plans = Planner::new(&model, &sys)
-            .space(SearchSpace::from(&opts))
-            .top_k(5)
-            .execute();
+        let mut sweep = planner.evaluations();
+        sweep.sort_by(|a, b| ord::time_cmp(a.iteration_time, b.iteration_time));
+        let plans = planner.top_k(5).execute();
         assert_eq!(plans.top.len(), 5.min(sweep.len()));
         for (p, e) in plans.top.iter().zip(&sweep) {
             assert_eq!(p.eval.iteration_time, e.iteration_time);
         }
+    }
+
+    #[test]
+    fn unbounded_power_of_two_axes_do_not_overflow() {
+        // `u64::MAX` means "unbounded" on the sibling bounds, so the
+        // validator accepts it here too: the doubling enumeration of
+        // interleave degrees and SUMMA panel counts must stop before it
+        // overflows. Interleave must divide the layers per stage and the
+        // panel count must divide `embed`, so the model's own sizes bound
+        // the same space.
+        let model = gpt3_175b().config;
+        let sys = b200_nvs8();
+        let planner = Planner::new(&model, &sys)
+            .gpus(64)
+            .global_batch(256)
+            .strategy(TpStrategy::Summa);
+        let unbounded = planner
+            .clone()
+            .with_space(|s| s.max_interleave(u64::MAX).max_summa_panels(u64::MAX));
+        let bounded =
+            planner.with_space(|s| s.max_interleave(model.depth).max_summa_panels(model.embed));
+        assert_eq!(unbounded.candidates(), bounded.candidates());
+        let plans = unbounded.try_execute().unwrap();
+        assert!(plans.candidates > 0);
     }
 
     #[test]
@@ -1135,21 +958,6 @@ mod tests {
         cfg.space.strategies = vec![TpStrategy::OneD, TpStrategy::OneD];
         let replayed = Planner::from_config(&model, &sys, cfg);
         assert_eq!(replayed.candidates().len(), n128);
-    }
-
-    #[test]
-    fn on_candidate_sees_every_evaluation() {
-        let model = gpt3_1t().config;
-        let sys = b200_nvs8();
-        let seen = Arc::new(AtomicUsize::new(0));
-        let seen2 = Arc::clone(&seen);
-        let plans = Planner::new(&model, &sys)
-            .gpus(128)
-            .on_candidate(move |_| {
-                seen2.fetch_add(1, Ordering::Relaxed);
-            })
-            .execute();
-        assert_eq!(seen.load(Ordering::Relaxed) as u64, plans.candidates);
     }
 
     #[test]

@@ -48,10 +48,15 @@ pub struct PlanSet {
     pub objective: Objective,
     /// The objectives the Pareto frontier was computed across.
     pub pareto_objectives: Vec<Objective>,
-    /// Candidates evaluated (after memory pruning, before feasibility
-    /// filtering).
+    /// Candidates that passed the memory gate, whether the search
+    /// evaluated them or pruned them as provably outside the result —
+    /// every enumerated candidate when infeasible ones are kept
+    /// ([`crate::Planner::include_infeasible`]). Identical with pruning
+    /// on and off.
     pub candidates: u64,
-    /// Feasible candidates (the pool ranked and dominated).
+    /// Of [`Self::candidates`], those that fit in HBM: the pool the top-k
+    /// list and the frontier are drawn from. Equals `candidates` unless
+    /// infeasible ones are kept.
     pub feasible: u64,
     /// Top-k plans, best first (ties keep enumeration order).
     pub top: Vec<Plan>,

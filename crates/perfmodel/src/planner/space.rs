@@ -1,24 +1,22 @@
 //! Typed, declarative search-space description for the [`crate::Planner`].
 //!
-//! A [`SearchSpace`] generalizes [`crate::SearchOptions`] along the two
-//! axes a single free-function call could never express: *several* GPU
-//! counts (so cost-style objectives can trade speed against fleet size)
-//! and *several* TP strategies in one sweep, plus declarative bounds on
-//! the pipeline/data/tensor-parallel degrees. It is plain serializable
-//! data — user *predicates* (arbitrary closures over candidates) live on
-//! the [`crate::Planner`] itself, which is why the space round-trips
-//! through JSON while a configured planner does not.
+//! A [`SearchSpace`] spans *several* GPU counts (so cost-style objectives
+//! can trade speed against fleet size) and *several* TP strategies in one
+//! sweep, plus the per-candidate knobs (microbatch, interleave, ZeRO-3,
+//! SUMMA panels, expert parallelism) and declarative bounds on the
+//! pipeline/data/tensor-parallel degrees. It is plain serializable data —
+//! user *predicates* (arbitrary closures over candidates) live on the
+//! [`crate::Planner`] itself, which is why the space round-trips through
+//! JSON while a configured planner does not.
 
 use crate::config::TpStrategy;
-use crate::search::SearchOptions;
 use collectives::Algorithm;
 use serde::{Deserialize, Serialize};
 
 /// The declarative part of a planning problem: which candidates exist.
 ///
-/// Built with named, chainable setters over a documented default set —
-/// the positional-argument trap of the old
-/// `SearchOptions::new(512, 4096, …)` does not exist here:
+/// Built with named, chainable setters over a documented default set, so
+/// every argument's role is visible at the call site:
 ///
 /// ```
 /// use perfmodel::{SearchSpace, TpStrategy};
@@ -60,17 +58,9 @@ pub struct SearchSpace {
     /// AllReduce algorithm policy candidates are priced under. Default
     /// [`Algorithm::Auto`].
     pub comm_algo: Algorithm,
-    /// Branch-and-bound pruning in the single-optimum path
-    /// ([`crate::Planner::best_evaluation`], against the atomic
-    /// incumbent) and — together with [`SearchSpace::prune_dominated`] —
-    /// in the ranked path ([`crate::Planner::execute`], against the
-    /// concurrent k-th-best threshold). Exact; default `true`.
-    pub branch_and_bound: bool,
-    /// Dominated-candidate elimination in the single-optimum path and —
-    /// together with [`SearchSpace::branch_and_bound`] — the Pareto-safe
-    /// lower-bound domination prune in the ranked path. Exact; default
-    /// `true`.
-    pub prune_dominated: bool,
+    /// Lets the search skip candidates that provably cannot enter the
+    /// result (see [`SearchSpace::prune`]). Exact; default `true`.
+    pub prune: bool,
 }
 
 impl Default for SearchSpace {
@@ -88,8 +78,7 @@ impl Default for SearchSpace {
             max_data_parallel: u64::MAX,
             max_tensor_parallel: u64::MAX,
             comm_algo: Algorithm::Auto,
-            branch_and_bound: true,
-            prune_dominated: true,
+            prune: true,
         }
     }
 }
@@ -196,18 +185,18 @@ impl SearchSpace {
         self
     }
 
-    /// Enables or disables branch-and-bound pruning — single-optimum and
-    /// ranked paths alike (exact; default on).
-    pub fn branch_and_bound(mut self, yes: bool) -> Self {
-        self.branch_and_bound = yes;
-        self
-    }
-
-    /// Enables or disables dominated-candidate elimination — single-
-    /// optimum twin/seed elimination and the ranked path's Pareto-safe
-    /// prune (exact; default on).
-    pub fn prune_dominated(mut self, yes: bool) -> Self {
-        self.prune_dominated = yes;
+    /// Enables or disables pruning (default on). With pruning on, the
+    /// search evaluates the lowest-bound candidates first and skips every
+    /// candidate whose admissible lower bound proves it can enter
+    /// neither the ranked top-k nor the Pareto frontier. The prune is
+    /// exact — every result is bit-identical with it off — so the switch
+    /// only trades time; turn it off to measure the raw sweep. Queries
+    /// that cannot prune evaluate every candidate either way:
+    /// [`crate::Planner::evaluations`], planners that keep infeasible
+    /// candidates, and objectives without an admissible bound such as
+    /// [`crate::Objective::ExpectedGoodput`].
+    pub fn prune(mut self, yes: bool) -> Self {
+        self.prune = yes;
         self
     }
 
@@ -217,48 +206,5 @@ impl SearchSpace {
         self.max_pipeline == u64::MAX
             && self.max_data_parallel == u64::MAX
             && self.max_tensor_parallel == u64::MAX
-    }
-
-    /// The per-`(gpus, strategy)` options slice of this space, as consumed
-    /// by [`crate::enumerate_partitions`].
-    pub(crate) fn options_for(&self, gpus: u64, strategy: TpStrategy) -> SearchOptions {
-        SearchOptions {
-            gpus,
-            global_batch: self.global_batch,
-            strategy,
-            max_summa_panels: self.max_summa_panels,
-            max_microbatch: self.max_microbatch,
-            max_interleave: self.max_interleave,
-            allow_zero3: self.allow_zero3,
-            max_expert_parallel: self.max_expert_parallel,
-            comm_algo: self.comm_algo,
-            branch_and_bound: self.branch_and_bound,
-            prune_dominated: self.prune_dominated,
-        }
-    }
-}
-
-impl From<&SearchOptions> for SearchSpace {
-    /// A single-scale, single-strategy space equivalent to `opts` (the
-    /// wrapper path: the legacy free functions flow through this).
-    fn from(opts: &SearchOptions) -> Self {
-        SearchSpace::new()
-            .gpus(opts.gpus)
-            .global_batch(opts.global_batch)
-            .strategy(opts.strategy)
-            .max_summa_panels(opts.max_summa_panels)
-            .max_microbatch(opts.max_microbatch)
-            .max_interleave(opts.max_interleave)
-            .allow_zero3(opts.allow_zero3)
-            .max_expert_parallel(opts.max_expert_parallel)
-            .comm_algo(opts.comm_algo)
-            .branch_and_bound(opts.branch_and_bound)
-            .prune_dominated(opts.prune_dominated)
-    }
-}
-
-impl From<SearchOptions> for SearchSpace {
-    fn from(opts: SearchOptions) -> Self {
-        SearchSpace::from(&opts)
     }
 }

@@ -8,7 +8,7 @@
 //! re-balancing (the paper's key effect — e.g. extra capacity being spent
 //! on less parallelism rather than speed) is captured automatically.
 
-use crate::search::{optimize, SearchOptions};
+use crate::planner::{Planner, SearchSpace};
 use serde::{Deserialize, Serialize};
 use systems::SystemSpec;
 use txmodel::TransformerConfig;
@@ -82,18 +82,23 @@ pub struct Elasticity {
     pub value: f64,
 }
 
-/// Computes elasticities along every axis for the model's optimum under
-/// `opts` on `sys`, using ±`step` relative perturbations (e.g. 0.25).
+/// Computes elasticities along every axis for the model's optimum over
+/// `space` on `sys`, using ±`step` relative perturbations (e.g. 0.25).
 /// Returns `None` if the baseline has no feasible configuration.
 pub fn elasticities(
     model: &TransformerConfig,
     sys: &SystemSpec,
-    opts: &SearchOptions,
+    space: &SearchSpace,
     step: f64,
 ) -> Option<Vec<Elasticity>> {
     assert!(step > 0.0 && step < 1.0, "step must be in (0, 1)");
-    optimize(model, sys, opts)?;
-    let t_of = |s: &SystemSpec| optimize(model, s, opts).map(|e| e.iteration_time);
+    let t_of = |s: &SystemSpec| {
+        Planner::new(model, s)
+            .space(space.clone())
+            .best_evaluation()
+            .map(|e| e.iteration_time)
+    };
+    t_of(sys)?;
     let mut out = Vec::with_capacity(HardwareAxis::ALL.len());
     for axis in HardwareAxis::ALL {
         let up = t_of(&axis.scaled(sys, 1.0 + step));
@@ -122,7 +127,7 @@ mod tests {
         elasticities(
             &gpt3_1t().config,
             &sys,
-            &SearchOptions::new(n, 4096, TpStrategy::OneD),
+            &SearchSpace::new().gpus(n).strategy(TpStrategy::OneD),
             0.25,
         )
         .unwrap()
@@ -167,7 +172,7 @@ mod tests {
         let vit = elasticities(
             &vit_64k().config,
             &sys,
-            &SearchOptions::new(4096, 4096, TpStrategy::TwoD),
+            &SearchSpace::new().gpus(4096).strategy(TpStrategy::TwoD),
             0.25,
         )
         .unwrap();
@@ -198,7 +203,7 @@ mod tests {
         let _ = elasticities(
             &gpt3_1t().config,
             &sys,
-            &SearchOptions::new(64, 4096, TpStrategy::OneD),
+            &SearchSpace::new().gpus(64).strategy(TpStrategy::OneD),
             1.5,
         );
     }

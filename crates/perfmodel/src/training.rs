@@ -14,7 +14,7 @@ pub fn training_days(workload: &TrainingWorkload, eval: &Evaluation) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{optimize, SearchOptions, TpStrategy};
+    use crate::{Planner, TpStrategy};
     use systems::{system, GpuGeneration, NvsSize};
     use txmodel::gpt3_1t;
 
@@ -24,12 +24,12 @@ mod tests {
         // the paper shows roughly 4× that — expect order 10–40 days.
         let model = gpt3_1t().config;
         let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
-        let best = optimize(
-            &model,
-            &sys,
-            &SearchOptions::new(4096, 4096, TpStrategy::OneD),
-        )
-        .unwrap();
+        let best = Planner::new(&model, &sys)
+            .gpus(4096)
+            .global_batch(4096)
+            .strategy(TpStrategy::OneD)
+            .best_evaluation()
+            .unwrap();
         let days = training_days(&TrainingWorkload::gpt3_1t_pretraining(), &best);
         assert!(days > 5.0 && days < 60.0, "got {days} days");
     }

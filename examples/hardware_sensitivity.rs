@@ -21,11 +21,11 @@ fn main() {
         let mut table = Table::new(["axis", "GPT3-1T", "", "ViT-64K", ""]);
         let mut per_model = Vec::new();
         for (_, model, strategy) in &cases {
-            let opts = SearchOptions::default()
+            let space = SearchSpace::new()
                 .gpus(n)
                 .global_batch(4096)
                 .strategy(*strategy);
-            let es = elasticities(model, &sys, &opts, 0.25);
+            let es = elasticities(model, &sys, &space, 0.25);
             per_model.push(es);
         }
         let max_mag = per_model

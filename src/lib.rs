@@ -73,10 +73,10 @@ pub use txmodel;
 pub mod prelude {
     pub use collectives::{allreduce_time, collective_time, Algorithm, Collective, CommGroup};
     pub use perfmodel::{
-        best_placement_eval, evaluate, optimize, reset_search_stats, search_stats, training_days,
+        best_placement_eval, evaluate, reset_search_stats, search_stats, training_days,
         ConfigError, Evaluation, GoodputReport, Objective, ParallelConfig, PdPlacement, Placement,
-        Plan, PlanSet, Planner, SearchOptions, SearchSpace, SearchStats, ServingCtx, ServingReport,
-        SloSpec, TpStrategy,
+        Plan, PlanSet, Planner, SearchSpace, SearchStats, ServingCtx, ServingReport, SloSpec,
+        TpStrategy,
     };
     pub use servesim::{
         simulate_serving, try_simulate_serving, SimParams as ServeSimParams, SimReport, SimSpec,

@@ -6,16 +6,25 @@ use fmperf::prelude::*;
 use netsim::{simulate_collective, SimOptions};
 use trainsim::{compare, simulate_iteration, SimParams};
 
+/// The single fastest feasible configuration at global batch 4096.
+fn best_config(
+    model: &TransformerConfig,
+    sys: &SystemSpec,
+    gpus: u64,
+    strategy: TpStrategy,
+) -> Option<Evaluation> {
+    Planner::new(model, sys)
+        .gpus(gpus)
+        .global_batch(4096)
+        .strategy(strategy)
+        .best_evaluation()
+}
+
 #[test]
 fn end_to_end_gpt_plan_is_consistent() {
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
     let model = gpt3_1t().config;
-    let best = optimize(
-        &model,
-        &sys,
-        &SearchOptions::new(2048, 4096, TpStrategy::OneD),
-    )
-    .expect("feasible");
+    let best = best_config(&model, &sys, 2048, TpStrategy::OneD).expect("feasible");
     // Re-evaluating the returned configuration + placement must give the
     // same numbers (the search reports real evaluations).
     let re = evaluate(&model, &best.config, &best.placement, 4096, &sys);
@@ -30,7 +39,7 @@ fn search_beats_every_handpicked_config() {
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
     let model = gpt3_1t().config;
     let n = 1024;
-    let best = optimize(&model, &sys, &SearchOptions::new(n, 4096, TpStrategy::OneD)).unwrap();
+    let best = best_config(&model, &sys, n, TpStrategy::OneD).unwrap();
     for (n1, np, nd) in [(8, 16, 8), (4, 32, 8), (16, 64, 1), (2, 128, 4)] {
         let cfg = ParallelConfig::new(TpStrategy::OneD, n1, 1, np, nd, 1);
         if cfg.validate(&model, 4096).is_err() {
@@ -182,24 +191,12 @@ fn paper_contrast_llm_vs_sciml() {
     // The paper's headline contrast, end to end: the LLM works with 1D TP
     // + pipelining; the long-sequence ViT needs 2D TP and rejects 1D.
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
-    let gpt = optimize(
-        &gpt3_1t().config,
-        &sys,
-        &SearchOptions::new(4096, 4096, TpStrategy::OneD),
-    );
+    let gpt = best_config(&gpt3_1t().config, &sys, 4096, TpStrategy::OneD);
     assert!(gpt.is_some());
-    let vit_1d = optimize(
-        &vit_64k().config,
-        &sys,
-        &SearchOptions::new(4096, 4096, TpStrategy::OneD),
-    );
+    let vit_1d = best_config(&vit_64k().config, &sys, 4096, TpStrategy::OneD);
     assert!(vit_1d.is_none());
-    let vit_2d = optimize(
-        &vit_64k().config,
-        &sys,
-        &SearchOptions::new(4096, 4096, TpStrategy::TwoD),
-    )
-    .expect("2D TP trains the ViT");
+    let vit_2d =
+        best_config(&vit_64k().config, &sys, 4096, TpStrategy::TwoD).expect("2D TP trains the ViT");
     assert!(vit_2d.config.n2 >= 2);
     // ViT pins HBM; GPT at this scale does not.
     assert!(vit_2d.memory.total_gb() > gpt.unwrap().memory.total_gb());
@@ -208,12 +205,7 @@ fn paper_contrast_llm_vs_sciml() {
 #[test]
 fn training_days_compose_with_workloads() {
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
-    let best = optimize(
-        &gpt3_1t().config,
-        &sys,
-        &SearchOptions::new(16384, 4096, TpStrategy::OneD),
-    )
-    .unwrap();
+    let best = best_config(&gpt3_1t().config, &sys, 16384, TpStrategy::OneD).unwrap();
     let days = training_days(&TrainingWorkload::gpt3_1t_pretraining(), &best);
     // Paper Fig. 5a: O(3–5) days on 16K B200.
     assert!(days > 2.0 && days < 8.0, "got {days}");
@@ -253,12 +245,7 @@ fn moe_pipeline_end_to_end() {
     // cross-check on the returned optimum.
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
     let model = moe_1t().config;
-    let best = optimize(
-        &model,
-        &sys,
-        &SearchOptions::new(512, 4096, TpStrategy::OneD),
-    )
-    .expect("feasible");
+    let best = best_config(&model, &sys, 512, TpStrategy::OneD).expect("feasible");
     assert!(
         best.config.ep > 1,
         "expected expert parallelism: {}",
@@ -288,16 +275,15 @@ fn joint_search_skips_unsupported_simulator_configs() {
     // execute; they must surface as skippable typed errors, not crashes.
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
     let model = gpt3_1t().config;
-    let mut opts = SearchOptions::new(512, 4096, TpStrategy::OneD);
-    opts.max_interleave = 2;
-    opts.allow_zero3 = true;
+    let candidates = Planner::new(&model, &sys)
+        .gpus(512)
+        .global_batch(4096)
+        .strategy(TpStrategy::OneD)
+        .with_space(|s| s.max_interleave(2).allow_zero3(true))
+        .candidates();
     let mut skipped = 0;
     let mut checked = 0;
-    for cfg in perfmodel::enumerate_partitions(&model, &opts)
-        .into_iter()
-        .filter(|c| c.np <= 8)
-        .take(24)
-    {
+    for cfg in candidates.into_iter().filter(|c| c.np <= 8).take(24) {
         match trainsim::compare(
             "sweep",
             &model,

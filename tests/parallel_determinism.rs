@@ -4,7 +4,7 @@
 //! the sequential iterator chains it replaced.
 
 use fmperf::prelude::*;
-use perfmodel::sweep_partitions;
+use perfmodel::ord::time_cmp;
 use proptest::prelude::*;
 use rayon::prelude::*;
 use rayon::ThreadPoolBuilder;
@@ -13,14 +13,25 @@ fn pool(n: usize) -> rayon::ThreadPool {
     ThreadPoolBuilder::new().num_threads(n).build().unwrap()
 }
 
+/// Every candidate of the space, infeasible ones included, stably sorted
+/// by iteration time.
+fn sorted_sweep(planner: &Planner) -> Vec<Evaluation> {
+    let mut evals = planner.clone().include_infeasible(true).evaluations();
+    evals.sort_by(|a, b| time_cmp(a.iteration_time, b.iteration_time));
+    evals
+}
+
 #[test]
 fn sweep_is_bit_identical_from_one_to_many_threads() {
     let model = gpt3_1t().config;
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
     for strategy in [TpStrategy::OneD, TpStrategy::TwoD] {
-        let opts = SearchOptions::new(256, 4096, strategy);
-        let seq = pool(1).install(|| sweep_partitions(&model, &sys, &opts));
-        let par = pool(8).install(|| sweep_partitions(&model, &sys, &opts));
+        let planner = Planner::new(&model, &sys)
+            .gpus(256)
+            .global_batch(4096)
+            .strategy(strategy);
+        let seq = pool(1).install(|| sorted_sweep(&planner));
+        let par = pool(8).install(|| sorted_sweep(&planner));
         assert_eq!(par.len(), seq.len());
         for (a, b) in par.iter().zip(&seq) {
             assert_eq!(a.config, b.config, "{strategy:?}: ordering diverged");
@@ -39,9 +50,12 @@ fn sweep_is_bit_identical_from_one_to_many_threads() {
 fn optimize_is_bit_identical_from_one_to_many_threads() {
     let model = vit_64k().config;
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
-    let opts = SearchOptions::new(512, 4096, TpStrategy::TwoD);
-    let seq = pool(1).install(|| optimize(&model, &sys, &opts)).unwrap();
-    let par = pool(8).install(|| optimize(&model, &sys, &opts)).unwrap();
+    let planner = Planner::new(&model, &sys)
+        .gpus(512)
+        .global_batch(4096)
+        .strategy(TpStrategy::TwoD);
+    let seq = pool(1).install(|| planner.best_evaluation()).unwrap();
+    let par = pool(8).install(|| planner.best_evaluation()).unwrap();
     assert_eq!(seq.iteration_time.to_bits(), par.iteration_time.to_bits());
     assert_eq!(seq, par);
 }

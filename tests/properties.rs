@@ -468,10 +468,13 @@ proptest! {
         c1 in hostile_u64(),
         n_counts in 0usize..3,
         batch in hostile_u64(),
-        clear_strategies in 0u32..2,
+        strategies_idx in 0usize..3,
         max_microbatch in hostile_u64(),
         max_pipeline in hostile_u64(),
         max_tensor_parallel in hostile_u64(),
+        max_interleave in hostile_u64(),
+        max_summa_panels in hostile_u64(),
+        max_expert_parallel in hostile_u64(),
         top_k in 0usize..5,
         objective in hostile_objective(),
     ) {
@@ -479,12 +482,17 @@ proptest! {
         let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
         let counts = [c0, c1][..n_counts.min(2)].to_vec();
         let mut space = SearchSpace::new().gpu_counts(counts).global_batch(batch);
-        if clear_strategies == 0 {
-            space.strategies.clear();
+        match strategies_idx {
+            0 => space.strategies.clear(),
+            1 => {}
+            _ => space = space.strategies([TpStrategy::Summa, TpStrategy::OneD]),
         }
         space.max_microbatch = max_microbatch;
         space.max_pipeline = max_pipeline;
         space.max_tensor_parallel = max_tensor_parallel;
+        space.max_interleave = max_interleave;
+        space.max_summa_panels = max_summa_panels;
+        space.max_expert_parallel = max_expert_parallel;
         let cfg = PlannerConfig {
             space,
             objective,

@@ -1,15 +1,16 @@
-//! Cross-crate guarantee for the pruned search paths: branch-and-bound
-//! and dominated-candidate elimination are *exact* optimizations.
-//! `optimize` with both prune flags on must return the bit-identical
-//! `Evaluation` that the unpruned path and the full sweep return, and
-//! `Planner::execute` with the ranked k-th-incumbent + Pareto prune on
-//! must return the bit-identical `PlanSet` (top-k ranking, Pareto
-//! frontier, counts, every score, compared both structurally and as an
-//! FNV fold over raw f64 bits) that the full sweep returns — on the
-//! paper's preset workloads, on randomly drawn spaces across every
-//! `Objective` variant, and at 1/2/8 worker threads. The
-//! [`perfmodel::search_stats`] counters must actually observe shared-memo
-//! traffic and prune activity.
+//! Cross-crate guarantee for the planner's search pipeline: its prunes
+//! are *exact* optimizations. The single-optimum query
+//! (`Planner::best_evaluation`) must return the bit-identical
+//! `Evaluation` that the unpruned query (`prune(false)`), the ranked
+//! query at k = 1 and the first entry of the time-sorted full sweep
+//! return, and `Planner::execute` must return the bit-identical
+//! `PlanSet` (top-k ranking, Pareto frontier, counts, every score,
+//! compared both structurally and as an FNV fold over raw f64 bits) with
+//! pruning on and off — on the paper's preset workloads, on randomly
+//! drawn spaces (several GPU counts and strategies, interleave, ZeRO-3,
+//! user predicates) across every `Objective` variant, and at 1/2/8
+//! worker threads. The [`perfmodel::search_stats`] counters must
+//! actually observe shared-memo traffic and prune activity.
 //!
 //! Counter tests deliberately avoid `reset_search_stats`: the counters
 //! are process-global and the tests in this binary run concurrently, so
@@ -17,7 +18,7 @@
 //! rather than absolute values.
 
 use fmperf::prelude::*;
-use perfmodel::sweep_partitions;
+use perfmodel::ord::time_cmp;
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
 use systems::SystemSpec;
@@ -31,40 +32,103 @@ fn pool(n: usize) -> rayon::ThreadPool {
     ThreadPoolBuilder::new().num_threads(n).build().unwrap()
 }
 
-/// `optimize` three ways: prunes on (default), prunes off, and the full
-/// sorted sweep's first feasible entry. All three must agree bit for bit.
-fn assert_exact(model: &TransformerConfig, sys: &SystemSpec, opts: &SearchOptions) {
-    let pruned = optimize(model, sys, opts);
-    let unpruned = optimize(
-        model,
-        sys,
-        &(*opts).branch_and_bound(false).prune_dominated(false),
-    );
-    // sweep_partitions sorts stably by iteration time, so its first
-    // feasible entry is the first-in-enumeration-order minimum — the
-    // exact candidate `optimize` pins.
-    let from_sweep = sweep_partitions(model, sys, opts)
-        .into_iter()
-        .find(|e| e.feasible);
-    match (&pruned, &unpruned, &from_sweep) {
-        (Some(p), Some(u), Some(s)) => {
+/// A single-scale, single-strategy planner.
+fn planner<'a>(
+    model: &'a TransformerConfig,
+    sys: &'a SystemSpec,
+    gpus: u64,
+    global_batch: u64,
+    strategy: TpStrategy,
+) -> Planner<'a> {
+    Planner::new(model, sys)
+        .gpus(gpus)
+        .global_batch(global_batch)
+        .strategy(strategy)
+}
+
+/// One random space's proptest draws: indices into the option lists of
+/// [`random_planner`].
+struct SpaceDraw {
+    gpus: usize,
+    batch: usize,
+    strategies: usize,
+    interleave: usize,
+    zero3: bool,
+    constraint: usize,
+}
+
+/// A random space over GPT3-175B on B200-NVS8: one or two GPU counts,
+/// one or two TP strategies, the interleave and ZeRO-3 knobs, and an
+/// optional user predicate.
+fn random_planner<'a>(
+    model: &'a TransformerConfig,
+    sys: &'a SystemSpec,
+    d: &SpaceDraw,
+) -> Planner<'a> {
+    use TpStrategy::{OneD, Summa, TwoD};
+    let gpus: &[u64] = [&[32u64][..], &[64], &[128], &[32, 128]][d.gpus];
+    let strategies: &[TpStrategy] = [&[OneD][..], &[TwoD], &[Summa], &[Summa, OneD]][d.strategies];
+    let max_interleave = [1u64, 2, 4][d.interleave];
+    let p = Planner::new(model, sys)
+        .gpu_counts(gpus.iter().copied())
+        .global_batch([512u64, 1024, 2048][d.batch])
+        .strategies(strategies.iter().copied())
+        .with_space(|s| s.max_interleave(max_interleave).allow_zero3(d.zero3));
+    match d.constraint {
+        0 => p,
+        1 => p.constrain(|c| c.np <= 4),
+        _ => p.constrain(|c| c.tensor_parallel() <= 8 && c.microbatch > 1),
+    }
+}
+
+/// Asserts two optional evaluations agree bit for bit.
+fn assert_same(a: &Option<Evaluation>, b: &Option<Evaluation>, what: &str) {
+    match (a, b) {
+        (Some(x), Some(y)) => {
             assert_eq!(
-                p.iteration_time.to_bits(),
-                u.iteration_time.to_bits(),
-                "pruned vs unpruned iteration_time diverged for {}",
-                p.config
+                x.iteration_time.to_bits(),
+                y.iteration_time.to_bits(),
+                "{what}: iteration_time diverged for {}",
+                x.config
             );
-            assert_eq!(p, u, "pruned vs unpruned Evaluation diverged");
-            assert_eq!(p, s, "pruned optimize vs sweep first-feasible diverged");
+            assert_eq!(x, y, "{what}: Evaluation diverged");
         }
-        (None, None, None) => {}
+        (None, None) => {}
         _ => panic!(
-            "feasibility disagreement: pruned={} unpruned={} sweep={}",
-            pruned.is_some(),
-            unpruned.is_some(),
-            from_sweep.is_some()
+            "{what}: feasibility disagreement ({} vs {})",
+            a.is_some(),
+            b.is_some()
         ),
     }
+}
+
+/// The identity the one pipeline rests on: the single-optimum query, the
+/// ranked query at k = 1 under iteration time, and the first entry of the
+/// feasible sweep stably sorted by time (the first minimum in
+/// enumeration order) are one evaluation, bit for bit.
+fn assert_single_optimum_identity(planner: &Planner) -> Option<Evaluation> {
+    let best = planner.best_evaluation();
+    let ranked = planner
+        .clone()
+        .objective(Objective::IterationTime)
+        .top_k(1)
+        .execute()
+        .best()
+        .map(|p| p.eval.clone());
+    let mut sweep = planner.evaluations();
+    sweep.sort_by(|a, b| time_cmp(a.iteration_time, b.iteration_time));
+    let first = sweep.into_iter().next();
+    assert_same(&best, &ranked, "best_evaluation vs top_k(1).execute()");
+    assert_same(&best, &first, "best_evaluation vs sorted sweep");
+    best
+}
+
+/// The single-optimum query pruned (the default) and unpruned, plus the
+/// identity above. All must agree bit for bit.
+fn assert_exact(planner: &Planner) {
+    let pruned = assert_single_optimum_identity(planner);
+    let unpruned = planner.clone().prune(false).best_evaluation();
+    assert_same(&pruned, &unpruned, "pruned vs unpruned");
 }
 
 #[test]
@@ -77,33 +141,33 @@ fn prunes_are_exact_on_paper_presets() {
         (gpt3_1t().config, 256, 4096, TpStrategy::OneD),
     ];
     for (model, gpus, gb, strategy) in &presets {
-        let opts = SearchOptions::new(*gpus, *gb, *strategy);
-        assert_exact(model, &sys, &opts);
+        assert_exact(&planner(model, &sys, *gpus, *gb, *strategy));
     }
 }
 
 #[test]
 fn prunes_are_exact_with_interleave_and_zero3() {
-    // Exercises the structural np = 1 / interleave > 1 dominance rule and
-    // the ZeRO-3 axis that doubles every candidate.
+    // Exercises the interleave axis (whose np = 1 candidates tie their
+    // interleave = 1 twins bit for bit) and the ZeRO-3 axis that doubles
+    // every candidate.
     let sys = b200_nvs8();
-    let opts = SearchOptions::new(256, 2048, TpStrategy::OneD)
-        .max_interleave(4)
-        .allow_zero3(true);
-    assert_exact(&gpt3_175b().config, &sys, &opts);
+    let model = gpt3_175b().config;
+    let p = planner(&model, &sys, 256, 2048, TpStrategy::OneD)
+        .with_space(|s| s.max_interleave(4).allow_zero3(true));
+    assert_exact(&p);
 }
 
 #[test]
 fn prunes_are_exact_across_thread_counts() {
-    // The atomic-incumbent race must never change the selected optimum.
+    // The shared-threshold race must never change the selected optimum.
     let model = vit_64k().config;
     let sys = b200_nvs8();
-    let opts = SearchOptions::new(256, 4096, TpStrategy::Summa);
-    let seq = pool(1).install(|| optimize(&model, &sys, &opts)).unwrap();
-    let par = pool(8).install(|| optimize(&model, &sys, &opts)).unwrap();
+    let p = planner(&model, &sys, 256, 4096, TpStrategy::Summa);
+    let seq = pool(1).install(|| p.best_evaluation()).unwrap();
+    let par = pool(8).install(|| p.best_evaluation()).unwrap();
     assert_eq!(seq.iteration_time.to_bits(), par.iteration_time.to_bits());
     assert_eq!(seq, par);
-    assert_exact(&model, &sys, &opts);
+    assert_exact(&p);
 }
 
 #[test]
@@ -113,11 +177,11 @@ fn shared_memo_serves_fresh_worker_threads() {
     // L1 memos start empty, so their hits must come from the shared L2.
     let model = vit_64k().config;
     let sys = b200_nvs8();
-    let opts = SearchOptions::new(256, 4096, TpStrategy::Summa);
-    let warm = optimize(&model, &sys, &opts).unwrap();
+    let p = planner(&model, &sys, 256, 4096, TpStrategy::Summa);
+    let warm = p.best_evaluation().unwrap();
 
     let before = search_stats();
-    let par = pool(8).install(|| optimize(&model, &sys, &opts)).unwrap();
+    let par = pool(8).install(|| p.best_evaluation()).unwrap();
     let after = search_stats();
     assert_eq!(warm, par);
     assert!(
@@ -133,16 +197,13 @@ fn prune_counters_observe_skipped_candidates() {
     // skip counters must say so.
     let model = gpt3_1t().config;
     let sys = b200_nvs8();
-    let opts = SearchOptions::default()
-        .gpus(1024)
-        .global_batch(4096)
-        .strategy(TpStrategy::Summa);
+    let p = planner(&model, &sys, 1024, 4096, TpStrategy::Summa);
     let before = search_stats();
-    let _ = optimize(&model, &sys, &opts).unwrap();
+    let _ = p.best_evaluation().unwrap();
     let after = search_stats();
     assert!(
         after.dominated_pruned > before.dominated_pruned,
-        "seed-based elimination should drop candidates: {before:?} -> {after:?}"
+        "elimination against the seed should drop candidates: {before:?} -> {after:?}"
     );
     assert!(
         after.bound_pruned + after.dominated_pruned
@@ -154,27 +215,31 @@ fn prune_counters_observe_skipped_candidates() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random small spaces: pruned and unpruned optimize agree bit for
-    /// bit with the sweep for arbitrary knob combinations.
+    /// Random small spaces — several GPU counts and strategies,
+    /// interleave, ZeRO-3 and user predicates: the single-optimum query
+    /// pruned, unpruned, at k = 1 of the ranked query and from the sorted
+    /// sweep agree bit for bit.
     #[test]
     fn prunes_are_exact_on_random_spaces(
-        gpus_idx in 0usize..3,
+        gpus_idx in 0usize..4,
         gb_idx in 0usize..3,
-        strat_idx in 0usize..3,
+        strat_idx in 0usize..4,
         interleave_idx in 0usize..3,
         zero3_idx in 0usize..2,
+        constraint_idx in 0usize..3,
     ) {
-        let gpus = [32u64, 64, 128][gpus_idx];
-        let gb = [512u64, 1024, 2048][gb_idx];
-        let strategy = [TpStrategy::OneD, TpStrategy::TwoD, TpStrategy::Summa][strat_idx];
-        let max_interleave = [1u64, 2, 4][interleave_idx];
-        let allow_zero3 = zero3_idx == 1;
         let model = gpt3_175b().config;
         let sys = b200_nvs8();
-        let opts = SearchOptions::new(gpus, gb, strategy)
-            .max_interleave(max_interleave)
-            .allow_zero3(allow_zero3);
-        assert_exact(&model, &sys, &opts);
+        let draw = SpaceDraw {
+            gpus: gpus_idx,
+            batch: gb_idx,
+            strategies: strat_idx,
+            interleave: interleave_idx,
+            zero3: zero3_idx == 1,
+            constraint: constraint_idx,
+        };
+        let p = random_planner(&model, &sys, &draw);
+        assert_exact(&p);
     }
 }
 
@@ -223,11 +288,7 @@ fn plan_set_fingerprint(ps: &PlanSet) -> u64 {
 /// fingerprint.
 fn assert_ranked_exact(planner: &Planner) {
     let pruned = planner.clone().execute();
-    let unpruned = planner
-        .clone()
-        .branch_and_bound(false)
-        .prune_dominated(false)
-        .execute();
+    let unpruned = planner.clone().prune(false).execute();
     assert_eq!(
         plan_set_fingerprint(&pruned),
         plan_set_fingerprint(&unpruned),
@@ -319,13 +380,7 @@ fn ranked_prunes_are_exact_across_thread_counts() {
         .top_k(6)
         .pareto([Objective::IterationTime, Objective::GpuSeconds]);
     let seq = pool(1).install(|| planner.clone().execute());
-    let seq_unpruned = pool(1).install(|| {
-        planner
-            .clone()
-            .branch_and_bound(false)
-            .prune_dominated(false)
-            .execute()
-    });
+    let seq_unpruned = pool(1).install(|| planner.clone().prune(false).execute());
     assert_eq!(seq, seq_unpruned);
     assert_eq!(
         plan_set_fingerprint(&seq),
@@ -410,43 +465,45 @@ fn ranked_pruning_skips_most_of_the_summa_space() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Random spaces × every `Objective` variant × Pareto axis sets ×
-    /// 1/2/8 worker threads: the pruned `PlanSet` (top-k ranking *and*
-    /// Pareto frontier) must be bit-identical — f64 bits and FNV fold —
-    /// to the unpruned sweep's, at every thread count.
+    /// Random spaces (several GPU counts and strategies, interleave,
+    /// ZeRO-3, user predicates) × every `Objective` variant × Pareto axis
+    /// sets × 1/2/8 worker threads: the pruned `PlanSet` (top-k ranking
+    /// *and* Pareto frontier) must be bit-identical — f64 bits and FNV
+    /// fold — to the unpruned sweep's, at every thread count, and the
+    /// single-optimum query must agree with k = 1 of the ranked one.
     #[test]
     fn ranked_prunes_are_exact_on_random_spaces(
-        gpus_idx in 0usize..3,
+        gpus_idx in 0usize..4,
         gb_idx in 0usize..2,
-        strat_idx in 0usize..3,
+        strat_idx in 0usize..4,
+        interleave_idx in 0usize..3,
+        zero3_idx in 0usize..2,
+        constraint_idx in 0usize..3,
         objective_idx in 0usize..10,
         pareto_idx in 0usize..3,
         top_k in 0usize..10,
     ) {
-        let gpus = [32u64, 64, 128][gpus_idx];
-        let gb = [512u64, 1024][gb_idx];
-        let strategy = [TpStrategy::OneD, TpStrategy::TwoD, TpStrategy::Summa][strat_idx];
         let model = gpt3_175b().config;
         let sys = b200_nvs8();
-        let planner = Planner::new(&model, &sys)
-            .gpus(gpus)
-            .global_batch(gb)
-            .strategy(strategy)
-            .objective(objective_variant(objective_idx))
-            .pareto(pareto_variant(pareto_idx))
-            .top_k(top_k);
-        let reference = pool(1).install(|| {
-            planner
-                .clone()
-                .branch_and_bound(false)
-                .prune_dominated(false)
-                .execute()
-        });
+        let draw = SpaceDraw {
+            gpus: gpus_idx,
+            batch: gb_idx,
+            strategies: strat_idx,
+            interleave: interleave_idx,
+            zero3: zero3_idx == 1,
+            constraint: constraint_idx,
+        };
+        let planner = random_planner(&model, &sys, &draw)
+        .objective(objective_variant(objective_idx))
+        .pareto(pareto_variant(pareto_idx))
+        .top_k(top_k);
+        let reference = pool(1).install(|| planner.clone().prune(false).execute());
         let ref_fp = plan_set_fingerprint(&reference);
         for n in [1usize, 2, 8] {
             let pruned = pool(n).install(|| planner.clone().execute());
             prop_assert_eq!(plan_set_fingerprint(&pruned), ref_fp);
             prop_assert_eq!(&pruned, &reference);
         }
+        assert_single_optimum_identity(&planner);
     }
 }

@@ -1,14 +1,15 @@
-//! Deprecate-by-wrapper guarantee: `optimize` and `sweep_partitions` are
-//! now thin wrappers over the `Planner`, and their outputs are pinned
-//! **bit-identical** to the pre-refactor implementation. The constants
-//! below were captured from the free-function code paths immediately
-//! before the planner landed (commit c598d8d's `evaluate_candidates`) on
-//! the GPT3-175B, MoE-1T and ViT-SUMMA presets — any drift in the
-//! wrapper path, enumeration order, pruning or placement selection shows
-//! up as a bit mismatch here.
+//! Pre-planner pins: the `Planner`'s single-optimum query
+//! (`best_evaluation`) and its full sweep (`include_infeasible(true)
+//! .evaluations()`, stably sorted by time) are pinned **bit-identical**
+//! to the free-function search that preceded the planner. The constants
+//! below were captured from those code paths immediately before the
+//! planner landed (commit c598d8d's `evaluate_candidates`) on the
+//! GPT3-175B, MoE-1T and ViT-SUMMA presets — any drift in enumeration
+//! order, pruning or placement selection shows up as a bit mismatch
+//! here.
 
 use fmperf::prelude::*;
-use perfmodel::sweep_partitions;
+use perfmodel::ord::time_cmp;
 
 struct Pin {
     name: &'static str,
@@ -16,12 +17,12 @@ struct Pin {
     gpus: u64,
     global_batch: u64,
     strategy: TpStrategy,
-    // optimize(): selected configuration + exact result bits.
+    // best_evaluation(): selected configuration + exact result bits.
     config: (u64, u64, u64, u64, u64, u64), // (n1, n2, np, nd, ep, bm)
     placement: (u64, u64, u64, u64),        // (v1, v2, vp, vd)
     iter_time_bits: u64,
     memory_total_bits: u64,
-    // sweep_partitions(): size, fastest entry, FNV fold of every entry.
+    // Sorted full sweep: size, fastest entry, FNV fold of every entry.
     sweep_len: usize,
     sweep_first_bits: u64,
     sweep_fold: u64,
@@ -74,8 +75,8 @@ fn pins() -> Vec<Pin> {
     ]
 }
 
-fn opts(p: &Pin) -> SearchOptions {
-    SearchOptions::default()
+fn planner<'a>(p: &'a Pin, sys: &'a SystemSpec) -> Planner<'a> {
+    Planner::new(&p.model, sys)
         .gpus(p.gpus)
         .global_batch(p.global_batch)
         .strategy(p.strategy)
@@ -85,7 +86,7 @@ fn opts(p: &Pin) -> SearchOptions {
 fn optimize_wrapper_is_bit_identical_to_pre_refactor() {
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
     for p in pins() {
-        let e = optimize(&p.model, &sys, &opts(&p)).expect(p.name);
+        let e = planner(&p, &sys).best_evaluation().expect(p.name);
         let c = &e.config;
         assert_eq!(
             (c.n1, c.n2, c.np, c.nd, c.ep, c.microbatch),
@@ -116,7 +117,9 @@ fn optimize_wrapper_is_bit_identical_to_pre_refactor() {
 fn sweep_wrapper_is_bit_identical_to_pre_refactor() {
     let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
     for p in pins() {
-        let sweep = sweep_partitions(&p.model, &sys, &opts(&p));
+        // Stable sort: equal iteration times keep enumeration order.
+        let mut sweep = planner(&p, &sys).include_infeasible(true).evaluations();
+        sweep.sort_by(|a, b| time_cmp(a.iteration_time, b.iteration_time));
         assert_eq!(sweep.len(), p.sweep_len, "{}: candidate count", p.name);
         assert_eq!(
             sweep[0].iteration_time.to_bits(),
@@ -132,16 +135,4 @@ fn sweep_wrapper_is_bit_identical_to_pre_refactor() {
         });
         assert_eq!(fold, p.sweep_fold, "{}: sweep fold drifted", p.name);
     }
-}
-
-#[test]
-fn positional_shim_matches_named_builders() {
-    // The #[doc(hidden)] compatibility constructor must stay exactly
-    // equivalent to the named-builder form.
-    let old = SearchOptions::new(512, 1024, TpStrategy::TwoD);
-    let new = SearchOptions::default()
-        .gpus(512)
-        .global_batch(1024)
-        .strategy(TpStrategy::TwoD);
-    assert_eq!(old, new);
 }
