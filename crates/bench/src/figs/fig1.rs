@@ -20,7 +20,10 @@ pub fn generate() -> Artifact {
     for (i, nt) in [1u64, 2, 4, 8, 16, 32].into_iter().enumerate() {
         let nd = 16384 / 64 / nt;
         let cfg = ParallelConfig::new(TpStrategy::OneD, nt, 1, 64, nd, 1);
-        // fmlint::allow(panic-in-lib, reason = "pinned paper configuration; validated by the every_id_generates test")
+        #[expect(
+            clippy::expect_used,
+            reason = "pinned paper configuration; validated by the every_id_generates test"
+        )]
         cfg.validate(&model, 4096).expect("fig1 config invalid");
         let e = pinned_eval(&model, &sys, &cfg, 4096);
         art.push(eval_row(&config_label(i), &e));

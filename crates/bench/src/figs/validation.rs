@@ -82,8 +82,11 @@ pub fn generate() -> Artifact {
         ["config", "analytic_s", "simulated_s", "rel_err_pct"],
     );
     for (label, model, cfg, pl) in cases() {
+        #[expect(
+            clippy::expect_used,
+            reason = "pinned §IV validation cases; all run the plain 1F1B schedule"
+        )]
         let row = compare(&label, &model, &cfg, &pl, 1024, &sys, &SimParams::default())
-            // fmlint::allow(panic-in-lib, reason = "pinned §IV validation cases; all run the plain 1F1B schedule")
             .expect("every validation case runs the plain 1F1B schedule");
         art.push(vec![
             json!(label),

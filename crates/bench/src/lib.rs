@@ -47,9 +47,6 @@
 //! (`gpt_summa_n16384_t{1,2,4,8}`); the 8-vs-1-thread ratio on that
 //! group is the scaling gate CI enforces on multi-core runners.
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod common;
 pub mod figs;
 
@@ -117,61 +114,6 @@ pub fn generate(id: &str) -> Result<Vec<Artifact>, UnknownArtifact> {
         "reliability" => figs::reliability::generate(),
         other => return Err(UnknownArtifact(other.to_string())),
     })
-}
-
-/// CLI entry point shared by `crates/bench/src/bin/figures.rs` and the
-/// facade's `src/bin/figures.rs`: `figures [all | <id>...] [--out DIR]`.
-pub fn figures_main() {
-    use crate::{generate, ALL_IDS};
-    use std::path::PathBuf;
-
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out_dir = PathBuf::from("out");
-    if let Some(pos) = args.iter().position(|a| a == "--out") {
-        args.remove(pos);
-        if pos < args.len() {
-            out_dir = PathBuf::from(args.remove(pos));
-        } else {
-            eprintln!("--out requires a directory argument");
-            std::process::exit(2);
-        }
-    }
-    if args.is_empty() || args.iter().any(|a| a == "--help" || a == "-h") {
-        eprintln!("usage: figures [all | <id>...] [--out DIR]");
-        eprintln!("known ids: {}", ALL_IDS.join(", "));
-        std::process::exit(if args.is_empty() { 2 } else { 0 });
-    }
-    let ids: Vec<&str> = if args.iter().any(|a| a == "all") {
-        ALL_IDS.to_vec()
-    } else {
-        args.iter().map(String::as_str).collect()
-    };
-    for id in ids {
-        let t0 = std::time::Instant::now();
-        let arts = match generate(id) {
-            Ok(arts) => arts,
-            Err(e) => {
-                eprintln!("{e}");
-                std::process::exit(2);
-            }
-        };
-        for art in arts {
-            println!("{}", art.render());
-            if let Some(hm) = crate::common::grid_heatmap(&art) {
-                println!("{hm}");
-            }
-            match art.write(&out_dir) {
-                Ok((json, csv)) => {
-                    eprintln!("wrote {} and {}", json.display(), csv.display())
-                }
-                Err(e) => {
-                    eprintln!("failed to write {}: {e}", art.id);
-                    std::process::exit(1);
-                }
-            }
-        }
-        eprintln!("[{id}] regenerated in {:.2?}\n", t0.elapsed());
-    }
 }
 
 #[cfg(test)]

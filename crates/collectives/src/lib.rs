@@ -36,9 +36,6 @@
 //! Every formula is cross-validated against the matching `netsim`
 //! schedule.
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
 use serde::{Deserialize, Serialize};
 use systems::SystemSpec;
 

@@ -1,25 +1,21 @@
-//! fmsched models of four concurrency protocols (three on the search hot
-//! path, one in serving admission), each with a *regression twin*
-//! re-introducing a historical (or representative) bug so the checker's
-//! teeth are themselves tested.
+//! fmsched models of three concurrency protocols on the search hot path,
+//! each with a *regression twin* re-introducing a historical (or
+//! representative) bug so the checker's teeth are themselves tested.
 //!
 //! | Model | Real code | Claim |
 //! |-------|-----------|-------|
 //! | [`ShardedMemo`] | `perfmodel::partition::cache::memo_f64` (L2 shard insert race) | racing first-computes of a *pure* function publish bit-identical values; no lost insert; every caller returns the same bits |
 //! | [`TopkIncumbent`] | `perfmodel::ord::TopkIncumbent` (the search's k-th-best threshold and best key: mutex k-set, both cells written under the lock, relaxed readers; `k = 1` is the single-optimum incumbent) | threshold and best key are monotone non-increasing; the threshold never falls below the true k-th-best key and ends at the k-th-best published key; the best key ends at the smallest published key; k-th-incumbent pruning never drops a true top-k candidate |
 //! | [`ChunkClaim`] | `vendor/rayon` chunk claim/steal (`fetch_add` self-scheduling) | every chunk is claimed exactly once, all slots are filled, and the reassembled output is input-ordered regardless of interleaving |
-//! | [`BatchAdmit`] | `servesim` decode-batch admission (ceiling-gated slot claim) | the resident batch never exceeds the ceiling, free slots never go negative, and every request is admitted exactly once |
 //!
-//! The twins (`impure_compute`, `torn_publish`, `split_claim`,
-//! `split_admit`) correspond to an earlier duplicate profile build
-//! (which was only harmless because the build is pure — the twin shows
-//! exactly why purity is load-bearing), a k-th-best threshold published
-//! outside the k-set lock with a blind store (a stale maximum raises the
-//! threshold), a read-then-write chunk claim that double-processes
-//! chunks, and a check-then-claim batch admission that over-admits past
-//! the KV-derived ceiling. The regression tests in
-//! `tests/sched_protocols.rs` assert [`crate::sched::explore`] finds
-//! each of them.
+//! The twins (`impure_compute`, `torn_publish`, `split_claim`)
+//! correspond to an earlier duplicate profile build (which was only
+//! harmless because the build is pure — the twin shows exactly why
+//! purity is load-bearing), a k-th-best threshold published outside the
+//! k-set lock with a blind store (a stale maximum raises the threshold),
+//! and a read-then-write chunk claim that double-processes chunks. The
+//! regression tests in `tests/sched_protocols.rs` assert
+//! [`crate::sched::explore`] finds each of them.
 
 use crate::sched::Model;
 
@@ -602,184 +598,6 @@ impl Model for ChunkClaim {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Serving decode-batch admission: ceiling-gated slot claim
-// ---------------------------------------------------------------------------
-
-/// Per-thread program counter for [`BatchAdmit`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum AdmitPc {
-    /// Claim a batch slot (atomic check-and-decrement, gated on free > 0).
-    Try,
-    /// `split_admit` twin only: the claim's store half, after the check.
-    StoreClaim,
-    /// Resident in the decode batch (KV block held).
-    Hold,
-    /// Release the slot (request finished; KV block freed).
-    Release,
-    /// Finished.
-    Done,
-}
-
-/// Model of `servesim`'s decode-batch admission
-/// (`crates/servesim/src/lib.rs::run_decode_replica`): arrivals join the
-/// resident batch at decode-step boundaries only while `batch <
-/// batch_ceiling`, where the ceiling is the KV-capacity bound
-/// (`max_kv_batch`) — every admitted request reserves its KV blocks for
-/// life, so over-admitting is an out-of-memory, not a slowdown. The
-/// single-replica scheduler serializes admission today; this model is the
-/// contract a future multi-queue admitter must keep: the slot claim must
-/// stay one atomic check-and-decrement.
-///
-/// Claims, on every schedule: the resident batch never exceeds the
-/// ceiling and free slots never go negative ([`Model::check_step`]);
-/// every request is admitted exactly once and all slots return
-/// ([`Model::check_final`]).
-///
-/// The `split_admit` twin separates the ceiling check from the claim (a
-/// check-then-act on the shared free counter): two arrivals both observe
-/// the last free slot and both join — the batch lands above the KV
-/// ceiling.
-#[derive(Debug, Clone)]
-pub struct BatchAdmit {
-    /// Regression twin: check-then-claim instead of one atomic step.
-    pub split_admit: bool,
-    threads: usize,
-    capacity: u64,
-    /// Free batch slots (`capacity - in_flight` in the correct protocol).
-    free: u64,
-    /// Requests currently resident in the decode batch.
-    in_flight: u64,
-    pc: Vec<AdmitPc>,
-    /// Times each request was admitted.
-    admitted: Vec<u32>,
-}
-
-impl BatchAdmit {
-    /// `threads` concurrent arrivals racing for `capacity` batch slots.
-    /// Panics if `capacity` is zero (a dead replica admits nothing — not
-    /// a schedule outcome worth exploring).
-    pub fn new(threads: usize, capacity: u64, split_admit: bool) -> Self {
-        assert!(capacity > 0, "a zero-capacity batch admits nothing");
-        Self {
-            split_admit,
-            threads,
-            capacity,
-            free: capacity,
-            in_flight: 0,
-            pc: vec![AdmitPc::Try; threads],
-            admitted: vec![0; threads],
-        }
-    }
-}
-
-impl Model for BatchAdmit {
-    fn name(&self) -> &'static str {
-        "batch-admit"
-    }
-
-    fn threads(&self) -> usize {
-        self.threads
-    }
-
-    fn reset(&mut self) {
-        self.free = self.capacity;
-        self.in_flight = 0;
-        self.pc.fill(AdmitPc::Try);
-        self.admitted.fill(0);
-    }
-
-    fn done(&self, tid: usize) -> bool {
-        self.pc[tid] == AdmitPc::Done
-    }
-
-    fn enabled(&self, tid: usize) -> bool {
-        // The boundary check: an arrival only attempts admission while a
-        // slot is visible. Residents always progress (hold → release), so
-        // a blocked arrival is eventually re-enabled — no deadlock.
-        match self.pc[tid] {
-            AdmitPc::Try => self.free > 0,
-            AdmitPc::Done => false,
-            _ => true,
-        }
-    }
-
-    fn step(&mut self, tid: usize) {
-        match self.pc[tid] {
-            AdmitPc::Try => {
-                if self.split_admit {
-                    // Bug twin: the check passed (we are enabled); the
-                    // claim lands in a separate step, so another arrival
-                    // can observe the same last slot in between.
-                    self.pc[tid] = AdmitPc::StoreClaim;
-                } else {
-                    // One atomic check-and-decrement (the `enabled` gate
-                    // and this step are a single admission decision at a
-                    // decode-step boundary).
-                    self.free -= 1;
-                    self.in_flight += 1;
-                    self.admitted[tid] += 1;
-                    self.pc[tid] = AdmitPc::Hold;
-                }
-            }
-            AdmitPc::StoreClaim => {
-                // The stale claim: decrement whatever is there now.
-                self.free = self.free.saturating_sub(1);
-                self.in_flight += 1;
-                self.admitted[tid] += 1;
-                self.pc[tid] = AdmitPc::Hold;
-            }
-            AdmitPc::Hold => {
-                // One decode step as a resident, then the request
-                // completes.
-                self.pc[tid] = AdmitPc::Release;
-            }
-            AdmitPc::Release => {
-                self.free += 1;
-                self.in_flight -= 1;
-                self.pc[tid] = AdmitPc::Done;
-            }
-            AdmitPc::Done => unreachable!("stepped a finished thread"),
-        }
-    }
-
-    fn check_step(&self) -> Result<(), String> {
-        // The KV-ceiling claim: admitted requests reserve cache blocks,
-        // so a batch above the ceiling is physically over-committed.
-        if self.in_flight > self.capacity {
-            return Err(format!(
-                "batch over-admitted: {} resident > ceiling {} (KV cache \
-                 over-committed)",
-                self.in_flight, self.capacity
-            ));
-        }
-        if self.free > self.capacity {
-            return Err(format!(
-                "free slots {} exceed capacity {} (double release)",
-                self.free, self.capacity
-            ));
-        }
-        Ok(())
-    }
-
-    fn check_final(&self) -> Result<(), String> {
-        for (tid, &n) in self.admitted.iter().enumerate() {
-            if n != 1 {
-                return Err(format!(
-                    "request {tid} admitted {n} times (must be exactly once)"
-                ));
-            }
-        }
-        if self.in_flight != 0 || self.free != self.capacity {
-            return Err(format!(
-                "slots leaked: {} in flight, {} free, capacity {}",
-                self.in_flight, self.free, self.capacity
-            ));
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -824,23 +642,6 @@ mod tests {
             &Budget::default(),
         );
         assert!(r.passed(), "{:?}", r.violation);
-    }
-
-    #[test]
-    fn batch_admit_is_correct_and_twin_is_caught() {
-        // 3 arrivals racing 2 batch slots: the interesting schedules make
-        // the third arrival wait for a release and re-admit.
-        let r = explore(&mut BatchAdmit::new(3, 2, false), &Budget::default());
-        assert!(r.passed(), "{:?}", r.violation);
-        assert!(r.exhaustive);
-        let bad = explore(&mut BatchAdmit::new(3, 2, true), &Budget::default());
-        assert!(bad.violation.is_some());
-    }
-
-    #[test]
-    #[should_panic(expected = "zero-capacity")]
-    fn zero_capacity_batch_is_rejected_at_construction() {
-        let _ = BatchAdmit::new(1, 0, false);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! fmsched acceptance suite: the four real protocols verified at
+//! fmsched acceptance suite: the three real protocols verified at
 //! CI-meaningful exploration depths, the historical regression shapes
 //! provably *caught*, and the bridge test tying the `chunk-claim`
 //! model to the vendored rayon pool that actually runs.
@@ -7,7 +7,7 @@
 //! bridge test installs a process-wide `rayon::sched_hook` observer and
 //! must not share a process with other pool users.
 
-use fmcheck::models::{BatchAdmit, ChunkClaim, ShardedMemo, TopkIncumbent};
+use fmcheck::models::{ChunkClaim, ShardedMemo, TopkIncumbent};
 use fmcheck::sched::{explore, Budget, ViolationKind};
 
 /// The acceptance floor from the PR issue: the exhaustive explorer must
@@ -56,26 +56,15 @@ fn protocols_hold_on_every_schedule_at_acceptance_depth() {
     assert!(pool.passed(), "chunk-claim: {:?}", pool.violation);
     assert!(pool.exhaustive, "chunk-claim must be explored exhaustively");
 
-    // 4 arrivals racing 2 decode-batch slots: every admission order,
-    // including the ones where late arrivals block on the ceiling and
-    // re-admit after a release.
-    let admit = explore(&mut BatchAdmit::new(4, 2, false), &Budget::default());
-    assert!(admit.passed(), "batch-admit: {:?}", admit.violation);
-    assert!(
-        admit.exhaustive,
-        "batch-admit must be explored exhaustively"
-    );
-
-    let total = memo.schedules + inc.schedules + topk.schedules + pool.schedules + admit.schedules;
+    let total = memo.schedules + inc.schedules + topk.schedules + pool.schedules;
     assert!(
         total >= SCHEDULE_FLOOR,
         "exhaustive coverage regressed: {total} < {SCHEDULE_FLOOR} schedules \
-         (memo {}, incumbent {}, topk {}, pool {}, admit {})",
+         (memo {}, incumbent {}, topk {}, pool {})",
         memo.schedules,
         inc.schedules,
         topk.schedules,
-        pool.schedules,
-        admit.schedules
+        pool.schedules
     );
 }
 
@@ -130,28 +119,6 @@ fn regression_split_chunk_claim_is_caught() {
     let r = explore(&mut ChunkClaim::new(2, 3, true), &Budget::default());
     let v = r.violation.expect("split claim must be caught");
     assert_eq!(v.kind, ViolationKind::Invariant);
-}
-
-/// Seeded regression for the serving scheduler: a decode-batch admission
-/// that checks the ceiling in one step and claims the slot in another (a
-/// check-then-act on the shared free counter) lets two arrivals both
-/// observe the last free slot and both join — the resident batch lands
-/// above the KV-capacity ceiling, which in a real engine is an
-/// out-of-memory, not a slowdown. The over-admission invariant must
-/// catch it on some schedule.
-#[test]
-fn regression_split_batch_admit_is_caught() {
-    let r = explore(&mut BatchAdmit::new(3, 2, true), &Budget::default());
-    let v = r.violation.expect("split batch admission must be caught");
-    assert_eq!(v.kind, ViolationKind::Invariant);
-    assert!(
-        v.message.contains("over-admitted"),
-        "unexpected violation: {}",
-        v.message
-    );
-    // The counterexample is a real schedule: both racing arrivals must
-    // have passed the check before either claim landed.
-    assert!(v.schedule.len() >= 2, "counterexample too short: {v:?}");
 }
 
 /// Bridge test: the `chunk-claim` model's invariants, asserted against

@@ -80,11 +80,14 @@ fn ring_path(n: u64, origin: u64, hops: u64) -> Vec<u32> {
 /// Test builds also replay every schedule through the reference event
 /// loop and assert a bit-identical result, so each collective a test
 /// simulates doubles as a differential case for the engine.
+#[expect(
+    clippy::expect_used,
+    reason = "builder schedules are acyclic by construction; a stall is an engine bug, per the doc above"
+)]
 fn run(topo: &Topology, flows: &[Flow], pieces: u64) -> SimResult {
     let result = simulate_flows(topo, flows, pieces);
     #[cfg(test)]
     crate::engine::reference::assert_matches(topo, flows, pieces, &result);
-    // fmlint::allow(panic-in-lib, reason = "builder schedules are acyclic by construction; a stall is an engine bug, per the doc above")
     result.expect("builder schedules are acyclic")
 }
 
@@ -127,7 +130,10 @@ fn tree_allreduce(
     // children[r] lists the ranks whose parent is r.
     let mut children: Vec<Vec<u64>> = vec![Vec::new(); n as usize];
     for r in 1..n {
-        // fmlint::allow(panic-in-lib, reason = "r ranges over 1..n, and parent() is None only for rank 0")
+        #[expect(
+            clippy::expect_used,
+            reason = "r ranges over 1..n, and parent() is None only for rank 0"
+        )]
         children[tree.parent(r).expect("non-root") as usize].push(r);
     }
     // Flow r − 1 rides edge r − 1 (rank r ↔ its parent) in both phases.
@@ -367,6 +373,10 @@ fn simulate_impl(
             Algorithm::Hierarchical => {
                 hierarchical_allreduce(group, sys, volume, opts.pieces, derate)
             }
+            #[expect(
+                clippy::expect_used,
+                reason = "min_by over a non-empty array literal is always Some"
+            )]
             Algorithm::Auto => {
                 // NCCL-style autotuning: execute all three, keep the
                 // fastest (deterministic tie-break on the listed order).
@@ -386,7 +396,6 @@ fn simulate_impl(
                 [ring, tree, hier]
                     .into_iter()
                     .min_by(|a, b| a.time.total_cmp(&b.time))
-                    // fmlint::allow(panic-in-lib, reason = "min_by over a non-empty array literal is always Some")
                     .expect("three candidates")
             }
         };

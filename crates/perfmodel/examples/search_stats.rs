@@ -15,6 +15,12 @@
 //! cargo run --release -p perfmodel --example search_stats
 //! ```
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::expect_used,
+    reason = "a profiling example times on the wall clock and aborts on a failed query"
+)]
+
 use perfmodel::{reset_search_stats, search_stats, Objective, Planner, SearchStats, TpStrategy};
 use std::time::{Duration, Instant};
 use systems::{system, GpuGeneration, NvsSize};

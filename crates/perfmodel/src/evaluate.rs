@@ -124,7 +124,10 @@ fn exposed_time(
 
 /// Exposed time of one [`CommPattern::SummaOverlapped`] panel schedule
 /// over already-resolved groups (memoized like [`exposed_time`]).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the two panel broadcasts each need their volume and group"
+)]
 fn summa_time(
     vol_a: f64,
     vol_b: f64,
@@ -441,7 +444,10 @@ pub(crate) fn evaluate_placement(
 /// search's inner loop calls this directly — scoring a placement is then
 /// nothing but two pass-level memo probes plus a handful of multiplies —
 /// and only materializes a full [`Evaluation`] for the winning placement.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the hoisted per-placement invariants are passed in, not recomputed"
+)]
 pub(crate) fn placement_breakdown(
     profile: &LayerProfile,
     model: &TransformerConfig,
@@ -525,7 +531,10 @@ pub(crate) fn placement_breakdown(
 ///
 /// Public so `trainsim` prices its DP tail with exactly the same policy
 /// as the analytic model it validates.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the same inputs as the analytic model's DP tail, shared with trainsim"
+)]
 pub fn dp_sync_time(
     profile: &LayerProfile,
     model: &TransformerConfig,
@@ -838,12 +847,18 @@ pub fn evaluate(
     global_batch: u64,
     sys: &SystemSpec,
 ) -> Evaluation {
+    #[expect(
+        clippy::panic,
+        reason = "documented API contract: callers validate user input first"
+    )]
     cfg.validate(model, global_batch)
-        // fmlint::allow(panic-in-lib, reason = "documented API contract: callers validate user input first")
         .unwrap_or_else(|e| panic!("invalid configuration {cfg}: {e}"));
+    #[expect(
+        clippy::panic,
+        reason = "documented API contract: callers validate user input first"
+    )]
     placement
         .validate(cfg, sys.nvs_size)
-        // fmlint::allow(panic-in-lib, reason = "documented API contract: callers validate user input first")
         .unwrap_or_else(|e| panic!("invalid placement {placement:?}: {e}"));
     let profile = build_profile(
         model,

@@ -58,9 +58,6 @@
 //! assert!(best.eval.iteration_time > 0.0);
 //! ```
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub mod breakdown;
 pub mod config;
 pub mod evaluate;

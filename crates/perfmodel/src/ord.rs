@@ -2,7 +2,8 @@
 //!
 //! Every ranking, tie-break and incumbent update in the search goes
 //! through these helpers so NaN and infinite values behave *one* way
-//! everywhere (fmlint's `partial-cmp-unwrap` lint points here):
+//! everywhere (the workspace's `clippy::unwrap_used` rules out the
+//! NaN-unsafe `partial_cmp(…).unwrap()`; these are the replacement):
 //!
 //! * Ordering is [`f64::total_cmp`]: `-inf < finite < +inf < NaN`. A NaN
 //!   candidate time therefore never wins a minimization, and a NaN key

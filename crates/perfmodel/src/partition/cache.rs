@@ -19,6 +19,11 @@
 //!   read-only afterwards — lookups are lock-free `HashMap` reads shared
 //!   across worker threads.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "hash containers here serve keyed lookup and dedup only; nothing iterates them"
+)]
+
 use super::build_profile;
 use crate::config::{ParallelConfig, TpStrategy};
 use crate::evaluate::PassFingerprints;
@@ -85,6 +90,10 @@ impl ProfileCache {
     /// Build count and wall-clock feed the [`SearchStats`] profiling
     /// counters.
     pub fn build(model: &TransformerConfig, gpu: &GpuSpec, cfgs: &[ParallelConfig]) -> Self {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the profile-build timer feeds the SearchStats counters, never a result"
+        )]
         let start = std::time::Instant::now();
         let mut seen = HashSet::new();
         let keys: Vec<ProfileKey> = cfgs
@@ -127,10 +136,13 @@ impl ProfileCache {
     /// [`ProfileCache::get`] plus the profile's precomputed pass
     /// fingerprints (the search's hot path — hashing the pattern lists
     /// once per *profile* instead of once per candidate).
+    #[expect(
+        clippy::panic,
+        reason = "documented API contract: the cache is built from the same enumeration the caller iterates"
+    )]
     pub(crate) fn get_with_fps(&self, cfg: &ParallelConfig) -> &(LayerProfile, PassFingerprints) {
         self.map
             .get(&ProfileKey::of(cfg))
-            // fmlint::allow(panic-in-lib, reason = "documented API contract: the cache is built from the same enumeration the caller iterates")
             .unwrap_or_else(|| panic!("no cached profile for {cfg}"))
     }
 

@@ -161,7 +161,10 @@ impl<'a> LayerBuilder<'a> {
     /// dimension (panelled). `vol_a`/`vol_b` are total received bytes per
     /// GPU for the A row-panel (over `group_a`) and B column-panel (over
     /// `group_b`).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a SUMMA GEMM's shape, panel count and both broadcast (volume, group) pairs"
+    )]
     pub fn summa_gemm(
         &mut self,
         m_loc: u64,
@@ -243,7 +246,7 @@ impl<'a> LayerBuilder<'a> {
 
     /// Read-only access to the accumulated forward time (used by tests
     /// and downstream diagnostics).
-    #[allow(dead_code)]
+    #[allow(dead_code, reason = "only the unit tests call it")]
     pub fn fwd_time(&self) -> OpTime {
         self.profile.fwd.time
     }

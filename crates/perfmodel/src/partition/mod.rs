@@ -27,7 +27,7 @@ use txmodel::TransformerConfig;
 ///
 /// Divisibility must have been checked via
 /// [`crate::ParallelConfig::validate`]; this function debug-asserts it.
-#[allow(clippy::too_many_arguments)] // mirrors the ParallelConfig axes
+#[expect(clippy::too_many_arguments, reason = "mirrors the ParallelConfig axes")]
 pub fn build_profile(
     model: &TransformerConfig,
     strategy: TpStrategy,

@@ -949,7 +949,7 @@ mod tests {
             .gpu_counts([128, 256, 128]) // dedup keeps one 128 sub-space
             .candidates();
         assert_eq!(both.len(), n128 + n256);
-        let gpus: std::collections::HashSet<u64> = both.iter().map(|c| c.total_gpus()).collect();
+        let gpus: std::collections::BTreeSet<u64> = both.iter().map(|c| c.total_gpus()).collect();
         assert_eq!(gpus, [128u64, 256].into_iter().collect());
         // A replayed config that bypasses the setters (e.g. hand-edited
         // JSON) is deduplicated at enumeration too.

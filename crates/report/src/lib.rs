@@ -8,9 +8,6 @@
 //! `figures` binary renders and persists to `out/<id>.{json,csv}` — the
 //! regeneration record every bench run replays.
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
 mod artifact;
 mod chart;
 mod heatmap;

@@ -42,9 +42,6 @@
 //! Single-threaded and seeded throughout: reports are bit-identical
 //! across runs and trivially invariant to the host's thread count.
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
 use perfmodel::serving::{decode_step_table, kv_transfer_time, prefill_time, PdPlacement};
 use perfmodel::{Evaluation, ServingCtx};
 use rand::rngs::StdRng;
@@ -557,6 +554,51 @@ mod tests {
         // The colocated tail really does carry prefill stalls.
         let s = spec(PdPlacement::Colocated);
         assert!(colo.tpot_p99 > s.prefill_typical);
+    }
+
+    /// The admission contract of the step loop that actually runs, at a
+    /// ceiling low enough to bind (at the preset's ceiling the batch
+    /// never fills): every request is admitted exactly once, every
+    /// output token is delivered, and the resident batch stays within
+    /// the ceiling.
+    #[test]
+    fn decode_admission_respects_a_binding_ceiling() {
+        let params = SimParams {
+            seed: 7,
+            requests: 400,
+        };
+        for (mode, inline_prefill) in [
+            (PdPlacement::Colocated, true),
+            (
+                PdPlacement::Disaggregated {
+                    prefill_replicas: 2,
+                },
+                false,
+            ),
+        ] {
+            let mut spec = spec(mode);
+            spec.batch_ceiling = 2;
+            let trace = arrival_trace(&spec.traffic, &params);
+            let queue: Vec<(f64, Request)> = if inline_prefill {
+                trace.iter().map(|req| (req.arrival, *req)).collect()
+            } else {
+                let mut ready = run_prefill_pool(&spec, 2, &trace);
+                ready.sort_by(|a, b| a.0.total_cmp(&b.0));
+                ready
+            };
+            let mut tally = Tally::default();
+            run_decode_replica(&spec, &queue, inline_prefill, &mut tally);
+
+            assert_eq!(tally.ttfts.len(), queue.len(), "{mode:?}");
+            let outputs: u64 = queue.iter().map(|(_, req)| req.output).sum();
+            assert_eq!(tally.tokens, outputs, "{mode:?}");
+            // Within the ceiling, and close enough to it that it binds.
+            let occupancy = tally.occupancy_time / tally.busy_time;
+            assert!(
+                (1.9..=2.0).contains(&occupancy),
+                "{mode:?}: occupancy {occupancy}"
+            );
+        }
     }
 
     #[test]

@@ -33,6 +33,8 @@
 //! (no finite band exists for an unstable queue — that is what the flag
 //! means).
 
+#![allow(clippy::expect_used, reason = "test helpers fail by panicking")]
+
 use perfmodel::search::best_placement_eval;
 use perfmodel::serving::{assess_mode, PdPlacement, ServingReport};
 use perfmodel::{Evaluation, ParallelConfig, ServingCtx, TpStrategy};

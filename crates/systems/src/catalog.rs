@@ -193,7 +193,7 @@ mod tests {
 
     #[test]
     fn nine_systems_are_distinct() {
-        let mut names = std::collections::HashSet::new();
+        let mut names = std::collections::BTreeSet::new();
         for g in ALL_GENERATIONS {
             for s in ALL_NVS_SIZES {
                 names.insert(system(g, s).name);

@@ -14,9 +14,6 @@
 //! Figs. A5/A6 (scaling FLOP rate, capacity and bandwidth independently)
 //! trivial: they are ordinary struct updates via [`SystemBuilder`].
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
 mod builder;
 mod catalog;
 mod gpu;

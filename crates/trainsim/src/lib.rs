@@ -37,9 +37,6 @@
 //! measured counterpart of the analytic expected-goodput model in
 //! `perfmodel::reliability`.
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
 mod faults;
 mod report;
 mod schedule;

@@ -35,6 +35,8 @@
 //! analytic marginal model is the *pessimistic* side, so planning on it
 //! under-promises rather than over-promises goodput.
 
+#![allow(clippy::unwrap_used, reason = "test helpers fail by panicking")]
+
 use perfmodel::{evaluate, ParallelConfig, Placement, Planner, TpStrategy};
 use systems::{system, GpuGeneration, NvsSize, ReliabilitySpec, SystemSpec};
 use trainsim::{simulate_training, FaultPlan, TrainingParams};

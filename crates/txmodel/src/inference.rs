@@ -273,7 +273,7 @@ mod tests {
     #[test]
     fn serving_presets_have_distinct_names_and_valid_models() {
         let presets = [gpt3_175b_chat(), moe_1t_chat(), vit_multimodal_serving()];
-        let names: std::collections::HashSet<_> = presets.iter().map(|p| p.name).collect();
+        let names: std::collections::BTreeSet<_> = presets.iter().map(|p| p.name).collect();
         assert_eq!(names.len(), presets.len());
         // The ViT preset's prompt is the model's full sequence.
         let vit = vit_multimodal_serving();
@@ -281,6 +281,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "hashing is the property under test, and the traffic spec is not Ord"
+    )]
     fn traffic_is_hashable_cache_key() {
         // The integer-field discipline exists for this property.
         let mut set = std::collections::HashSet::new();

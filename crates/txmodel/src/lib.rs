@@ -19,9 +19,6 @@
 //! length mixes, offered request rates and the continuous-batching
 //! ceiling (priced by `perfmodel::serving`, replayed by `servesim`).
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
 mod config;
 mod inference;
 mod ops;

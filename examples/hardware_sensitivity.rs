@@ -6,6 +6,8 @@
 //!
 //! Run: `cargo run --release --example hardware_sensitivity`.
 
+#![allow(clippy::unwrap_used, reason = "an example aborts on a failed query")]
+
 use fmperf::prelude::*;
 use perfmodel::{elasticities, HardwareAxis};
 use report::{hbar, Table};

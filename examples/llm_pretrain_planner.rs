@@ -7,6 +7,8 @@
 //! by full-run training days. Run
 //! `cargo run --release --example llm_pretrain_planner`.
 
+#![allow(clippy::unwrap_used, reason = "an example aborts on a failed query")]
+
 use fmperf::prelude::*;
 use report::Table;
 

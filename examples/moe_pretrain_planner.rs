@@ -9,6 +9,8 @@
 //! uses the space's declarative `max_expert_parallel` bound. Run:
 //! `cargo run --release --example moe_pretrain_planner`.
 
+#![allow(clippy::unwrap_used, reason = "an example aborts on a failed query")]
+
 use fmperf::prelude::*;
 use report::Table;
 

@@ -1,6 +1,9 @@
 //! Quickstart: find the optimal way to train GPT3-1T on 1024 B200 GPUs
 //! with the composable `Planner` API — top-3 plans plus the
 //! time-vs-headroom Pareto frontier.
+
+#![allow(clippy::expect_used, reason = "an example aborts on a failed query")]
+
 use perfmodel::{Objective, Planner, TpStrategy};
 use systems::{system, GpuGeneration, NvsSize};
 use txmodel::{gpt3_1t, TrainingWorkload};

@@ -6,6 +6,8 @@
 //!
 //! Run: `cargo run --release --example reliability_planner`.
 
+#![allow(clippy::expect_used, reason = "an example aborts on a failed query")]
+
 use fmperf::prelude::*;
 use perfmodel::reliability::assess;
 

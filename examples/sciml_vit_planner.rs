@@ -8,6 +8,8 @@
 //!
 //! Run: `cargo run --release --example sciml_vit_planner`.
 
+#![allow(clippy::unwrap_used, reason = "an example aborts on a failed query")]
+
 use fmperf::prelude::*;
 use report::Table;
 

@@ -7,6 +7,8 @@
 //!
 //! Run: `cargo run --release --example serving_planner`.
 
+#![allow(clippy::expect_used, reason = "an example aborts on a failed query")]
+
 use fmperf::prelude::*;
 use perfmodel::serving::{assess, assess_mode, assess_slo, placement_modes};
 

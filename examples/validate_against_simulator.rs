@@ -4,6 +4,8 @@
 //!
 //! Run: `cargo run --release --example validate_against_simulator`.
 
+#![allow(clippy::expect_used, reason = "an example aborts on a failed query")]
+
 use fmperf::prelude::*;
 use netsim::{simulate_collective, SimOptions};
 use report::Table;

@@ -57,9 +57,6 @@
 //!   run also records the perf trajectory (`out/bench.json`, schema and
 //!   methodology in `PERFORMANCE.md`).
 
-#![deny(missing_docs)]
-#![forbid(unsafe_code)]
-
 pub use collectives;
 pub use netsim;
 pub use perfmodel;

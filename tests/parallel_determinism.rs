@@ -3,6 +3,8 @@
 //! threads the rayon pool runs, and the vendored pool itself behaves like
 //! the sequential iterator chains it replaced.
 
+#![allow(clippy::unwrap_used, reason = "test helpers fail by panicking")]
+
 use fmperf::prelude::*;
 use perfmodel::ord::time_cmp;
 use proptest::prelude::*;

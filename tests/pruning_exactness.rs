@@ -17,6 +17,12 @@
 //! each test asserts on monotone *deltas* (counters only ever increase)
 //! rather than absolute values.
 
+#![allow(
+    clippy::panic,
+    clippy::unwrap_used,
+    reason = "test helpers fail by panicking"
+)]
+
 use fmperf::prelude::*;
 use perfmodel::ord::time_cmp;
 use proptest::prelude::*;
