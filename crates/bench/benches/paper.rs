@@ -321,10 +321,11 @@ fn bench_trainsim(c: &mut Criterion) {
     g.finish();
 }
 
-/// The reliability layer: a goodput-objective planner sweep (every
-/// candidate pays the `assess()` overhead — interval solver included)
-/// and one fault-injected training replay (trace sampling + three
-/// iteration-variant sims + the multi-day replay loop).
+/// The reliability layer: a goodput-objective planner query (every
+/// candidate pays the goodput key bound, each one the bound does not
+/// skip the full `assess()`) and one fault-injected training replay
+/// (trace sampling + three iteration-variant sims + the multi-day
+/// replay loop).
 fn bench_reliability(c: &mut Criterion) {
     use perfmodel::Objective;
     use systems::ReliabilitySpec;

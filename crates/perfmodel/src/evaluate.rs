@@ -818,14 +818,33 @@ pub(crate) fn iteration_time_lower_bound(
 ///   placement, so the `HbmHeadroom` key `−(capacity − memory_total)`
 ///   computed from it *equals* the evaluated key bit-for-bit.
 /// * `gpus` is the candidate's exact GPU count (`cfg.total_gpus()`).
+/// * `checkpoint_bytes` is **exact**: `weights + optimizer` of the same
+///   placement-independent memory ledger the evaluation carries. With
+///   `gpus` and the context it fixes the goodput fraction `f` of
+///   `crate::reliability::assess` bit for bit.
+///
+/// The goodput objectives price the *effective* iteration time
+/// `(compute + memory)·s + pp_bubble` plus the three communication
+/// buckets, each multiplied by the degraded-link inflation `d` when the
+/// placement exposes it to the slow tier. The straggler inflation `s`
+/// and `d` are ≥ 1 for every spec that does not make them NaN (the
+/// probabilities and the bandwidth factor are clamped), so the effective
+/// time is at least `Breakdown::total()` term by term, which is the
+/// iteration time and at least `time_lb`. Substituting `time_lb` bounds
+/// `ExpectedGoodput`'s key `−B·L/(t_eff·n)·f` and
+/// `EffectiveTrainingDays`' `iters·t_eff/(86400·f)` (for `iters ≥ 0`)
+/// from below; the two sums add their terms in different orders, which
+/// the planner's `PRUNE_EPS` slack absorbs. When `s` or `d` is NaN, a
+/// placement exposing a slow-tier bucket has a NaN key, so the bound is
+/// NaN and never prunes.
 ///
 /// Composite objectives compose these per-leaf bounds: a `Weighted` sum
 /// adds `wᵢ·lbᵢ ≤ wᵢ·keyᵢ` term-wise (negative or zero weights are only
 /// sound over *exact* leaf keys, and fall back to `-inf` = no-prune
 /// otherwise — IEEE rounding is monotone, so the summed bound stays a
 /// bound), and a `Lexicographic` objective bounds its primary stage's
-/// key. Metrics with no placement-independent bound (`ExpectedGoodput`,
-/// `EffectiveTrainingDays`) report `-inf`, which never prunes.
+/// key. The serving metrics (`TokensPerSecPerGpu`, `ServingSlo`) report
+/// `-inf`, which never prunes.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CandidateBounds {
     /// Admissible lower bound on the candidate's iteration time over
@@ -835,6 +854,8 @@ pub(crate) struct CandidateBounds {
     pub memory_total: f64,
     /// Exact GPU count of the candidate.
     pub gpus: f64,
+    /// Exact per-writer checkpoint bytes (weight + optimizer shard).
+    pub checkpoint_bytes: f64,
 }
 
 /// Evaluates a configuration + placement from scratch (builds the layer

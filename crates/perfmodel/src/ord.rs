@@ -5,11 +5,14 @@
 //! everywhere (the workspace's `clippy::unwrap_used` rules out the
 //! NaN-unsafe `partial_cmp(…).unwrap()`; these are the replacement):
 //!
-//! * Ordering is [`f64::total_cmp`]: `-inf < finite < +inf < NaN`. A NaN
-//!   candidate time therefore never wins a minimization, and a NaN key
-//!   never improves a threshold — with bare `<`/`>` a NaN threshold would
-//!   be *sticky* (every comparison against it is false), silently
-//!   disabling pruning for the rest of the sweep.
+//! * Ordering is [`f64::total_cmp`]: `-NaN < -inf < finite < +inf < NaN`.
+//!   A positive NaN therefore never wins a minimization and never
+//!   improves a threshold — with bare `<`/`>` a NaN threshold would be
+//!   *sticky* (every comparison against it is false), silently disabling
+//!   pruning for the rest of the sweep. A negative NaN sorts *first*, and
+//!   x86-64 arithmetic makes one (`0·∞`, `∞−∞` set the sign bit), so
+//!   every ranking key comes through `Objective::key`, which returns a
+//!   positive NaN for any NaN key.
 //! * Bound pruning is deliberately **not** total-order:
 //!   [`exceeds_bound`] uses IEEE `>`, so a NaN lower bound (vacuous
 //!   information) never prunes. Under `total_cmp` NaN sorts *above*
@@ -33,9 +36,10 @@ pub fn time_cmp(a: f64, b: f64) -> Ordering {
 }
 
 /// True when `candidate` strictly improves on `current` in the total
-/// order. NaN candidates never improve; a NaN `current` is improved by
-/// anything else (unlike `candidate < current`, which is always false
-/// when either side is NaN).
+/// order. A positive NaN candidate never improves; a positive NaN
+/// `current` is improved by anything else (unlike `candidate < current`,
+/// which is always false when either side is NaN). A negative NaN sorts
+/// first (see the module docs).
 #[inline]
 pub fn is_improvement(candidate: f64, current: f64) -> bool {
     time_cmp(candidate, current) == Ordering::Less
@@ -66,10 +70,11 @@ pub fn exceeds_bound(lb: f64, bound: f64) -> bool {
 /// candidates are ranked) and `-inf` for `k = 0` (an empty top-k retains
 /// nothing).
 ///
-/// NaN keys are kept in the k-set — they rank last under the total
-/// order, so any real key displaces them — but never lower a cell
-/// ([`is_improvement`] rejects NaN), so a NaN score can neither make the
-/// threshold sticky nor prune through it. Keys may be negative
+/// NaN keys — positive, as `Objective::key` returns them — are kept in
+/// the k-set — they rank last under the total order, so any real key
+/// displaces them — but never lower a cell ([`is_improvement`] rejects
+/// them), so a NaN score can neither make the threshold sticky nor prune
+/// through it. Keys may be negative
 /// (maximizing objectives negate their value), so the cells compare
 /// decoded floats under `total_cmp`, not raw bit patterns.
 /// Model-checked as `fmcheck::models::TopkIncumbent` (`topk-incumbent`).
@@ -144,9 +149,10 @@ impl TopkIncumbent {
     }
 }
 
-/// Lowers `cell` to `value` when it improves under the total order (so
-/// never to NaN). Callers hold the [`TopkIncumbent`] lock, which makes
-/// the compare-then-store race-free.
+/// Lowers `cell` to `value` when it improves under the total order: never
+/// to a positive NaN, the only NaN `Objective::key` returns (a negative
+/// NaN would improve on every cell). Callers hold the [`TopkIncumbent`]
+/// lock, which makes the compare-then-store race-free.
 fn lower(cell: &AtomicU64, value: f64) {
     if is_improvement(value, f64::from_bits(cell.load(MemOrdering::Relaxed))) {
         cell.store(value.to_bits(), MemOrdering::Relaxed);

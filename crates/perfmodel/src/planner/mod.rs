@@ -556,6 +556,7 @@ impl<'a> Planner<'a> {
                     ),
                     memory_total: memory.total(),
                     gpus: cfg.total_gpus() as f64,
+                    checkpoint_bytes: memory.weights + memory.optimizer,
                 };
                 let frontier_lb = q
                     .frontier
@@ -1050,6 +1051,34 @@ mod tests {
             agree.best().unwrap().eval.iteration_time,
             f.eval.iteration_time
         );
+    }
+
+    #[test]
+    fn nan_scores_rank_last() {
+        // Under a 2000 h MTBF every 16384-GPU plan delivers nothing, so
+        // its EffectiveTrainingDays key is ∞ and the zero-weighted term
+        // is 0·∞: a NaN with its sign bit set on x86-64, which
+        // `total_cmp` sorts before -inf. Those plans must rank last
+        // behind the finite-scored 512-GPU plans, not first.
+        let model = gpt3_175b().config;
+        let sys = b200_nvs8()
+            .with_reliability(systems::ReliabilitySpec::datacenter().with_gpu_mtbf_hours(2_000.0));
+        let plans = Planner::new(&model, &sys)
+            .gpu_counts([512, 16384])
+            .global_batch(1024)
+            .strategy(TpStrategy::OneD)
+            .objective(Objective::weighted([
+                (Objective::EffectiveTrainingDays { iterations: 1e5 }, 0.0),
+                (Objective::IterationTime, 1.0),
+            ]))
+            .top_k(3)
+            .try_execute()
+            .unwrap();
+        assert_eq!(plans.top.len(), 3);
+        for p in &plans.top {
+            assert_eq!(p.eval.config.total_gpus(), 512, "{}", p.eval.config);
+            assert!(p.scores[0].value.is_finite(), "{:?}", p.scores);
+        }
     }
 
     #[test]

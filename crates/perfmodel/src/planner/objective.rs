@@ -15,6 +15,7 @@
 //!   Pareto dominance (maximizing objectives negate their value).
 
 use crate::evaluate::{CandidateBounds, Evaluation};
+use crate::reliability::placement_free_terms;
 use crate::serving::{ServingCtx, SloSpec};
 use serde::{Deserialize, Serialize};
 use systems::ReliabilitySpec;
@@ -265,8 +266,14 @@ impl Objective {
     /// for maximizing metrics. [`Objective::Weighted`] sums its terms'
     /// weighted keys; [`Objective::Lexicographic`] exposes its primary
     /// stage (the refinement itself happens in the planner's ranking).
+    ///
+    /// Every NaN key comes back as a *positive* NaN, which
+    /// [`f64::total_cmp`] sorts after `+inf`. A NaN made at run time
+    /// (`0·∞`, `∞−∞`) has its sign bit set on x86-64, and a negative NaN
+    /// sorts before `-inf`: left as is, it would rank first and set the
+    /// search's threshold (see [`crate::ord`]).
     pub fn key(&self, e: &Evaluation, ctx: &ObjectiveCtx) -> f64 {
-        match self {
+        let key = match self {
             Objective::Weighted { terms } => terms
                 .iter()
                 .map(|t| t.weight * t.objective.key(e, ctx))
@@ -283,6 +290,12 @@ impl Objective {
                     v
                 }
             }
+        };
+        if key.is_nan() {
+            // `abs` clears the sign bit; the constant's sign is unspecified.
+            f64::NAN.abs()
+        } else {
+            key
         }
     }
 
@@ -300,6 +313,20 @@ impl Objective {
     /// Metrics with no admissible bound return `-inf`, which never
     /// prunes ([`crate::ord::exceeds_bound`] is IEEE `>`); NaN inputs
     /// propagate to a NaN bound, which never prunes either.
+    ///
+    /// The two serving metrics keep `-inf`. Their keys are not functions
+    /// of the training iteration time that `time_lb` bounds:
+    /// [`crate::serving::assess`] re-prices prefill and decode under the
+    /// evaluation's placement, over a grid of colocated and disaggregated
+    /// prefill/decode splits, and solves a Little's-law fixed point
+    /// clamped to the KV-capacity ceiling. A lower bound on
+    /// `TokensPerSecPerGpu`'s key is an upper bound on that capacity
+    /// throughput over every placement and split, which needs a lower
+    /// bound on the decode step of its own (for example the weight-read
+    /// roofline, which no placement changes) and is not built here.
+    /// `ServingSlo`'s key switches between that throughput and a
+    /// worst relative SLO violation depending on whether the placement
+    /// meets the targets, so no single monotone substitution bounds it.
     pub(crate) fn key_lower_bound(&self, b: &CandidateBounds, ctx: &ObjectiveCtx) -> f64 {
         match self {
             Objective::IterationTime => b.time_lb,
@@ -339,13 +366,29 @@ impl Objective {
                 Some(s) => s.objective.key_lower_bound(b, ctx),
                 None => 0.0,
             },
-            // No placement-independent bound: the reliability and serving
-            // assessments depend on the evaluated breakdown/placement.
-            // Never prunes.
-            Objective::ExpectedGoodput
-            | Objective::EffectiveTrainingDays { .. }
-            | Objective::TokensPerSecPerGpu
-            | Objective::ServingSlo { .. } => f64::NEG_INFINITY,
+            // Both keys are monotone in the effective iteration time,
+            // which is at least `time_lb`, over an exact goodput fraction
+            // (see [`CandidateBounds`]). The expressions mirror
+            // `reliability::assess` and `GoodputReport::effective_days`.
+            Objective::ExpectedGoodput => match exact_goodput_fraction(b, ctx) {
+                None => f64::NAN,
+                Some(f) if b.time_lb > 0.0 => {
+                    -((ctx.global_batch * ctx.seq_len) as f64 / (b.time_lb * b.gpus) * f)
+                }
+                Some(_) => f64::NEG_INFINITY,
+            },
+            Objective::EffectiveTrainingDays { iterations } => {
+                match exact_goodput_fraction(b, ctx) {
+                    None => f64::NAN,
+                    Some(f) if f > 0.0 && *iterations >= 0.0 => {
+                        iterations * b.time_lb / (86_400.0 * f)
+                    }
+                    Some(f) if f > 0.0 => f64::NEG_INFINITY,
+                    // Exact: the run never finishes on any placement.
+                    Some(_) => f64::INFINITY,
+                }
+            }
+            Objective::TokensPerSecPerGpu | Objective::ServingSlo { .. } => f64::NEG_INFINITY,
         }
     }
 
@@ -375,11 +418,10 @@ impl Objective {
             | Objective::TrainingDays { .. }
             | Objective::TokensPerGpuSecond
             | Objective::HbmHeadroom
-            | Objective::GpuSeconds => true,
-            Objective::ExpectedGoodput
-            | Objective::EffectiveTrainingDays { .. }
-            | Objective::TokensPerSecPerGpu
-            | Objective::ServingSlo { .. } => false,
+            | Objective::GpuSeconds
+            | Objective::ExpectedGoodput
+            | Objective::EffectiveTrainingDays { .. } => true,
+            Objective::TokensPerSecPerGpu | Objective::ServingSlo { .. } => false,
             Objective::Weighted { terms } => terms.iter().all(|t| {
                 if t.weight > 0.0 {
                     t.objective.bounds_key()
@@ -444,6 +486,18 @@ impl Objective {
         }
         out
     }
+}
+
+/// The goodput fraction of the candidate `b` describes, exact because it
+/// reads only placement-independent inputs, or `None` when the straggler
+/// or degraded-link inflation at its GPU count is NaN: a placement that
+/// exposes a bucket to it then has a NaN goodput key, so the key bound
+/// must be NaN too.
+fn exact_goodput_fraction(b: &CandidateBounds, ctx: &ObjectiveCtx) -> Option<f64> {
+    let terms = placement_free_terms(b.gpus as u64, b.checkpoint_bytes, ctx);
+    let nan_inflation =
+        terms.straggler_inflation.is_nan() || terms.degraded_comm_inflation.is_nan();
+    (!nan_inflation).then_some(terms.fraction)
 }
 
 /// A reported metric value of one [`crate::Plan`].

@@ -193,8 +193,10 @@ impl SearchSpace {
     /// only trades time; turn it off to measure the raw sweep. Queries
     /// that cannot prune evaluate every candidate either way:
     /// [`crate::Planner::evaluations`], planners that keep infeasible
-    /// candidates, and objectives without an admissible bound such as
-    /// [`crate::Objective::ExpectedGoodput`].
+    /// candidates, and the two objectives without an admissible bound,
+    /// [`crate::Objective::TokensPerSecPerGpu`] and
+    /// [`crate::Objective::ServingSlo`]. Every training objective prunes,
+    /// the goodput pair included.
     pub fn prune(mut self, yes: bool) -> Self {
         self.prune = yes;
         self

@@ -51,6 +51,17 @@
 //! fault processes. `trainsim::simulate_training` replays seeded fault
 //! timelines against the same plans to quantify where those assumptions
 //! hold and where they break (see the `reliability` figure).
+//!
+//! The planner prunes both objectives like any other training objective.
+//! Ingredients 1–3 read only the GPU count and the checkpoint bytes,
+//! neither of which depends on the placement, so the goodput fraction is
+//! known exactly before any placement is evaluated. Both inflations of
+//! ingredient 4 are ≥ 1 (or NaN on a degenerate spec, such as a NaN
+//! straggler probability; the bound is then NaN and prunes nothing), so
+//! the effective iteration time is at least the failure-free one, which
+//! the search's iteration-time lower bound already bounds. The key bounds
+//! put that lower bound in place of the effective time (see
+//! `Objective::key_lower_bound`).
 
 use crate::evaluate::Evaluation;
 use crate::planner::ObjectiveCtx;
@@ -194,6 +205,62 @@ pub fn degraded_comm_inflation(spec: &ReliabilitySpec, slow_links: u64) -> f64 {
     1.0 + p_any * (1.0 / phi - 1.0)
 }
 
+/// The terms of [`assess`] that do not depend on the placement: the
+/// failure rate, the two slowdown inflations, the checkpoint cost and the
+/// Young/Daly interval and goodput fraction it implies. They read only
+/// the GPU count, the per-writer checkpoint bytes and the context.
+/// [`assess`] and the planner's goodput key bounds both take them from
+/// here, so the fraction a bound uses is bit-identical to the evaluated
+/// one.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PlacementFreeTerms {
+    /// Whole-job hard-failure rate, per second.
+    pub failure_rate: f64,
+    /// Checkpoint drain time `C`, seconds.
+    pub checkpoint_time: f64,
+    /// Young/Daly optimal checkpoint interval, seconds.
+    pub optimal_interval: f64,
+    /// Goodput fraction at that interval.
+    pub fraction: f64,
+    /// [`straggler_inflation`] at this GPU count.
+    pub straggler_inflation: f64,
+    /// [`degraded_comm_inflation`] over this GPU count's cross-domain
+    /// links.
+    pub degraded_comm_inflation: f64,
+}
+
+/// Computes the [`PlacementFreeTerms`] of a `gpus`-GPU candidate whose
+/// slowest checkpoint writer drains `checkpoint_bytes`.
+pub(crate) fn placement_free_terms(
+    gpus: u64,
+    checkpoint_bytes: f64,
+    ctx: &ObjectiveCtx,
+) -> PlacementFreeTerms {
+    let spec = &ctx.reliability;
+    let domains = gpus.div_ceil(ctx.nvs_size.max(1)).max(1);
+    let nics = domains * ctx.nics_per_node.max(1);
+    let failure_rate = spec.system_failure_rate(gpus, nics);
+    let checkpoint_time = if ctx.checkpoint_bandwidth > 0.0 {
+        checkpoint_bytes / ctx.checkpoint_bandwidth
+    } else {
+        0.0
+    };
+    let optimal_interval = optimal_checkpoint_interval(checkpoint_time, failure_rate);
+    PlacementFreeTerms {
+        failure_rate,
+        checkpoint_time,
+        optimal_interval,
+        fraction: goodput_fraction(
+            optimal_interval,
+            checkpoint_time,
+            failure_rate,
+            spec.restart_overhead_s,
+        ),
+        straggler_inflation: straggler_inflation(spec, gpus),
+        degraded_comm_inflation: degraded_comm_inflation(spec, domains.saturating_sub(1).max(1)),
+    }
+}
+
 /// Prices one evaluated candidate under the context's failure regime.
 ///
 /// The context carries the [`ReliabilitySpec`] and the system geometry
@@ -202,11 +269,13 @@ pub fn degraded_comm_inflation(spec: &ReliabilitySpec, slow_links: u64) -> f64 {
 /// GPU count, breakdown buckets, placement, memory shards — comes from
 /// the [`Evaluation`].
 pub fn assess(e: &Evaluation, ctx: &ObjectiveCtx) -> GoodputReport {
-    let spec = &ctx.reliability;
     let n = e.config.total_gpus();
-    let domains = n.div_ceil(ctx.nvs_size.max(1)).max(1);
-    let nics = domains * ctx.nics_per_node.max(1);
-    let failure_rate = spec.system_failure_rate(n, nics);
+    // Checkpoint cost: the slowest writer drains its own weight shard
+    // (one DP replica writes weights; the others hold copies) plus its
+    // ZeRO-1 optimizer shard (disjoint across all n GPUs) over the
+    // per-NIC slow-tier path.
+    let checkpoint_bytes = e.memory.weights + e.memory.optimizer;
+    let terms = placement_free_terms(n, checkpoint_bytes, ctx);
 
     // Slowdown inflation. Compute-bound buckets are gated by the
     // slowest GPU; slow-tier-exposed comm buckets by the narrowest
@@ -216,8 +285,7 @@ pub fn assess(e: &Evaluation, ctx: &ObjectiveCtx) -> GoodputReport {
     // pipeline bubble is left uninflated — it is idle time proportional
     // to per-stage time, a second-order coupling the fault-injected
     // simulator quantifies.
-    let s_infl = straggler_inflation(spec, n);
-    let d_infl = degraded_comm_inflation(spec, domains.saturating_sub(1).max(1));
+    let (s_infl, d_infl) = (terms.straggler_inflation, terms.degraded_comm_inflation);
     let b = &e.breakdown;
     let tp_exposed = e.config.tensor_parallel() > e.placement.v1 * e.placement.v2;
     let dp_exposed = e.config.nd > e.placement.vd;
@@ -229,40 +297,22 @@ pub fn assess(e: &Evaluation, ctx: &ObjectiveCtx) -> GoodputReport {
         + infl(dp_exposed, b.dp_comm)
         + infl(pp_exposed, b.pp_comm);
 
-    // Checkpoint cost: the slowest writer drains its own weight shard
-    // (one DP replica writes weights; the others hold copies) plus its
-    // ZeRO-1 optimizer shard (disjoint across all n GPUs) over the
-    // per-NIC slow-tier path.
-    let checkpoint_bytes = e.memory.weights + e.memory.optimizer;
-    let checkpoint_time = if ctx.checkpoint_bandwidth > 0.0 {
-        checkpoint_bytes / ctx.checkpoint_bandwidth
-    } else {
-        0.0
-    };
-
-    let optimal_interval = optimal_checkpoint_interval(checkpoint_time, failure_rate);
-    let fraction = goodput_fraction(
-        optimal_interval,
-        checkpoint_time,
-        failure_rate,
-        spec.restart_overhead_s,
-    );
     let tokens = (ctx.global_batch * ctx.seq_len) as f64;
     let tokens_per_gpu_second = if effective_iteration_time > 0.0 {
-        tokens / (effective_iteration_time * n as f64) * fraction
+        tokens / (effective_iteration_time * n as f64) * terms.fraction
     } else {
         0.0
     };
 
     GoodputReport {
-        failure_rate,
+        failure_rate: terms.failure_rate,
         checkpoint_bytes,
-        checkpoint_time,
-        optimal_interval,
+        checkpoint_time: terms.checkpoint_time,
+        optimal_interval: terms.optimal_interval,
         straggler_inflation: s_infl,
         degraded_comm_inflation: d_infl,
         effective_iteration_time,
-        goodput_fraction: fraction,
+        goodput_fraction: terms.fraction,
         tokens_per_gpu_second,
     }
 }

@@ -312,10 +312,10 @@ fn assert_ranked_exact(planner: &Planner) {
 }
 
 /// The `Objective` variants the ranked prune must stay exact under:
-/// every leaf, weighted sums (positive, and negative-on-exact-key),
-/// lexicographic cascades (prunable tolerance, no-prune-wide tolerance),
-/// and a no-admissible-bound metric that must fall back to the full
-/// sweep.
+/// every training leaf (the two goodput objectives included), weighted
+/// sums (positive, and negative-on-exact-key), lexicographic cascades
+/// (prunable tolerance, no-prune-wide tolerance), and a serving metric
+/// with no admissible bound, which must fall back to the full sweep.
 fn objective_variant(i: usize) -> Objective {
     match i {
         0 => Objective::IterationTime,
@@ -335,7 +335,11 @@ fn objective_variant(i: usize) -> Objective {
         ]),
         7 => Objective::IterationTime.then(0.25, Objective::GpuSeconds),
         8 => Objective::IterationTime.then(2.0, Objective::HbmHeadroom),
-        _ => Objective::ExpectedGoodput,
+        9 => Objective::ExpectedGoodput,
+        10 => Objective::EffectiveTrainingDays {
+            iterations: 100_000.0,
+        },
+        _ => Objective::TokensPerSecPerGpu,
     }
 }
 
@@ -401,15 +405,19 @@ fn ranked_prunes_are_exact_across_thread_counts() {
 
 #[test]
 fn ranked_pruning_handles_nan_scores_exactly() {
-    // Injected NaN scores: a NaN run length makes every TrainingDays key
-    // NaN, and a NaN weight poisons a weighted sum. Neither may prune a
-    // single candidate away from the unpruned result (NaN bounds are
-    // vacuous), and the ranked output must stay bit-identical — no
-    // NaN-sticky threshold may leak into the top-k selection.
+    // Injected NaN scores: a NaN run length makes every TrainingDays and
+    // EffectiveTrainingDays key NaN, and a NaN weight poisons a weighted
+    // sum. None may prune a single candidate away from the unpruned
+    // result (NaN bounds are vacuous), and the ranked output must stay
+    // bit-identical — no NaN-sticky threshold may leak into the top-k
+    // selection.
     let model = gpt3_175b().config;
     let sys = b200_nvs8();
     let nan_objectives = [
         Objective::TrainingDays {
+            iterations: f64::NAN,
+        },
+        Objective::EffectiveTrainingDays {
             iterations: f64::NAN,
         },
         Objective::weighted([
@@ -468,6 +476,130 @@ fn ranked_pruning_skips_most_of_the_summa_space() {
     );
 }
 
+/// The failure regimes the goodput prunes must stay exact under: the
+/// datacenter default; a failure-heavy regime whose goodput fraction is
+/// zero on every 4096-GPU candidate and positive on every 512-GPU one;
+/// and two specs that make a slowdown inflation NaN. `execute` does not
+/// validate the system, so those reach the key bounds.
+fn goodput_specs() -> [ReliabilitySpec; 4] {
+    let dc = ReliabilitySpec::datacenter();
+    [
+        dc,
+        dc.with_gpu_mtbf_hours(500.0),
+        dc.with_link_flaps(f64::NAN, 0.01, 120.0),
+        dc.with_stragglers(f64::NAN, 1.5, 60.0),
+    ]
+}
+
+#[test]
+fn goodput_prunes_are_exact_under_failure_regimes() {
+    // Both goodput objectives, and one as the primary stage of a
+    // lexicographic cascade, with and without a goodput frontier axis,
+    // at k = 1 and 8: the pruned PlanSet equals the unpruned one at 1, 2
+    // and 8 workers. The 1D space's 128-GPU candidates include some
+    // whose best placement keeps every group inside NVS domains, so under
+    // the NaN link-flap spec their keys stay finite beside the NaN keys of
+    // the rest — the mix a finite bound on a NaN key would mis-prune.
+    let (gpt175, gpt1t) = (gpt3_175b().config, gpt3_1t().config);
+    let days = Objective::EffectiveTrainingDays {
+        iterations: 100_000.0,
+    };
+    let objectives = [
+        Objective::ExpectedGoodput,
+        days.clone(),
+        Objective::ExpectedGoodput.then(0.1, Objective::GpuSeconds),
+    ];
+    let frontiers = [Vec::new(), vec![days, Objective::GpuSeconds]];
+    let pools = [pool(1), pool(2), pool(8)];
+    for (i, spec) in goodput_specs().into_iter().enumerate() {
+        let sys = b200_nvs8().with_reliability(spec);
+        let spaces = [
+            Planner::new(&gpt175, &sys)
+                .gpu_counts([128, 512, 4096])
+                .global_batch(1024)
+                .strategy(TpStrategy::OneD),
+            planner(&gpt1t, &sys, 1024, 4096, TpStrategy::Summa),
+        ];
+        // Under the NaN specs every SUMMA candidate is on the frontier,
+        // whose quadratic construction takes seconds per query in the
+        // debug profile; those specs run on the 1D space alone.
+        let spaces = if i < 2 { &spaces[..] } else { &spaces[..1] };
+        for space in spaces {
+            for objective in &objectives {
+                for frontier in &frontiers {
+                    for k in [1, 8] {
+                        let p = space
+                            .clone()
+                            .objective(objective.clone())
+                            .pareto(frontier.clone())
+                            .top_k(k);
+                        let reference = pools[0].install(|| p.clone().prune(false).execute());
+                        for (pool, n) in pools.iter().zip([1, 2, 8]) {
+                            let pruned = pool.install(|| p.execute());
+                            assert_eq!(
+                                format!("{pruned:?}"),
+                                format!("{reference:?}"),
+                                "{spec:?}, {objective:?}, frontier {frontier:?}, k {k}, {n} threads"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn failure_heavy_spec_splits_the_goodput_fraction() {
+    // The failure-heavy regime above delivers nothing at 4096 GPUs (the
+    // job fails faster than it restarts), so `EffectiveTrainingDays`'
+    // bound there is the exact `+inf`, and something at 512.
+    let model = gpt3_175b().config;
+    let sys = b200_nvs8().with_reliability(goodput_specs()[1]);
+    let p = Planner::new(&model, &sys)
+        .gpu_counts([512, 4096])
+        .global_batch(1024)
+        .strategy(TpStrategy::OneD);
+    let ctx = p.objective_ctx();
+    let evals = p.evaluations();
+    assert!(!evals.is_empty());
+    for e in &evals {
+        let f = perfmodel::reliability::assess(e, &ctx).goodput_fraction;
+        match e.config.total_gpus() {
+            512 => assert!(f > 0.0, "{}: fraction {f}", e.config),
+            _ => assert_eq!(f, 0.0, "{}", e.config),
+        }
+    }
+}
+
+#[test]
+fn goodput_pruning_skips_most_of_the_summa_space() {
+    // Both goodput objectives on the 16384-GPU SUMMA space, top-8 with
+    // the objective's own frontier: the prune must skip at least 4/5 of
+    // the candidates (a floor on the process-global counter's delta).
+    let model = gpt3_1t().config;
+    let sys = b200_nvs8();
+    let objectives = [
+        Objective::ExpectedGoodput,
+        Objective::EffectiveTrainingDays {
+            iterations: 100_000.0,
+        },
+    ];
+    for objective in objectives {
+        let p = planner(&model, &sys, 16384, 4096, TpStrategy::Summa).objective(objective);
+        let before = search_stats();
+        let plans = p.execute();
+        let after = search_stats();
+        let skipped = after.topk_pruned - before.topk_pruned;
+        let total = plans.candidates;
+        assert!(
+            skipped >= total - total / 5,
+            "{:?}: skipped {skipped} of {total}",
+            p.config().objective
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
@@ -485,7 +617,7 @@ proptest! {
         interleave_idx in 0usize..3,
         zero3_idx in 0usize..2,
         constraint_idx in 0usize..3,
-        objective_idx in 0usize..10,
+        objective_idx in 0usize..12,
         pareto_idx in 0usize..3,
         top_k in 0usize..10,
     ) {
