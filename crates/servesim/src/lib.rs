@@ -37,7 +37,11 @@
 //!   runs a prefill — decode gaps stay clean.
 //! * **TTFT** is arrival → prefill completion (+ KV handoff when
 //!   disaggregated); **TPOT** gaps are measured per resident sequence
-//!   between consecutive decode-step completions.
+//!   between consecutive decode-step completions. The gaps are tallied
+//!   per step by value: every sequence resident before a step shares
+//!   that step's one gap, so a replay stores a `(gap, count)` entry per
+//!   step plus one per admission, and costs O(steps + requests) in time
+//!   and memory rather than O(output tokens).
 //!
 //! Single-threaded and seeded throughout: reports are bit-identical
 //! across runs and trivially invariant to the host's thread count.
@@ -47,7 +51,12 @@ use perfmodel::{Evaluation, ServingCtx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use txmodel::InferenceConfig;
+
+#[cfg(test)]
+mod reference;
 
 /// Why a plan cannot be simulated.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -56,9 +65,10 @@ pub enum SimError {
     Infeasible,
     /// A disaggregated split with no prefill or no decode replicas.
     BadSplit,
-    /// A [`SimSpec`] field holds a value the simulator cannot run: a zero
-    /// batch ceiling or output length, an empty decode table, a zero
-    /// request rate, or a negative or non-finite service time.
+    /// A [`SimSpec`] field holds a value the simulator cannot run: zero
+    /// GPUs or replicas, a zero batch ceiling or output length, a decode
+    /// table shorter than the batch ceiling, a zero request rate, or a
+    /// negative or non-finite service time.
     InvalidSpec {
         /// Dotted path of the field.
         field: String,
@@ -162,9 +172,14 @@ impl SimSpec {
     /// and round-trips through JSON, and some values would make the
     /// simulator loop forever or panic: a zero batch ceiling or output
     /// length, a disaggregated split without a pool on either side, an
-    /// empty decode table, or a NaN service time. A zero request rate
-    /// and negative or infinite service times are rejected with them, as
-    /// no plan prices them.
+    /// empty decode table, or a NaN service time. Others would run and
+    /// report something no deployment does, so they are rejected too:
+    /// zero GPUs (an infinite or NaN per-GPU throughput), zero colocated
+    /// replicas (the replay would quietly run one), a decode table
+    /// shorter than the batch ceiling (every larger batch would be
+    /// priced at the table's last entry), a zero request rate, and
+    /// negative or infinite service times. [`SimSpec::from_plan`] builds
+    /// none of these.
     pub fn validate(&self) -> Result<(), SimError> {
         let invalid = |field: &str| {
             Err(SimError::InvalidSpec {
@@ -176,10 +191,16 @@ impl SimSpec {
                 return Err(SimError::BadSplit);
             }
         }
+        if self.replicas == 0 {
+            return invalid("replicas");
+        }
+        if self.gpus == 0 {
+            return invalid("gpus");
+        }
         if self.batch_ceiling == 0 {
             return invalid("batch_ceiling");
         }
-        if self.decode_steps.is_empty() {
+        if (self.decode_steps.len() as u64) < self.batch_ceiling {
             return invalid("decode_steps");
         }
         if self.traffic.output.typical == 0 {
@@ -225,9 +246,11 @@ impl SimSpec {
         }
     }
 
-    /// Decode step time at `batch` resident sequences (clamped to the
-    /// table — admission never exceeds the ceiling, so the clamp is a
-    /// belt against an empty-batch call, not a policy).
+    /// Decode step time at `batch` resident sequences. The clamp to the
+    /// table is unreachable for a validated spec: a step runs at least
+    /// one sequence, admission never exceeds the ceiling, and
+    /// [`SimSpec::validate`] requires a table entry for every batch up
+    /// to it.
     fn step(&self, batch: usize) -> f64 {
         let idx = batch.max(1).min(self.decode_steps.len()) - 1;
         self.decode_steps[idx]
@@ -282,35 +305,93 @@ struct Request {
     output: u64,
 }
 
-/// A sequence resident in a decode batch.
-#[derive(Debug, Clone, Copy)]
-struct Resident {
-    remaining: u64,
-    last_token: f64,
-}
-
 /// Latency samples and occupancy integrals accumulated by the engines.
+/// The sample store is a parameter only so that the tests' reference
+/// loop can fill the same tally with one `f64` per sample.
 #[derive(Debug, Default)]
-struct Tally {
-    ttfts: Vec<f64>,
-    gaps: Vec<f64>,
+struct Tally<S = Samples> {
+    ttfts: S,
+    gaps: S,
     tokens: u64,
     occupancy_time: f64,
     busy_time: f64,
     last_finish: f64,
 }
 
-/// Nearest-rank quantile, found by selection rather than a full sort
-/// (reorders `samples`). Samples equal under `total_cmp` are equal bit
-/// for bit, so the result is the sorted sample's. Empty samples report
-/// 0 — a trace with no tokens has no latency to speak of.
-fn percentile(samples: &mut [f64], q: f64) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
+impl<S> Tally<S> {
+    /// The report over `trace`, with the latency quantiles read by
+    /// `percentile`.
+    fn report(
+        mut self,
+        spec: &SimSpec,
+        trace: &[Request],
+        percentile: fn(&mut S, f64) -> f64,
+    ) -> SimReport {
+        let first_arrival = match trace.first() {
+            Some(r) => r.arrival,
+            None => 0.0,
+        };
+        let makespan = (self.last_finish - first_arrival).max(f64::MIN_POSITIVE);
+        SimReport {
+            completed: trace.len() as u64,
+            makespan,
+            delivered_tokens_per_gpu_second: self.tokens as f64 / makespan / spec.gpus as f64,
+            ttft_p50: percentile(&mut self.ttfts, 0.50),
+            ttft_p99: percentile(&mut self.ttfts, 0.99),
+            tpot_p50: percentile(&mut self.gaps, 0.50),
+            tpot_p99: percentile(&mut self.gaps, 0.99),
+            mean_occupancy: if self.busy_time > 0.0 {
+                self.occupancy_time / self.busy_time
+            } else {
+                0.0
+            },
+        }
     }
-    let rank = (q * samples.len() as f64).ceil() as usize;
-    let index = rank.clamp(1, samples.len()) - 1;
-    *samples.select_nth_unstable_by(index, f64::total_cmp).1
+}
+
+/// A multiset of latency samples, kept as `(value, count)` runs in
+/// insertion order. A sample bit-equal to the last run's value extends
+/// that run, so a decode step that charges a whole group of sequences
+/// one gap adds one run, not one sample per sequence.
+#[derive(Debug, Default)]
+struct Samples {
+    runs: Vec<(f64, u64)>,
+    total: u64,
+}
+
+impl Samples {
+    /// Adds `count` samples of `value`.
+    fn push(&mut self, value: f64, count: u64) {
+        if count == 0 {
+            return;
+        }
+        self.total += count;
+        match self.runs.last_mut() {
+            Some((last, n)) if last.to_bits() == value.to_bits() => *n += count,
+            _ => self.runs.push((value, count)),
+        }
+    }
+
+    /// Nearest-rank quantile (sorts the runs by value). Samples equal
+    /// under `total_cmp` are equal bit for bit, so the result is the
+    /// element a sort of the expanded samples holds at that rank. An
+    /// empty tally reports 0 — a trace with no tokens has no latency to
+    /// speak of.
+    fn percentile(&mut self, q: f64) -> f64 {
+        if self.total == 0 {
+            return 0.0;
+        }
+        let rank = ((q * self.total as f64).ceil() as u64).clamp(1, self.total);
+        self.runs.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
+        let mut seen = 0;
+        self.runs
+            .iter()
+            .find(|&&(_, count)| {
+                seen += count;
+                seen >= rank
+            })
+            .map_or(0.0, |&(value, _)| value)
+    }
 }
 
 /// Generates the seeded Poisson arrival trace with two-point length
@@ -332,66 +413,83 @@ fn arrival_trace(traffic: &InferenceConfig, params: &SimParams) -> Vec<Request> 
     out
 }
 
-/// Runs one decode replica's step loop over its assigned requests.
-/// `inline_prefill` is the colocated discipline: admissions run the
-/// prompt's prefill on the replica's own timeline (stalling residents);
-/// disaggregated decode admits instantaneously (prefill already happened
-/// in the prefill pool — `ready` times carry it).
+/// Runs one decode replica's step loop over its assigned requests and
+/// returns the number of decode steps it ran. `inline_prefill` is the
+/// colocated discipline: admissions run the prompt's prefill on the
+/// replica's own timeline (stalling residents); disaggregated decode
+/// admits instantaneously (prefill already happened in the prefill pool
+/// — `ready` times carry it).
+///
+/// The loop costs O(steps + requests), not O(output tokens). After a
+/// step, every resident's last token came at that step's end `t_step`,
+/// so at the next step they all record the one gap `t − t_step`; only
+/// the sequences admitted since carry a last-token time of their own.
+/// A sequence with `output` tokens admitted before step `s` emits its
+/// last token at step `s + output − 1` and leaves the batch there.
 fn run_decode_replica(
     spec: &SimSpec,
     queue: &[(f64 /* ready */, Request)],
     inline_prefill: bool,
     tally: &mut Tally,
-) {
+) -> u64 {
     let ceiling = spec.batch_ceiling as usize;
-    let mut residents: Vec<Resident> = Vec::new();
+    // The step at which each resident emits its last token, soonest first.
+    let mut finish: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
+    // Last-token times of the residents admitted since the last step.
+    let mut fresh: Vec<f64> = Vec::new();
+    let mut step = 0u64;
     let mut next = 0usize;
     let mut t = match queue.first() {
         Some((ready, _)) => *ready,
-        None => return,
+        None => return 0,
     };
-    while next < queue.len() || !residents.is_empty() {
+    let mut t_step = t;
+    while next < queue.len() || !finish.is_empty() {
         // Idle replica: jump to the next arrival.
-        if residents.is_empty() && next < queue.len() && queue[next].0 > t {
+        if finish.is_empty() && next < queue.len() && queue[next].0 > t {
             t = queue[next].0;
         }
         // Admit at the step boundary while there is room. Inline
         // prefill advances the clock, which can make further queued
         // requests eligible — the loop re-tests against the moved `t`.
-        while next < queue.len() && residents.len() < ceiling && queue[next].0 <= t {
+        while next < queue.len() && finish.len() < ceiling && queue[next].0 <= t {
             let (ready, req) = queue[next];
             next += 1;
             if inline_prefill {
                 t += spec.prefill_of(req.prompt);
-                tally.ttfts.push(t - req.arrival);
+                tally.ttfts.push(t - req.arrival, 1);
             } else {
-                tally.ttfts.push(ready - req.arrival);
+                tally.ttfts.push(ready - req.arrival, 1);
             }
-            residents.push(Resident {
-                remaining: req.output,
-                last_token: if inline_prefill { t } else { ready.max(t) },
-            });
+            fresh.push(if inline_prefill { t } else { ready.max(t) });
+            // Saturating, so a hostile output length cannot wrap the
+            // finish step into the past.
+            finish.push(Reverse(step.saturating_add(req.output - 1)));
         }
-        if residents.is_empty() {
+        if finish.is_empty() {
             continue;
         }
         // One decode step at the current batch.
-        let b = residents.len();
+        let b = finish.len();
         let dt = spec.step(b);
         t += dt;
         tally.occupancy_time += b as f64 * dt;
         tally.busy_time += dt;
         tally.tokens += b as u64;
-        for r in &mut residents {
-            tally.gaps.push(t - r.last_token);
-            r.last_token = t;
-            r.remaining -= 1;
+        tally.gaps.push(t - t_step, (b - fresh.len()) as u64);
+        for last_token in fresh.drain(..) {
+            tally.gaps.push(t - last_token, 1);
         }
-        residents.retain(|r| r.remaining > 0);
+        while finish.peek() == Some(&Reverse(step)) {
+            finish.pop();
+        }
+        t_step = t;
+        step += 1;
     }
     if t > tally.last_finish {
         tally.last_finish = t;
     }
+    step
 }
 
 /// FCFS multi-server prefill pool: each request takes the earliest-free
@@ -438,57 +536,42 @@ pub fn try_simulate_serving(spec: &SimSpec, params: &SimParams) -> Result<SimRep
 /// outside the program should go through [`try_simulate_serving`].
 pub fn simulate_serving(spec: &SimSpec, params: &SimParams) -> SimReport {
     let trace = arrival_trace(&spec.traffic, params);
+    let (queues, inline_prefill) = decode_queues(spec, &trace);
     let mut tally = Tally::default();
-
-    match spec.mode {
-        PdPlacement::Colocated => {
-            let replicas = spec.replicas.max(1) as usize;
-            for r in 0..replicas {
-                let queue: Vec<(f64, Request)> = trace
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| i % replicas == r)
-                    .map(|(_, req)| (req.arrival, *req))
-                    .collect();
-                run_decode_replica(spec, &queue, true, &mut tally);
-            }
-        }
-        PdPlacement::Disaggregated { prefill_replicas } => {
-            let ready = run_prefill_pool(spec, prefill_replicas.max(1) as usize, &trace);
-            let decoders = (spec.replicas - prefill_replicas).max(1) as usize;
-            for r in 0..decoders {
-                let mut queue: Vec<(f64, Request)> = ready
-                    .iter()
-                    .enumerate()
-                    .filter(|(i, _)| i % decoders == r)
-                    .map(|(_, rr)| *rr)
-                    .collect();
-                // FCFS per decode replica: admit in readiness order.
-                queue.sort_by(|a, b| a.0.total_cmp(&b.0));
-                run_decode_replica(spec, &queue, false, &mut tally);
-            }
-        }
+    for queue in &queues {
+        run_decode_replica(spec, queue, inline_prefill, &mut tally);
     }
+    tally.report(spec, &trace, Samples::percentile)
+}
 
-    let first_arrival = match trace.first() {
-        Some(r) => r.arrival,
-        None => 0.0,
+/// Splits the trace over the decode replicas: each replica's queue of
+/// `(ready, request)` in admission order, and whether admissions run
+/// their prefill inline (colocated) rather than in the prefill pool.
+/// Requests round-robin over replicas by arrival index.
+fn decode_queues(spec: &SimSpec, trace: &[Request]) -> (Vec<Vec<(f64, Request)>>, bool) {
+    let (entries, replicas, inline_prefill) = match spec.mode {
+        PdPlacement::Colocated => (
+            trace.iter().map(|req| (req.arrival, *req)).collect(),
+            spec.replicas.max(1) as usize,
+            true,
+        ),
+        PdPlacement::Disaggregated { prefill_replicas } => (
+            run_prefill_pool(spec, prefill_replicas.max(1) as usize, trace),
+            (spec.replicas - prefill_replicas).max(1) as usize,
+            false,
+        ),
     };
-    let makespan = (tally.last_finish - first_arrival).max(f64::MIN_POSITIVE);
-    SimReport {
-        completed: trace.len() as u64,
-        makespan,
-        delivered_tokens_per_gpu_second: tally.tokens as f64 / makespan / spec.gpus as f64,
-        ttft_p50: percentile(&mut tally.ttfts, 0.50),
-        ttft_p99: percentile(&mut tally.ttfts, 0.99),
-        tpot_p50: percentile(&mut tally.gaps, 0.50),
-        tpot_p99: percentile(&mut tally.gaps, 0.99),
-        mean_occupancy: if tally.busy_time > 0.0 {
-            tally.occupancy_time / tally.busy_time
-        } else {
-            0.0
-        },
+    let mut queues = vec![Vec::new(); replicas];
+    for (i, entry) in entries.into_iter().enumerate() {
+        queues[i % replicas].push(entry);
     }
+    if !inline_prefill {
+        // FCFS per decode replica: admit in readiness order.
+        for queue in &mut queues {
+            queue.sort_by(|a, b| a.0.total_cmp(&b.0));
+        }
+    }
+    (queues, inline_prefill)
 }
 
 #[cfg(test)]
@@ -497,7 +580,7 @@ mod tests {
     use perfmodel::search::best_placement_eval;
     use perfmodel::{ParallelConfig, TpStrategy};
     use systems::{system, GpuGeneration, NvsSize};
-    use txmodel::gpt3_175b_chat;
+    use txmodel::{gpt3_175b_chat, LengthMix};
 
     fn spec(mode: PdPlacement) -> SimSpec {
         let preset = gpt3_175b_chat();
@@ -589,7 +672,7 @@ mod tests {
             let mut tally = Tally::default();
             run_decode_replica(&spec, &queue, inline_prefill, &mut tally);
 
-            assert_eq!(tally.ttfts.len(), queue.len(), "{mode:?}");
+            assert_eq!(tally.ttfts.total, queue.len() as u64, "{mode:?}");
             let outputs: u64 = queue.iter().map(|(_, req)| req.output).sum();
             assert_eq!(tally.tokens, outputs, "{mode:?}");
             // Within the ceiling, and close enough to it that it binds.
@@ -642,26 +725,189 @@ mod tests {
         assert_eq!(back, report);
     }
 
+    /// The run tally reads, bit for bit, the element a full `total_cmp`
+    /// sort of its expanded samples holds at the nearest rank: with ties,
+    /// `-0.0` next to `0.0`, bit-equal neighbours that merge, values that
+    /// recur apart, counts up to 1e6, and an empty tally.
     #[test]
-    fn percentile_is_nearest_rank() {
-        let mut v = [4.0, 1.0, 3.0, 2.0];
-        assert_eq!(percentile(&mut v, 0.50), 2.0);
-        assert_eq!(percentile(&mut v, 0.99), 4.0);
-        assert_eq!(percentile(&mut v, 0.0), 1.0);
-        assert_eq!(percentile(&mut [], 0.5), 0.0);
-        // Selection reads the same element a full sort would, ties and
-        // -0.0 included, at every rank.
-        let samples: Vec<f64> = (0..97u32)
-            .map(|i| [0.5, -0.0, 0.0, 2.0, 1e-3][(i * 7 % 5) as usize] * f64::from(i % 4))
-            .collect();
-        let mut sorted = samples.clone();
-        sorted.sort_by(f64::total_cmp);
-        for q in [0.0, 0.01, 0.5, 0.9, 0.99, 1.0] {
-            let mut v = samples.clone();
-            let rank = (q * 97.0_f64).ceil() as usize;
-            let want = sorted[rank.clamp(1, 97) - 1];
-            assert_eq!(percentile(&mut v, q).to_bits(), want.to_bits(), "q {q}");
+    fn run_tally_percentile_matches_a_sort_of_the_expanded_samples() {
+        let pushes = [
+            (4.0, 1),
+            (1.0, 1),
+            (3.0, 1),
+            (2.0, 1),
+            (2.0, 3),
+            (-0.0, 5),
+            (0.0, 5),
+            (1e-3, 0),
+            (0.5, 1),
+            (-0.0, 2),
+            (2.0, 7),
+            (f64::MIN_POSITIVE, 1),
+            (1e-3, 1_000_000),
+            (0.5, 999_999),
+            (1e-3, 1),
+        ];
+        for len in [0, 1, 4, 7, 11, pushes.len()] {
+            let mut tally = Samples::default();
+            let mut expanded = Vec::new();
+            for &(value, count) in &pushes[..len] {
+                tally.push(value, count);
+                expanded.extend(std::iter::repeat_n(value, count as usize));
+            }
+            expanded.sort_by(f64::total_cmp);
+            let n = expanded.len();
+            assert_eq!(tally.total, n as u64);
+            for q in [0.0, 0.01, 0.5, 0.9, 0.99, 1.0] {
+                let want = match n {
+                    0 => 0.0,
+                    _ => expanded[((q * n as f64).ceil() as usize).clamp(1, n) - 1],
+                };
+                let got = tally.percentile(q);
+                assert_eq!(got.to_bits(), want.to_bits(), "{len} pushes, q {q}");
+            }
         }
+        // The four-sample prefix is the plain nearest-rank example.
+        let mut small = Samples::default();
+        for v in [4.0, 1.0, 3.0, 2.0] {
+            small.push(v, 1);
+        }
+        assert_eq!(small.percentile(0.50), 2.0);
+        assert_eq!(small.percentile(0.99), 4.0);
+        // Bit-equal neighbours merge, a zero count adds nothing, and
+        // -0.0 stays apart from 0.0.
+        let mut tally = Samples::default();
+        for &(value, count) in &pushes[4..8] {
+            tally.push(value, count);
+        }
+        assert_eq!(tally.runs.len(), 3);
+        assert_eq!(tally.runs[2].0.to_bits(), 0.0f64.to_bits());
+    }
+
+    /// The point of the step loop: on the 3,000-request chat replay the
+    /// gap tally holds at most one run per decode step plus one per
+    /// admission, and fewer than 2% of the tokens delivered. A return to
+    /// one stored sample per token fails here.
+    #[test]
+    fn gap_tally_grows_with_steps_not_tokens() {
+        let params = SimParams {
+            seed: 7,
+            requests: 3000,
+        };
+        for mode in [
+            PdPlacement::Colocated,
+            PdPlacement::Disaggregated {
+                prefill_replicas: 2,
+            },
+        ] {
+            let spec = spec(mode);
+            let trace = arrival_trace(&spec.traffic, &params);
+            let (queues, inline_prefill) = decode_queues(&spec, &trace);
+            let mut tally = Tally::default();
+            let steps: u64 = queues
+                .iter()
+                .map(|queue| run_decode_replica(&spec, queue, inline_prefill, &mut tally))
+                .sum();
+            let runs = tally.gaps.runs.len() as u64;
+            assert_eq!(tally.gaps.total, tally.tokens, "{mode:?}");
+            assert!(
+                runs <= steps + trace.len() as u64,
+                "{mode:?}: {runs} runs over {steps} steps"
+            );
+            assert!(
+                runs * 50 < tally.tokens,
+                "{mode:?}: {runs} runs for {} tokens",
+                tally.tokens
+            );
+        }
+    }
+
+    /// A seeded random spec over the corners the step loop must match
+    /// the token loop on: both modes at prefill splits 1 and `nd/2`,
+    /// batch ceilings 1, 2, 3 and the table length, rates from idle to
+    /// saturated, zero decode-step and prefill times, one-token outputs,
+    /// and traces of 0, 1 and a few hundred requests. Few distinct
+    /// prices, so gaps tie across steps and sequences.
+    fn random_case(rng: &mut StdRng) -> (SimSpec, SimParams) {
+        let replicas = rng.gen_range(2..=8u64);
+        let mode = match rng.gen_range(0..3u32) {
+            0 => PdPlacement::Colocated,
+            1 => PdPlacement::Disaggregated {
+                prefill_replicas: 1,
+            },
+            _ => PdPlacement::Disaggregated {
+                prefill_replicas: replicas / 2,
+            },
+        };
+        let table = rng.gen_range(4..=40usize);
+        let batch_ceiling = [1, 2, 3, table as u64][rng.gen_range(0..4usize)];
+        let base = [0.0, 1e-3, 2.5e-3, 7e-3][rng.gen_range(0..4usize)];
+        let slope = [0.0, 3e-5, 1e-4][rng.gen_range(0..3usize)];
+        let decode_steps = (0..table).map(|b| base + slope * b as f64).collect();
+        let prefill = [0.0, 0.0, 4e-3, 30e-3][rng.gen_range(0..4usize)];
+        let typical = [1, 1, 2, 16, 64][rng.gen_range(0..5usize)];
+        let output = LengthMix::new(typical, typical * [1, 4][rng.gen_range(0..2usize)]);
+        let rate_milli = [1, 300, 3_000, 30_000, 300_000, 3_000_000][rng.gen_range(0..6usize)];
+        let colocated = matches!(mode, PdPlacement::Colocated);
+        let kv = if colocated {
+            0.0
+        } else {
+            [0.0, 1e-3][rng.gen_range(0..2usize)]
+        };
+        let spec = SimSpec {
+            traffic: InferenceConfig {
+                prompt: LengthMix::new(512, 2048),
+                output,
+                request_rate_milli: rate_milli,
+                max_batch: batch_ceiling,
+            },
+            replicas,
+            gpus: 8 * replicas,
+            mode,
+            batch_ceiling,
+            decode_steps,
+            prefill_typical: prefill,
+            prefill_long: 2.0 * prefill,
+            kv_transfer_typical: kv,
+            kv_transfer_long: 4.0 * kv,
+        };
+        let requests = match rng.gen_range(0..8u32) {
+            0 => 0,
+            1 => 1,
+            _ => rng.gen_range(100..=400u64),
+        };
+        let params = SimParams {
+            seed: rng.gen(),
+            requests,
+        };
+        (spec, params)
+    }
+
+    #[test]
+    fn step_loop_matches_the_token_loop_on_random_specs() {
+        let mut rng = StdRng::seed_from_u64(0x5E12_7E51);
+        let (mut saturated, mut idle) = (0, 0);
+        for case in 0..200 {
+            let (spec, params) = random_case(&mut rng);
+            assert_eq!(spec.validate(), Ok(()), "case {case}");
+            let got = simulate_serving(&spec, &params);
+            let want = reference::simulate_serving(&spec, &params);
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{want:?}"),
+                "case {case}: {spec:?} {params:?}"
+            );
+            if spec.batch_ceiling > 1 && got.mean_occupancy > 0.9 * spec.batch_ceiling as f64 {
+                saturated += 1;
+            }
+            if got.completed > 1 && got.mean_occupancy == 1.0 {
+                idle += 1;
+            }
+        }
+        assert!(
+            saturated >= 10 && idle >= 10,
+            "{saturated} saturated, {idle} idle"
+        );
     }
 
     /// The spec fields of a hostile JSON document, applied to a priced
@@ -722,11 +968,30 @@ mod tests {
     }
 
     #[test]
-    fn empty_decode_table_is_rejected() {
+    fn decode_table_shorter_than_the_ceiling_is_rejected() {
+        for keep in [0, 1] {
+            rejects(
+                PdPlacement::Colocated,
+                |s| s.decode_steps.truncate(keep),
+                invalid("decode_steps"),
+            );
+        }
         rejects(
             PdPlacement::Colocated,
-            |s| s.decode_steps.clear(),
+            |s| {
+                s.decode_steps.pop();
+            },
             invalid("decode_steps"),
+        );
+    }
+
+    #[test]
+    fn zero_gpus_or_colocated_replicas_are_rejected() {
+        rejects(PdPlacement::Colocated, |s| s.gpus = 0, invalid("gpus"));
+        rejects(
+            PdPlacement::Colocated,
+            |s| s.replicas = 0,
+            invalid("replicas"),
         );
     }
 
