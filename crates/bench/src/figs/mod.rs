@@ -1,4 +1,5 @@
-//! One module per paper artifact (see DESIGN.md §3).
+//! One module per paper artifact. [`crate::ALL_IDS`] lists the ids, and
+//! README's "Reproduce the paper artifacts" maps them to the paper.
 
 pub mod ablations;
 pub mod fig1;

@@ -1,51 +1,10 @@
 //! Paper-artifact regeneration harness.
 //!
-//! Every table and figure in the paper's evaluation has a generator here
-//! (see DESIGN.md §3 for the experiment index). Generators return
-//! [`report::Artifact`] values that the `figures` binary renders to the
-//! terminal and writes to `out/<id>.{json,csv}`; the Criterion benches in
-//! `benches/paper.rs` measure the underlying model machinery — including
-//! the dense and MoE (`moe-search`) design-space searches, the multi-
-//! algorithm collective DES and the 1F1B schedule simulator — print the
-//! regenerated rows into `cargo bench` output, and emit the
-//! machine-readable perf trajectory to `out/bench.json`.
-//!
-//! # The `fmperf-bench-v1` trajectory schema
-//!
-//! `out/bench.json` is the per-PR perf record CI uploads as an artifact
-//! and `PERFORMANCE.md`'s trajectory table is built from. One document:
-//!
-//! ```json
-//! {
-//!   "schema": "fmperf-bench-v1",
-//!   "groups": {
-//!     "search":         { "gpt_summa_n16384":    { "mean_ns": 5.52e6, "iterations": 10 }, ... },
-//!     "search-scaling": { "gpt_summa_n16384_t1": { "mean_ns": 5.49e6, "iterations": 10 }, ... },
-//!     ...
-//!   }
-//! }
-//! ```
-//!
-//! * `schema` — the literal string `"fmperf-bench-v1"`. Consumers must
-//!   reject other values; additive changes (new groups, new functions,
-//!   new per-cell fields) do **not** bump the version, renames and
-//!   semantic changes do.
-//! * `groups` — one object per Criterion benchmark group, keyed by group
-//!   name (`profile`, `placement`, `search`, `moe-search`,
-//!   `planner-topk`, `search-scaling`, `netsim`, `netsim-algorithms`,
-//!   `trainsim`, `reliability-search`), each mapping function name to a
-//!   measurement cell.
-//!   Insertion order follows bench registration order.
-//! * cell `mean_ns` — mean wall-clock nanoseconds per iteration over the
-//!   measurement window (warm: memo tables and caches carry across
-//!   iterations; see PERFORMANCE.md "What the numbers mean").
-//! * cell `iterations` — iterations in the measurement window; `--quick`
-//!   (the CI bench-smoke mode) uses a shorter window, so compare
-//!   `mean_ns` across runs only at equal modes.
-//!
-//! The `search-scaling` group names encode the pinned pool size
-//! (`gpt_summa_n16384_t{1,2,4,8}`); the 8-vs-1-thread ratio on that
-//! group is the scaling gate CI enforces on multi-core runners.
+//! Every table and figure in the paper's evaluation has a generator here:
+//! [`ALL_IDS`] lists their ids in paper order, and README's "Reproduce
+//! the paper artifacts" maps each id to its paper table or figure.
+//! Generators return [`report::Artifact`] values that the `figures`
+//! binary renders to the terminal and writes to `out/<id>.{json,csv}`.
 
 pub mod common;
 pub mod figs;
@@ -123,7 +82,7 @@ mod tests {
     #[test]
     fn every_id_generates_nonempty_artifacts() {
         // Smoke-generate the cheap artifacts; the expensive sweeps are
-        // covered by the figures binary / benches.
+        // covered by `figures all` (CI's figures-identity job).
         for id in ["table1", "table2", "tablea2", "tablea3", "fig1"] {
             let arts = generate(id).expect("known id");
             assert!(!arts.is_empty(), "{id} produced nothing");

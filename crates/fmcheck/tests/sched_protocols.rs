@@ -125,11 +125,23 @@ fn regression_split_chunk_claim_is_caught() {
 /// the *real* vendored rayon pool via its `sched_hook` observation
 /// point. Every chunk the pool claims is witnessed exactly once, and the
 /// pool's reassembled output equals the sequential map — the same two
-/// claims `ChunkClaim::check_final` makes about the model.
+/// claims `ChunkClaim::check_final` makes about the model. A pool that
+/// runs its workers one after another meets both, so the test also
+/// asserts that two workers are inside a chunk at the same moment.
 #[test]
 fn rayon_pool_satisfies_the_chunk_claim_contract() {
     use rayon::prelude::*;
-    use std::sync::Mutex;
+    use std::sync::{Condvar, Mutex};
+    use std::time::Duration;
+
+    /// Workers inside the map closure now, the most ever at once, and
+    /// whether a wait for a second worker has timed out.
+    #[derive(Default)]
+    struct Overlap {
+        inside: usize,
+        peak: usize,
+        gave_up: bool,
+    }
 
     let claims: &'static Mutex<Vec<(usize, usize)>> = Box::leak(Box::new(Mutex::new(Vec::new())));
     rayon::sched_hook::set(Box::new(|chunk, chunks| {
@@ -145,7 +157,27 @@ fn rayon_pool_satisfies_the_chunk_claim_contract() {
         .num_threads(4)
         .build()
         .expect("pool");
-    let out: Vec<u64> = pool.install(|| input.par_iter().map(|&x| x * 31 + 7).collect());
+    // A bounded rendezvous: a worker alone in the closure waits up to
+    // 5 s for a second one. After the first timeout nobody waits again,
+    // so a pool that never overlaps its workers costs one timeout.
+    let overlap = (Mutex::new(Overlap::default()), Condvar::new());
+    let meet = |&x: &u64| {
+        let (lock, arrived) = &overlap;
+        let mut o = lock.lock().expect("no worker panics holding the lock");
+        o.inside += 1;
+        o.peak = o.peak.max(o.inside);
+        arrived.notify_all();
+        if o.peak < 2 && !o.gave_up {
+            let (guard, wait) = arrived
+                .wait_timeout_while(o, Duration::from_secs(5), |o| o.peak < 2)
+                .expect("no worker panics holding the lock");
+            o = guard;
+            o.gave_up |= wait.timed_out();
+        }
+        o.inside -= 1;
+        x * 31 + 7
+    };
+    let out: Vec<u64> = pool.install(|| input.par_iter().map(meet).collect());
     rayon::sched_hook::clear();
 
     // Determinism contract: input-ordered, bit-identical to sequential.
@@ -156,6 +188,11 @@ fn rayon_pool_satisfies_the_chunk_claim_contract() {
     assert!(
         !observed.is_empty(),
         "the pool executed in parallel, so claims must be observed"
+    );
+    let peak = overlap.0.lock().expect("the workers are joined").peak;
+    assert!(
+        peak >= 2,
+        "at most {peak} worker inside a chunk at once: the pool ran its workers one after another"
     );
     let chunks = observed[0].1;
     assert!(

@@ -1,6 +1,5 @@
-//! Profiling counters on the heaviest search in the bench suite: the
-//! SUMMA sweep of GPT3-1T on 16384 GPUs (`gpt_summa_n16384` in
-//! `out/bench.json`).
+//! Profiling counters and the pool-scaling gate on the heaviest
+//! single-strategy search: the SUMMA sweep of GPT3-1T on 16384 GPUs.
 //!
 //! Runs three queries of the planner's one search pipeline back-to-back —
 //! the pruned single optimum (`best_evaluation`), the pruned top-8 +
@@ -10,6 +9,15 @@
 //! (thread-local L1 vs the process-wide shared table), profile rebuild
 //! counts and time, and how many candidates each prune skipped. See
 //! `PERFORMANCE.md` for how these numbers feed the perf methodology.
+//!
+//! Then it gates pool scaling. It pins the rayon pool to 1, 2, 4 and 8
+//! threads and times the pruned single optimum at each width: one
+//! untimed warm-up call, then the mean of 30 timed calls. On a machine
+//! with at least 4 cores, the 8-thread mean must be at most half the
+//! 1-thread mean, or the example exits non-zero. With fewer cores, 8
+//! workers time-slice the same cores, so the times measure scheduling
+//! overhead rather than speedup: it prints them and skips the ratio,
+//! saying so.
 //!
 //! ```text
 //! cargo run --release -p perfmodel --example search_stats
@@ -22,9 +30,20 @@
 )]
 
 use perfmodel::{reset_search_stats, search_stats, Objective, Planner, SearchStats, TpStrategy};
+use std::hint::black_box;
+use std::process::exit;
 use std::time::{Duration, Instant};
 use systems::{system, GpuGeneration, NvsSize};
 use txmodel::gpt3_1t;
+
+/// Pool widths the scaling gate times, narrowest first.
+const WIDTHS: [usize; 4] = [1, 2, 4, 8];
+/// Timed calls per width; their mean is the width's time.
+const TIMED_CALLS: u32 = 30;
+/// Fewest cores on which 8 workers can show a speedup worth gating.
+const GATE_MIN_CORES: usize = 4;
+/// The largest passing 8-thread / 1-thread time ratio.
+const GATE_MAX_RATIO: f64 = 0.5;
 
 fn print_counters(s: &SearchStats) {
     println!(
@@ -92,4 +111,37 @@ fn main() {
         evals.iter().filter(|e| e.feasible).count()
     });
     print_counters(&search_stats());
+
+    // Pool scaling: the pruned single optimum at each pinned width.
+    let mut mean = [Duration::ZERO; WIDTHS.len()];
+    for (t, &threads) in mean.iter_mut().zip(&WIDTHS) {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .expect("pool builds");
+        *t = pool.install(|| {
+            black_box(planner.best_evaluation());
+            let t0 = Instant::now();
+            for _ in 0..TIMED_CALLS {
+                black_box(planner.best_evaluation());
+            }
+            t0.elapsed() / TIMED_CALLS
+        });
+        println!("scaling t{threads}:     {t:.2?} (mean of {TIMED_CALLS} calls)");
+    }
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cores < GATE_MIN_CORES {
+        println!(
+            "SKIP scaling gate: {cores} core(s); t8 <= {GATE_MAX_RATIO} x t1 is checked on \
+             {GATE_MIN_CORES} or more"
+        );
+        return;
+    }
+    let [t1, _, _, t8] = mean;
+    let ratio = t8.as_secs_f64() / t1.as_secs_f64();
+    println!("scaling gate:   t8 / t1 = {ratio:.3} on {cores} cores (gate: <= {GATE_MAX_RATIO})");
+    if ratio > GATE_MAX_RATIO {
+        eprintln!("FAIL scaling gate: t8 / t1 = {ratio:.3} > {GATE_MAX_RATIO}");
+        exit(1);
+    }
 }

@@ -384,8 +384,10 @@ mod tests {
 
     #[test]
     fn vit_rejects_nt_64_for_1d() {
-        // l = 64800 is not divisible by 64 — the constraint that makes 1D
-        // TP cap out at nt=32 for the ViT (see DESIGN.md).
+        // The residual stream shards the sequence over nt, so nt must
+        // divide l = 64800 = 2^5 · 2025 (180 × 360 patches). On the
+        // paper's power-of-two GPU counts every TP degree is a power of
+        // two, so 1D TP caps out at nt = 32 for the ViT.
         let vit = txmodel::vit_64k().config;
         let cfg = ParallelConfig::new(TpStrategy::OneD, 64, 1, 48, 1, 1);
         assert!(cfg.validate(&vit, 4096).is_err());

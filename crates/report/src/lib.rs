@@ -5,8 +5,8 @@
 //! output surfaces of the workspace: the planner examples print [`Table`]s
 //! and charts to the terminal, and the `paperbench` figure generators
 //! produce [`Artifact`]s (an id + column schema + JSON rows) that the
-//! `figures` binary renders and persists to `out/<id>.{json,csv}` — the
-//! regeneration record every bench run replays.
+//! `figures` binary renders and persists to `out/<id>.{json,csv}`, which
+//! must regenerate byte for byte.
 
 mod artifact;
 mod chart;

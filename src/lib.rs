@@ -52,10 +52,11 @@
 //! * `cargo test --workspace -q` — unit + integration + property tests.
 //! * `cargo run --release --example quickstart` — the path above, end to
 //!   end.
-//! * `cargo run --release --bin figures` / `cargo bench -p paperbench` —
-//!   regenerate the paper's figures and tables under `out/`; the bench
-//!   run also records the perf trajectory (`out/bench.json`, schema and
-//!   methodology in `PERFORMANCE.md`).
+//! * `cargo run --release --bin figures` — regenerates the paper's
+//!   figures and tables under `out/`.
+//! * perfbench (`perfbench/`, a package of its own) is the one
+//!   benchmark; `PERFORMANCE.md` says how to run it and what its numbers
+//!   mean.
 
 pub use collectives;
 pub use netsim;
