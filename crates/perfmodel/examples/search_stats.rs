@@ -5,19 +5,23 @@
 //! the pruned single optimum (`best_evaluation`), the pruned top-8 +
 //! Pareto ranking (`execute`) and the unpruned full sweep
 //! (`evaluations`) — and prints per-query wall clock next to the
-//! [`perfmodel::search_stats`] deltas: memo hits split by level
-//! (thread-local L1 vs the process-wide shared table), profile rebuild
-//! counts and time, and how many candidates each prune skipped. See
-//! `PERFORMANCE.md` for how these numbers feed the perf methodology.
+//! [`perfmodel::search_stats`] deltas: space-store hits and misses, memo
+//! hits split by level (thread-local L1 vs the process-wide shared
+//! table), profile rebuild counts and time, and how many candidates each
+//! prune skipped. The first query builds the space's entry in the space
+//! store; the second and third read it. See `PERFORMANCE.md` for how
+//! these numbers feed the perf methodology.
 //!
 //! Then it gates pool scaling. It pins the rayon pool to 1, 2, 4 and 8
 //! threads and times the pruned single optimum at each width: one
-//! untimed warm-up call, then the mean of 30 timed calls. On a machine
-//! with at least 4 cores, the 8-thread mean must be at most half the
-//! 1-thread mean, or the example exits non-zero. With fewer cores, 8
-//! workers time-slice the same cores, so the times measure scheduling
-//! overhead rather than speedup: it prints them and skips the ratio,
-//! saying so.
+//! untimed warm-up call, then the mean of 30 timed calls. Each call
+//! starts from a cleared space store, so it times the whole pipeline:
+//! enumeration, profile builds and assessment as well as the seed and
+//! sweep. On a machine with at least 4 cores, the 8-thread mean must be
+//! at most half the 1-thread mean, or the example exits non-zero. With
+//! fewer cores, 8 workers time-slice the same cores, so the times
+//! measure scheduling overhead rather than speedup: it prints them and
+//! skips the ratio, saying so.
 //!
 //! ```text
 //! cargo run --release -p perfmodel --example search_stats
@@ -29,7 +33,10 @@
     reason = "a profiling example times on the wall clock and aborts on a failed query"
 )]
 
-use perfmodel::{reset_search_stats, search_stats, Objective, Planner, SearchStats, TpStrategy};
+use perfmodel::{
+    clear_space_store, reset_search_stats, search_stats, Objective, Planner, SearchStats,
+    TpStrategy,
+};
 use std::hint::black_box;
 use std::process::exit;
 use std::time::{Duration, Instant};
@@ -46,6 +53,10 @@ const GATE_MIN_CORES: usize = 4;
 const GATE_MAX_RATIO: f64 = 0.5;
 
 fn print_counters(s: &SearchStats) {
+    println!(
+        "  space store:  {} hits, {} misses, {} evictions",
+        s.store_hits, s.store_misses, s.store_evictions
+    );
     println!(
         "  profiles:     {} built in {:.2?}",
         s.profile_builds,
@@ -73,7 +84,8 @@ fn main() {
     let n = planner.candidates().len();
     println!("enumerate:      {n:>7} candidates in {:.2?}", t0.elapsed());
 
-    // Pruned single optimum (top 1 by iteration time, no frontier).
+    // Pruned single optimum (top 1 by iteration time, no frontier). It
+    // builds the space's entry; the two queries after it read it.
     reset_search_stats();
     let t0 = Instant::now();
     let best = planner
@@ -120,12 +132,16 @@ fn main() {
             .build()
             .expect("pool builds");
         *t = pool.install(|| {
+            clear_space_store();
             black_box(planner.best_evaluation());
-            let t0 = Instant::now();
+            let mut total = Duration::ZERO;
             for _ in 0..TIMED_CALLS {
+                clear_space_store();
+                let t0 = Instant::now();
                 black_box(planner.best_evaluation());
+                total += t0.elapsed();
             }
-            t0.elapsed() / TIMED_CALLS
+            total / TIMED_CALLS
         });
         println!("scaling t{threads}:     {t:.2?} (mean of {TIMED_CALLS} calls)");
     }

@@ -126,6 +126,17 @@ impl ParallelConfig {
     /// `nd | b`, `bm | b/nd`, and for MoE models `ep | nd` and
     /// `ep | experts` (dense models require `ep = 1`).
     pub fn validate(&self, model: &TransformerConfig, global_batch: u64) -> Result<(), String> {
+        self.check(model, global_batch).map_err(|e| e.to_string())
+    }
+
+    /// The checks behind [`ParallelConfig::validate`], in its order,
+    /// returning the first failure as a typed reason. Nothing allocates,
+    /// so the enumeration can discard rejections for free.
+    pub(crate) fn check(
+        &self,
+        model: &TransformerConfig,
+        global_batch: u64,
+    ) -> Result<(), Invalid> {
         let Self {
             strategy,
             n1,
@@ -147,17 +158,15 @@ impl ParallelConfig {
             || summa_panels == 0
             || interleave == 0
         {
-            return Err("all configuration factors must be positive".into());
+            return Err(Invalid::NonPositive);
         }
         if strategy == TpStrategy::OneD && n2 != 1 {
-            return Err(format!("1D TP requires n2 = 1, got {n2}"));
+            return Err(Invalid::OneDWithN2(n2));
         }
         match model.moe {
             None => {
                 if ep != 1 {
-                    return Err(format!(
-                        "expert parallelism (ep = {ep}) requires an MoE model"
-                    ));
+                    return Err(Invalid::DenseWithEp(ep));
                 }
             }
             Some(moe) => {
@@ -166,93 +175,160 @@ impl ParallelConfig {
                 // public and Deserialize, so a hand-edited or cached
                 // JSON config can bypass the builder.
                 if moe.experts < 2 {
-                    return Err(format!(
-                        "an MoE model needs at least 2 experts, got {}",
-                        moe.experts
-                    ));
+                    return Err(Invalid::TooFewExperts(moe.experts));
                 }
                 if moe.top_k == 0 || moe.top_k > moe.experts {
-                    return Err(format!(
-                        "top_k ({}) must be in 1..=experts ({})",
-                        moe.top_k, moe.experts
-                    ));
+                    return Err(Invalid::TopK {
+                        top_k: moe.top_k,
+                        experts: moe.experts,
+                    });
                 }
                 if moe.capacity_pct < 100 {
-                    return Err(format!(
-                        "capacity factor below 1.0 ({}%) would drop tokens structurally",
-                        moe.capacity_pct
-                    ));
+                    return Err(Invalid::Capacity(moe.capacity_pct));
                 }
                 if strategy != TpStrategy::OneD {
-                    return Err(format!(
-                        "MoE models support 1D TP only, got {}",
-                        strategy.name()
-                    ));
+                    return Err(Invalid::MoeStrategy(strategy));
                 }
                 if !nd.is_multiple_of(ep) {
-                    return Err(format!("ep ({ep}) must divide nd ({nd})"));
+                    return Err(Invalid::divide("ep", ep, "nd", nd));
                 }
                 if !moe.experts.is_multiple_of(ep) {
-                    return Err(format!(
-                        "ep ({ep}) must divide the expert count ({})",
-                        moe.experts
-                    ));
+                    return Err(Invalid::divide("ep", ep, "the expert count", moe.experts));
                 }
             }
         }
         if !model.depth.is_multiple_of(np) {
-            return Err(format!("np ({np}) must divide depth ({})", model.depth));
+            return Err(Invalid::divide("np", np, "depth", model.depth));
         }
-        if !(model.depth / np).is_multiple_of(interleave) {
-            return Err(format!(
-                "interleave ({interleave}) must divide layers per stage ({})",
-                model.depth / np
+        let per_stage = model.depth / np;
+        if !per_stage.is_multiple_of(interleave) {
+            return Err(Invalid::divide(
+                "interleave",
+                interleave,
+                "layers per stage",
+                per_stage,
             ));
         }
         if !global_batch.is_multiple_of(nd) {
-            return Err(format!(
-                "nd ({nd}) must divide global batch ({global_batch})"
-            ));
+            return Err(Invalid::divide("nd", nd, "global batch", global_batch));
         }
         let local_batch = global_batch / nd;
         if !local_batch.is_multiple_of(microbatch) {
-            return Err(format!(
-                "microbatch ({microbatch}) must divide local batch ({local_batch})"
+            return Err(Invalid::divide(
+                "microbatch",
+                microbatch,
+                "local batch",
+                local_batch,
             ));
         }
         // Tensor-dimension divisibility. All strategies shard heads, embed
         // and hidden over n1; the sequence is sharded over nt = n1·n2 at
         // the residual stream.
-        let checks: &[(u64, u64, &str)] = &[
+        let checks: [(u64, u64, &'static str); 4] = [
             (model.heads, n1, "heads % n1"),
             (model.embed, n1, "embed % n1"),
             (model.hidden, n1, "hidden % n1"),
             (model.seq_len, n1 * n2, "seq_len % (n1*n2)"),
         ];
-        for &(dim, div, what) in checks {
+        for (dim, div, what) in checks {
             if dim % div != 0 {
-                return Err(format!("{what} != 0 (dim {dim}, divisor {div})"));
+                return Err(Invalid::TensorDim { what, dim, div });
             }
         }
         if strategy != TpStrategy::OneD && !model.seq_len.is_multiple_of(n2) {
-            return Err(format!("n2 ({n2}) must divide seq_len ({})", model.seq_len));
+            return Err(Invalid::divide("n2", n2, "seq_len", model.seq_len));
         }
         if strategy == TpStrategy::Summa {
             // SUMMA shards weight rows over n2 as well: W_Q (e/n2, e/n1),
             // W_1 (e/n2, f/n1), W_2 (f/n2, e/n1).
             if !model.embed.is_multiple_of(n2) || !model.hidden.is_multiple_of(n2) {
-                return Err(format!(
-                    "SUMMA requires n2 ({n2}) to divide embed and hidden"
-                ));
+                return Err(Invalid::SummaN2(n2));
             }
             if !model.embed.is_multiple_of(summa_panels) {
-                return Err(format!(
-                    "SUMMA panel count ({summa_panels}) must divide embed ({})",
-                    model.embed
+                return Err(Invalid::divide(
+                    "SUMMA panel count",
+                    summa_panels,
+                    "embed",
+                    model.embed,
                 ));
             }
         }
         Ok(())
+    }
+}
+
+/// Why [`ParallelConfig::check`] rejects a configuration. Its `Display`
+/// is the message [`ParallelConfig::validate`] returns.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Invalid {
+    NonPositive,
+    OneDWithN2(u64),
+    DenseWithEp(u64),
+    TooFewExperts(u64),
+    TopK {
+        top_k: u64,
+        experts: u64,
+    },
+    Capacity(u64),
+    MoeStrategy(TpStrategy),
+    /// "`divisor` (`value`) must divide `dividend` (`of`)".
+    MustDivide {
+        divisor: &'static str,
+        value: u64,
+        dividend: &'static str,
+        of: u64,
+    },
+    TensorDim {
+        what: &'static str,
+        dim: u64,
+        div: u64,
+    },
+    SummaN2(u64),
+}
+
+impl Invalid {
+    fn divide(divisor: &'static str, value: u64, dividend: &'static str, of: u64) -> Self {
+        Invalid::MustDivide {
+            divisor,
+            value,
+            dividend,
+            of,
+        }
+    }
+}
+
+impl std::fmt::Display for Invalid {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Invalid::NonPositive => write!(f, "all configuration factors must be positive"),
+            Invalid::OneDWithN2(n2) => write!(f, "1D TP requires n2 = 1, got {n2}"),
+            Invalid::DenseWithEp(ep) => {
+                write!(f, "expert parallelism (ep = {ep}) requires an MoE model")
+            }
+            Invalid::TooFewExperts(experts) => {
+                write!(f, "an MoE model needs at least 2 experts, got {experts}")
+            }
+            Invalid::TopK { top_k, experts } => {
+                write!(f, "top_k ({top_k}) must be in 1..=experts ({experts})")
+            }
+            Invalid::Capacity(pct) => write!(
+                f,
+                "capacity factor below 1.0 ({pct}%) would drop tokens structurally"
+            ),
+            Invalid::MoeStrategy(s) => write!(f, "MoE models support 1D TP only, got {}", s.name()),
+            Invalid::MustDivide {
+                divisor,
+                value,
+                dividend,
+                of,
+            } => write!(f, "{divisor} ({value}) must divide {dividend} ({of})"),
+            Invalid::TensorDim { what, dim, div } => {
+                write!(f, "{what} != 0 (dim {dim}, divisor {div})")
+            }
+            Invalid::SummaN2(n2) => {
+                write!(f, "SUMMA requires n2 ({n2}) to divide embed and hidden")
+            }
+        }
     }
 }
 
@@ -500,6 +576,120 @@ mod tests {
         // MoE rejects non-1D strategies.
         let twod = ParallelConfig::new(TpStrategy::TwoD, 4, 2, 8, 8, 1);
         assert!(twod.validate(&moe, 4096).unwrap_err().contains("1D TP"));
+    }
+
+    #[test]
+    fn validate_messages_are_verbatim() {
+        // `validate` renders the typed reason the enumeration discards;
+        // each message is pinned word for word.
+        let gpt = gpt();
+        let moe = txmodel::moe_1t().config;
+        let vit = txmodel::vit_64k().config;
+        let c = |strategy, n1, n2, np, nd, bm| ParallelConfig::new(strategy, n1, n2, np, nd, bm);
+        let with_moe = |experts, top_k, capacity_pct| TransformerConfig {
+            moe: Some(txmodel::MoeConfig {
+                experts,
+                top_k,
+                capacity_pct,
+            }),
+            ..moe
+        };
+        let cases = [
+            (
+                c(TpStrategy::OneD, 0, 1, 1, 1, 1),
+                gpt,
+                "all configuration factors must be positive",
+            ),
+            (
+                c(TpStrategy::OneD, 4, 2, 1, 1, 1),
+                gpt,
+                "1D TP requires n2 = 1, got 2",
+            ),
+            (
+                c(TpStrategy::OneD, 1, 1, 1, 4, 1).with_ep(2),
+                gpt,
+                "expert parallelism (ep = 2) requires an MoE model",
+            ),
+            (
+                c(TpStrategy::OneD, 1, 1, 1, 1, 1),
+                with_moe(1, 1, 125),
+                "an MoE model needs at least 2 experts, got 1",
+            ),
+            (
+                c(TpStrategy::OneD, 1, 1, 1, 1, 1),
+                with_moe(8, 9, 125),
+                "top_k (9) must be in 1..=experts (8)",
+            ),
+            (
+                c(TpStrategy::OneD, 1, 1, 1, 1, 1),
+                with_moe(8, 1, 50),
+                "capacity factor below 1.0 (50%) would drop tokens structurally",
+            ),
+            (
+                c(TpStrategy::TwoD, 1, 1, 1, 1, 1),
+                moe,
+                "MoE models support 1D TP only, got 2D TP",
+            ),
+            (
+                c(TpStrategy::OneD, 1, 1, 1, 4, 1).with_ep(8),
+                moe,
+                "ep (8) must divide nd (4)",
+            ),
+            (
+                c(TpStrategy::OneD, 1, 1, 1, 256, 1).with_ep(128),
+                moe,
+                "ep (128) must divide the expert count (64)",
+            ),
+            (
+                c(TpStrategy::OneD, 8, 1, 3, 32, 1),
+                gpt,
+                "np (3) must divide depth (128)",
+            ),
+            (
+                ParallelConfig {
+                    interleave: 3,
+                    ..c(TpStrategy::OneD, 8, 1, 64, 32, 1)
+                },
+                gpt,
+                "interleave (3) must divide layers per stage (2)",
+            ),
+            (
+                c(TpStrategy::OneD, 8, 1, 64, 3, 1),
+                gpt,
+                "nd (3) must divide global batch (4096)",
+            ),
+            (
+                c(TpStrategy::OneD, 8, 1, 64, 32, 3),
+                gpt,
+                "microbatch (3) must divide local batch (128)",
+            ),
+            (
+                c(TpStrategy::OneD, 64, 1, 48, 1, 1),
+                vit,
+                "seq_len % (n1*n2) != 0 (dim 64800, divisor 64)",
+            ),
+            (
+                c(TpStrategy::TwoD, 1, 3, 1, 1, 1),
+                gpt,
+                "seq_len % (n1*n2) != 0 (dim 2048, divisor 3)",
+            ),
+            (
+                c(TpStrategy::Summa, 1, 2048, 1, 1, 1),
+                gpt,
+                "SUMMA requires n2 (2048) to divide embed and hidden",
+            ),
+            (
+                ParallelConfig {
+                    summa_panels: 3,
+                    ..c(TpStrategy::Summa, 8, 4, 1, 512, 8)
+                },
+                gpt,
+                "SUMMA panel count (3) must divide embed (25600)",
+            ),
+        ];
+        for (cfg, model, msg) in cases {
+            assert_eq!(cfg.validate(&model, 4096).unwrap_err(), msg, "{cfg:?}");
+        }
     }
 
     #[test]

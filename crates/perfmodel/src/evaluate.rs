@@ -251,7 +251,7 @@ fn comm_fingerprint(comms: &[CommPattern]) -> u64 {
 
 /// The forward/backward pass fingerprints of one [`LayerProfile`]
 /// ([`comm_fingerprint`] of each pattern list), computed once per profile
-/// (the [`crate::ProfileCache`] stores them alongside the profile) so the
+/// (the planner's space store keeps them alongside the profile) so the
 /// per-placement pass-level memo probes are a single hash fold instead of
 /// a re-hash of the pattern lists.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -346,8 +346,9 @@ pub fn evaluate_with_tp_overlap(
 ///
 /// `sys_fp`/`fps` are the hoisted [`system_fingerprint`] and
 /// [`PassFingerprints`] — the search hoists both out of its per-placement
-/// loop ([`crate::ProfileCache`] hands back the fingerprints it computed
-/// at build time), so per-placement work is a pair of memo probes.
+/// loop (the planner's space store hands back the fingerprints computed
+/// when the profile was built), so per-placement work is a pair of memo
+/// probes.
 fn stage_parts(
     profile: &LayerProfile,
     layers: f64,

@@ -30,13 +30,14 @@
 //!    enumerates every factorization `n = n1·n2·np·nd` plus the
 //!    microbatch size, NVS placement, SUMMA panel count, expert-parallel
 //!    degree `ep | nd`, interleaving and ZeRO-3 knobs — one joint space,
-//!    fanned out over the rayon pool against a build-once
-//!    [`ProfileCache`] — returning a [`PlanSet`]: the top-k ranked
-//!    [`Plan`]s and the exact Pareto frontier across the selected
-//!    objectives, fully serializable. One pipeline serves every query
-//!    (see [`planner`]): it evaluates the lowest-bound candidates first
-//!    and skips, exactly, every candidate whose admissible lower bound
-//!    keeps it out of the result. [`Planner::best_evaluation`] is its
+//!    fanned out over the rayon pool against one layer profile per TP
+//!    tuple, which a bounded process-wide store keeps per space across
+//!    calls ([`clear_space_store`] empties it) — returning a [`PlanSet`]:
+//!    the top-k ranked [`Plan`]s and the exact Pareto frontier across the
+//!    selected objectives, fully serializable. One pipeline serves every
+//!    query (see [`planner`]): it evaluates the lowest-bound candidates
+//!    first and skips, exactly, every candidate whose admissible lower
+//!    bound keeps it out of the result. [`Planner::best_evaluation`] is its
 //!    single-optimum query, [`Planner::evaluations`] the unpruned sweep,
 //!    and [`best_placement_eval`] prices one pinned configuration.
 //!
@@ -85,8 +86,8 @@ pub use memory::MemoryUsage;
 pub use partition::{reset_search_stats, search_stats, ProfileCache, ProfileKey, SearchStats};
 pub use placement::enumerate_placements;
 pub use planner::{
-    ConfigError, LexStage, Objective, ObjectiveCtx, Plan, PlanSet, Planner, PlannerConfig, Score,
-    SearchSpace, WeightedTerm,
+    clear_space_store, ConfigError, LexStage, Objective, ObjectiveCtx, Plan, PlanSet, Planner,
+    PlannerConfig, Score, SearchSpace, WeightedTerm,
 };
 pub use reliability::GoodputReport;
 pub use search::best_placement_eval;

@@ -18,6 +18,10 @@
 //! * The cache is built **once**, before the parallel fan-out, and is
 //!   read-only afterwards — lookups are lock-free `HashMap` reads shared
 //!   across worker threads.
+//!
+//! The planner's search keeps the same profiles, with their pass
+//! fingerprints and each candidate's index into them, in its space store
+//! (`crate::planner`), which `build_profiles` fills.
 
 #![expect(
     clippy::disallowed_types,
@@ -28,9 +32,10 @@ use super::build_profile;
 use crate::config::{ParallelConfig, TpStrategy};
 use crate::evaluate::PassFingerprints;
 use crate::plan::LayerProfile;
+use crate::planner::SPACE_STORE;
 use rayon::prelude::*;
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{LazyLock, RwLock};
@@ -75,13 +80,8 @@ impl ProfileKey {
 }
 
 /// Build-once, read-many store of layer profiles for one `(model, gpu)`.
-///
-/// Each profile is stored together with its precomputed
-/// `PassFingerprints` (the FNV folds of its forward/backward pattern
-/// lists), so the search's per-placement pass-level memo probes never
-/// re-hash the pattern lists.
 pub struct ProfileCache {
-    map: HashMap<ProfileKey, (LayerProfile, PassFingerprints)>,
+    map: HashMap<ProfileKey, LayerProfile>,
 }
 
 impl ProfileCache {
@@ -90,36 +90,8 @@ impl ProfileCache {
     /// Build count and wall-clock feed the [`SearchStats`] profiling
     /// counters.
     pub fn build(model: &TransformerConfig, gpu: &GpuSpec, cfgs: &[ParallelConfig]) -> Self {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "the profile-build timer feeds the SearchStats counters, never a result"
-        )]
-        let start = std::time::Instant::now();
-        let mut seen = HashSet::new();
-        let keys: Vec<ProfileKey> = cfgs
-            .iter()
-            .map(ProfileKey::of)
-            .filter(|k| seen.insert(*k))
-            .collect();
-        let profiles: Vec<(LayerProfile, PassFingerprints)> = keys
-            .par_iter()
-            .map(|k| {
-                let profile = build_profile(
-                    model,
-                    k.strategy,
-                    k.n1,
-                    k.n2,
-                    k.microbatch,
-                    k.summa_panels,
-                    k.ep,
-                    gpu,
-                );
-                let fps = PassFingerprints::of(&profile);
-                (profile, fps)
-            })
-            .collect();
-        PROFILE_BUILDS.fetch_add(keys.len() as u64, Ordering::Relaxed);
-        PROFILE_BUILD_NANOS.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let (keys, profiles, _) = build_profiles(model, gpu, cfgs);
+        let profiles = profiles.into_iter().map(|(profile, _)| profile);
         Self {
             map: keys.into_iter().zip(profiles).collect(),
         }
@@ -129,18 +101,11 @@ impl ProfileCache {
     ///
     /// Panics if `cfg` was not part of the slice the cache was built from
     /// (a caller bug: the cache is keyed per enumeration, not global).
-    pub fn get(&self, cfg: &ParallelConfig) -> &LayerProfile {
-        &self.get_with_fps(cfg).0
-    }
-
-    /// [`ProfileCache::get`] plus the profile's precomputed pass
-    /// fingerprints (the search's hot path — hashing the pattern lists
-    /// once per *profile* instead of once per candidate).
     #[expect(
         clippy::panic,
         reason = "documented API contract: the cache is built from the same enumeration the caller iterates"
     )]
-    pub(crate) fn get_with_fps(&self, cfg: &ParallelConfig) -> &(LayerProfile, PassFingerprints) {
+    pub fn get(&self, cfg: &ParallelConfig) -> &LayerProfile {
         self.map
             .get(&ProfileKey::of(cfg))
             .unwrap_or_else(|| panic!("no cached profile for {cfg}"))
@@ -155,6 +120,58 @@ impl ProfileCache {
     pub fn is_empty(&self) -> bool {
         self.map.is_empty()
     }
+}
+
+/// The build behind [`ProfileCache::build`] and the planner's space
+/// store: one profile (with its pass fingerprints) per distinct TP tuple
+/// among `cfgs`, in first-seen order, plus each configuration's index
+/// into them.
+pub(crate) fn build_profiles(
+    model: &TransformerConfig,
+    gpu: &GpuSpec,
+    cfgs: &[ParallelConfig],
+) -> (
+    Vec<ProfileKey>,
+    Vec<(LayerProfile, PassFingerprints)>,
+    Vec<u32>,
+) {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the profile-build timer feeds the SearchStats counters, never a result"
+    )]
+    let start = std::time::Instant::now();
+    let mut slot: HashMap<ProfileKey, u32> = HashMap::new();
+    let mut keys = Vec::new();
+    let index_of: Vec<u32> = cfgs
+        .iter()
+        .map(|cfg| {
+            let key = ProfileKey::of(cfg);
+            *slot.entry(key).or_insert_with(|| {
+                keys.push(key);
+                (keys.len() - 1) as u32
+            })
+        })
+        .collect();
+    let profiles: Vec<(LayerProfile, PassFingerprints)> = keys
+        .par_iter()
+        .map(|k| {
+            let profile = build_profile(
+                model,
+                k.strategy,
+                k.n1,
+                k.n2,
+                k.microbatch,
+                k.summa_panels,
+                k.ep,
+                gpu,
+            );
+            let fps = PassFingerprints::of(&profile);
+            (profile, fps)
+        })
+        .collect();
+    PROFILE_BUILDS.fetch_add(keys.len() as u64, Ordering::Relaxed);
+    PROFILE_BUILD_NANOS.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
+    (keys, profiles, index_of)
 }
 
 // ---------------------------------------------------------------------------
@@ -219,12 +236,13 @@ impl ProfileCache {
 /// so tests should assert on deltas, not absolute values.
 ///
 /// Which stage of the planner's search pipeline (see [`crate::planner`])
-/// feeds each counter: the profile counters come from the
-/// [`ProfileCache`] build that precedes the assess stage; the memo
-/// counters from the assess stage's lower bounds and from every
-/// evaluation (seeds, sweep, or the unpruned sweep); the three prune
-/// counters from the eliminate and sweep stages, split by query kind as
-/// each field says.
+/// feeds each counter: the three store counters from the lookup that
+/// starts every search and every [`crate::Planner::candidates`] call;
+/// the profile counters from the profile build of a space the store
+/// does not hold; the memo counters from the lower bounds computed for
+/// such a space and from every evaluation (seeds, sweep, or the unpruned
+/// sweep); the three prune counters from the eliminate and sweep stages,
+/// split by query kind as each field says.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Collective-time memo probes answered by the thread-local L1.
@@ -234,9 +252,10 @@ pub struct SearchStats {
     pub memo_shared_hits: u64,
     /// Probes that computed (and published) a new value.
     pub memo_misses: u64,
-    /// Layer profiles constructed by [`ProfileCache::build`].
+    /// Layer profiles constructed by [`ProfileCache::build`] or for a
+    /// space the planner's space store does not hold.
     pub profile_builds: u64,
-    /// Wall-clock nanoseconds spent inside [`ProfileCache::build`].
+    /// Wall-clock nanoseconds spent building those profiles.
     pub profile_build_nanos: u64,
     /// Single-optimum queries ([`crate::Planner::best_evaluation`]):
     /// candidates skipped in the sweep stage, where each survivor is
@@ -250,6 +269,18 @@ pub struct SearchStats {
     /// bound is past the k-th-best threshold, and its bound vector is
     /// strictly dominated by an evaluated point).
     pub topk_pruned: u64,
+    /// Planner calls whose space the space store already held: they
+    /// skipped enumeration, profile builds and the placement-free
+    /// assessment.
+    pub store_hits: u64,
+    /// Planner calls whose space the store did not hold, so they did that
+    /// work themselves. A space whose inputs print a NaN bypasses the
+    /// store and counts here every time.
+    pub store_misses: u64,
+    /// Spaces the store dropped, least recently used first, to stay
+    /// within its candidate budget ([`crate::clear_space_store`] drops
+    /// without counting).
+    pub store_evictions: u64,
 }
 
 static MEMO_LOCAL_HITS: AtomicU64 = AtomicU64::new(0);
@@ -313,6 +344,7 @@ fn bump(pick: impl Fn(&LocalCounts) -> &Cell<u64>) {
 /// thread's pending tallies first).
 pub fn search_stats() -> SearchStats {
     let _ = LOCAL_COUNTS.try_with(LocalCounts::flush);
+    let store = &SPACE_STORE;
     SearchStats {
         memo_local_hits: MEMO_LOCAL_HITS.load(Ordering::Relaxed),
         memo_shared_hits: MEMO_SHARED_HITS.load(Ordering::Relaxed),
@@ -322,6 +354,9 @@ pub fn search_stats() -> SearchStats {
         bound_pruned: BOUND_PRUNED.load(Ordering::Relaxed),
         dominated_pruned: DOMINATED_PRUNED.load(Ordering::Relaxed),
         topk_pruned: TOPK_PRUNED.load(Ordering::Relaxed),
+        store_hits: store.hits.load(Ordering::Relaxed),
+        store_misses: store.misses.load(Ordering::Relaxed),
+        store_evictions: store.evictions.load(Ordering::Relaxed),
     }
 }
 
@@ -338,6 +373,9 @@ pub fn reset_search_stats() {
         &BOUND_PRUNED,
         &DOMINATED_PRUNED,
         &TOPK_PRUNED,
+        &SPACE_STORE.hits,
+        &SPACE_STORE.misses,
+        &SPACE_STORE.evictions,
     ] {
         g.store(0, Ordering::Relaxed);
     }

@@ -7,7 +7,8 @@
 //!   plus arbitrary user [`Planner::constrain`] predicates;
 //! * an [`Objective`] — iteration time, training days, tokens/s/GPU, HBM
 //!   headroom, GPU-seconds cost, or weighted/lexicographic combinations;
-//! * execution over the rayon pool against a build-once [`ProfileCache`],
+//! * execution over the rayon pool against the space's stored
+//!   placement-free work (see [the space store](#the-space-store)),
 //!   bit-identical across thread counts;
 //!
 //! into a [`PlanSet`]: the top-k ranked [`Plan`]s **and** the exact
@@ -24,11 +25,15 @@
 //! | [`Planner::best_evaluation`] | top 1 by iteration time, no frontier |
 //! | [`Planner::evaluations`] | pruning off: every candidate |
 //!
-//! 1. **Assess** (parallel): the placement-independent memory ledger
-//!    gates each candidate on HBM; when the query can prune, admissible
-//!    lower bounds on the ranking key and on every frontier key
-//!    (`Objective::key_lower_bound` over
-//!    `evaluate::iteration_time_lower_bound`) come with it.
+//! 0. **Stored entry**: the space's candidates, layer profiles, memory
+//!    ledgers and placement-free iteration-time lower bounds
+//!    (`evaluate::iteration_time_lower_bound`), read from the space
+//!    store, or built there on a miss.
+//! 1. **Assess**: the user constraints filter the stored candidates in
+//!    enumeration order and the stored memory ledger gates each on HBM;
+//!    when the query can prune, admissible lower bounds on the ranking
+//!    key and on every frontier key (`Objective::key_lower_bound` over
+//!    the stored time bound) are derived in parallel.
 //! 2. **Seed**: the `top_k` lowest-bound candidates are evaluated
 //!    unconditionally; their keys set the k-th-best threshold
 //!    ([`crate::ord::TopkIncumbent`]).
@@ -49,6 +54,42 @@
 //! batch is too small to occupy the pool — one per `(candidate,
 //! placement)` pair. Skip counts are reported through
 //! [`crate::search_stats`].
+//!
+//! # The space store
+//!
+//! Stage 0's work depends on the space alone, never on the query, so a
+//! process-wide store keeps it across calls: asking a space for its best
+//! plan, its ranking, its goodput optimum and its serving plan enumerates
+//! it, builds its profiles and prices its ledgers once. A hit runs only
+//! the assess arithmetic and stages 2–5. [`Planner::candidates`] reads
+//! the stored list too.
+//!
+//! * **Key.** The derived `Debug` text of the model, the whole
+//!   [`SystemSpec`], the [`SearchSpace`] without its `prune` flag, and the
+//!   serving traffic. `Debug` prints every `f64` in its shortest
+//!   round-trip form, which tells every non-NaN bit pattern apart,
+//!   `-0.0` included, and a derived `Debug` picks up fields added later,
+//!   so the key is exact and needs no upkeep. The prune switch, the
+//!   objective, `top_k`, the frontier and the user constraints are not in
+//!   it: every query and every constrained planner of one space share its
+//!   entry.
+//! * **NaN bypass.** `Debug` cannot tell NaNs apart while `total_cmp`
+//!   orders them by sign, so a space whose key text contains `NaN` is
+//!   never stored: each call builds its own entry, as every call did
+//!   before the store existed.
+//! * **Budget.** The store holds at most 65,536 candidate-sized units of
+//!   128 bytes, 8 MiB: each candidate counts one, each layer profile ten
+//!   and each 128 bytes of key one. Past the budget it evicts the least
+//!   recently used space; an entry larger than the whole budget serves
+//!   its call and is not kept.
+//! * **Concurrency.** Entries are built outside the store's lock, which
+//!   guards only lookups and inserts. Two calls racing on one space both
+//!   build it, with identical values, and the first stores it.
+//!
+//! The store changes only how long a search takes, never a result bit.
+//! [`crate::clear_space_store`] empties it for a truly cold search (the
+//! collective-pricing memo stays warm), and [`crate::SearchStats`]
+//! counts its hits, misses and evictions.
 //!
 //! ```
 //! use perfmodel::{Objective, Planner, TpStrategy};
@@ -72,30 +113,33 @@
 mod objective;
 mod plan;
 mod space;
+mod store;
 mod validate;
 
 pub use objective::{LexStage, Objective, ObjectiveCtx, Score, WeightedTerm};
 pub use plan::{Plan, PlanSet};
 pub use space::SearchSpace;
+pub use store::clear_space_store;
+pub(crate) use store::SPACE_STORE;
 pub use validate::{validate_system, ConfigError, MAX_GPU_COUNTS, MAX_SCALE};
 
 use crate::config::{ParallelConfig, Placement};
 use crate::evaluate::{
-    evaluate_placement, iteration_time_lower_bound, placement_breakdown, CandidateBounds,
-    Evaluation,
+    evaluate_placement, placement_breakdown, CandidateBounds, Evaluation, PassFingerprints,
 };
 use crate::memory::{inference_memory_usage, memory_usage, MemoryUsage};
 use crate::ord;
+use crate::partition::build_profile;
 use crate::partition::cache::{
     note_bound_pruned, note_dominated_pruned, note_topk_pruned, system_fingerprint,
 };
-use crate::partition::{build_profile, ProfileCache};
 use crate::placement::enumerate_placements;
 use crate::search::{best_placement_with_memory, enumerate_partitions};
 use plan::{pareto_frontier, plan_of};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
+use store::{SpaceEntry, SpaceStore};
 use systems::SystemSpec;
 use txmodel::{InferenceConfig, TransformerConfig};
 
@@ -199,9 +243,9 @@ struct Query<'q> {
 
 /// A candidate past the memory gate, with its stage-1 assessment.
 struct Candidate {
-    /// Position in the enumeration.
+    /// Position in the space's enumeration (its index in the
+    /// [`SpaceEntry`]).
     index: usize,
-    memory: MemoryUsage,
     /// Admissible lower bound on the ranking key (`-inf` when the query
     /// does not prune).
     rank_lb: f64,
@@ -437,8 +481,19 @@ impl<'a> Planner<'a> {
 
     /// Enumerates the candidate configurations of the space (every
     /// `(gpus, strategy)` sub-space in declaration order), with degree
-    /// bounds and user constraints applied. Deterministic.
+    /// bounds and user constraints applied. Deterministic. A space the
+    /// space store holds is read from it, not enumerated again.
     pub fn candidates(&self) -> Vec<ParallelConfig> {
+        let mut out = SPACE_STORE.candidates(self);
+        for pred in &self.constraints {
+            out.retain(|c| pred(c));
+        }
+        out
+    }
+
+    /// [`Planner::candidates`] before the user constraints, enumerated
+    /// afresh.
+    fn enumerate(&self) -> Vec<ParallelConfig> {
         let space = &self.config.space;
         // Dedup the axes here rather than trusting the setters: a
         // PlannerConfig replayed from JSON ([`Planner::from_config`]) can
@@ -468,9 +523,6 @@ impl<'a> Planner<'a> {
                     && c.nd <= space.max_data_parallel
                     && c.tensor_parallel() <= space.max_tensor_parallel
             });
-        }
-        for pred in &self.constraints {
-            out.retain(|c| pred(c));
         }
         out
     }
@@ -520,68 +572,72 @@ impl<'a> Planner<'a> {
     }
 
     /// The search pipeline behind every entry point; the module docs
-    /// describe its five stages.
+    /// describe its stages.
     fn search(&self, q: &Query) -> Sweep {
-        let partitions = self.candidates();
-        let cache = ProfileCache::build(self.model, &self.system.gpu, &partitions);
-        let global_batch = self.config.space.global_batch;
+        self.search_in(&SPACE_STORE, q)
+    }
+
+    /// [`Planner::search`] against `store`.
+    fn search_in(&self, store: &SpaceStore, q: &Query) -> Sweep {
+        let entry = store.entry(self);
         let hbm = self.system.gpu.hbm_capacity;
-        let sys_fp = system_fingerprint(self.system);
         let prune = q.prune
             && !q.keep_infeasible
             && q.objective.bounds_key()
             && q.frontier.iter().all(Objective::bounds_key);
 
-        // Stage 1 (assess, parallel).
-        let assessed: Vec<Option<(MemoryUsage, f64, Vec<f64>)>> = partitions
-            .par_iter()
-            .map(|cfg| {
-                let (profile, fps) = cache.get_with_fps(cfg);
-                let memory = self.candidate_memory(profile, cfg, global_batch);
-                if !q.keep_infeasible && !memory.fits(hbm) {
-                    return None;
-                }
-                if !prune {
-                    return Some((memory, f64::NEG_INFINITY, Vec::new()));
-                }
-                let b = CandidateBounds {
-                    time_lb: iteration_time_lower_bound(
-                        profile,
-                        self.model,
-                        cfg,
-                        global_batch,
-                        self.system,
-                        sys_fp,
-                        *fps,
-                    ),
-                    memory_total: memory.total(),
-                    gpus: cfg.total_gpus() as f64,
-                    checkpoint_bytes: memory.weights + memory.optimizer,
-                };
-                let frontier_lb = q
-                    .frontier
-                    .iter()
-                    .map(|o| o.key_lower_bound(&b, q.ctx))
-                    .collect();
-                Some((memory, q.objective.key_lower_bound(&b, q.ctx), frontier_lb))
+        // Stage 1 (assess): the user constraints and the memory gate over
+        // the stored candidates and ledgers; when the query prunes, its
+        // key bounds over the stored time bounds.
+        let passed: Vec<usize> = (0..entry.candidates.len())
+            .filter(|&i| {
+                (q.keep_infeasible || entry.memory[i].fits(hbm))
+                    && self
+                        .constraints
+                        .iter()
+                        .all(|pred| pred(&entry.candidates[i]))
             })
             .collect();
-        let mut work: Vec<Candidate> = assessed
-            .into_iter()
-            .enumerate()
-            .filter_map(|(index, a)| {
-                a.map(|(memory, rank_lb, frontier_lb)| Candidate {
+        let time_lb = if prune {
+            entry.time_lower_bounds(self)
+        } else {
+            &[]
+        };
+        let mut work: Vec<Candidate> = passed
+            .par_iter()
+            .map(|&index| {
+                if !prune {
+                    return Candidate {
+                        index,
+                        rank_lb: f64::NEG_INFINITY,
+                        frontier_lb: Vec::new(),
+                    };
+                }
+                let memory = &entry.memory[index];
+                let b = CandidateBounds {
+                    time_lb: time_lb[index],
+                    memory_total: memory.total(),
+                    gpus: entry.candidates[index].total_gpus() as f64,
+                    checkpoint_bytes: memory.weights + memory.optimizer,
+                };
+                Candidate {
                     index,
-                    memory,
-                    rank_lb,
-                    frontier_lb,
-                })
+                    rank_lb: q.objective.key_lower_bound(&b, q.ctx),
+                    frontier_lb: q
+                        .frontier
+                        .iter()
+                        .map(|o| o.key_lower_bound(&b, q.ctx))
+                        .collect(),
+                }
             })
             .collect();
         let candidates = work.len() as u64;
-        let feasible = work.iter().filter(|c| c.memory.fits(hbm)).count() as u64;
+        let feasible = work
+            .iter()
+            .filter(|c| entry.memory[c.index].fits(hbm))
+            .count() as u64;
         if !prune {
-            let evals = self.evaluate_batch(&partitions, &cache, &work, &|_| false, &|_| {});
+            let evals = self.evaluate_batch(&entry, &work, &|_| false, &|_| {});
             return Sweep {
                 evals: evals.into_iter().map(|(_, e)| e).collect(),
                 candidates,
@@ -608,7 +664,7 @@ impl<'a> Planner<'a> {
                 archive.insert(q.frontier.iter().map(|o| o.key(e, q.ctx)).collect());
             }
         };
-        let mut evaluated = self.evaluate_batch(&partitions, &cache, &work, &|_| false, &publish);
+        let mut evaluated = self.evaluate_batch(&entry, &work, &|_| false, &publish);
 
         // A candidate may be skipped once at least k evaluated candidates
         // outrank it. For a multi-stage lexicographic objective its bound
@@ -645,7 +701,7 @@ impl<'a> Planner<'a> {
 
         // Stage 4 (sweep the survivors best-first, parallel).
         rest.sort_unstable_by(by_bound);
-        let swept = self.evaluate_batch(&partitions, &cache, &rest, &prunable, &publish);
+        let swept = self.evaluate_batch(&entry, &rest, &prunable, &publish);
         let skipped = (rest.len() - swept.len()) as u64;
         evaluated.extend(swept);
         if q.frontier.is_empty() {
@@ -676,8 +732,7 @@ impl<'a> Planner<'a> {
     /// entry's evaluation is bit-identical either way.
     fn evaluate_batch(
         &self,
-        partitions: &[ParallelConfig],
-        cache: &ProfileCache,
+        entry: &SpaceEntry,
         batch: &[Candidate],
         skip: &(dyn Fn(&Candidate) -> bool + Sync),
         publish: &(dyn Fn(&Evaluation) + Sync),
@@ -691,14 +746,15 @@ impl<'a> Planner<'a> {
                     if skip(c) {
                         return None;
                     }
-                    let cfg = &partitions[c.index];
+                    let (profile, fps) = entry.profile(c.index);
                     let e = best_placement_with_memory(
-                        cache.get(cfg),
+                        profile,
+                        *fps,
                         self.model,
-                        cfg,
+                        &entry.candidates[c.index],
                         global_batch,
                         self.system,
-                        c.memory,
+                        entry.memory[c.index],
                     );
                     publish(&e);
                     Some((c.index, e))
@@ -709,7 +765,7 @@ impl<'a> Planner<'a> {
         let mut spans: Vec<(usize, usize)> = Vec::with_capacity(batch.len());
         for c in batch {
             let start = pairs.len();
-            let placements = enumerate_placements(&partitions[c.index], self.system.nvs_size);
+            let placements = enumerate_placements(&entry.candidates[c.index], self.system.nvs_size);
             pairs.extend(placements.into_iter().map(|p| (c.index, p)));
             spans.push((start, pairs.len()));
         }
@@ -717,12 +773,11 @@ impl<'a> Planner<'a> {
         let times: Vec<f64> = pairs
             .par_iter()
             .map(|&(i, ref p)| {
-                let cfg = &partitions[i];
-                let (profile, fps) = cache.get_with_fps(cfg);
+                let (profile, fps) = entry.profile(i);
                 placement_breakdown(
                     profile,
                     self.model,
-                    cfg,
+                    &entry.candidates[i],
                     p,
                     global_batch,
                     self.system,
@@ -742,15 +797,14 @@ impl<'a> Planner<'a> {
                         best = j;
                     }
                 }
-                let cfg = &partitions[c.index];
                 let e = evaluate_placement(
-                    cache.get(cfg),
+                    &entry.profile(c.index).0,
                     self.model,
-                    cfg,
+                    &entry.candidates[c.index],
                     &pairs[best].1,
                     global_batch,
                     self.system,
-                    c.memory,
+                    entry.memory[c.index],
                 );
                 publish(&e);
                 (c.index, e)
@@ -775,6 +829,7 @@ impl<'a> Planner<'a> {
         let memory = self.candidate_memory(&profile, cfg, self.config.space.global_batch);
         best_placement_with_memory(
             &profile,
+            PassFingerprints::of(&profile),
             self.model,
             cfg,
             self.config.space.global_batch,

@@ -1,0 +1,427 @@
+//! The space store: each search space's placement-free work, kept across
+//! [`Planner`] calls.
+//!
+//! A [`SpaceEntry`] holds what a search computes before it looks at a
+//! single placement: the candidates as [`Planner::candidates`] lists them
+//! before the user predicates, one layer profile per TP tuple with each
+//! candidate's profile index, each candidate's memory ledger, and — once
+//! a query that prunes asks for them — each candidate's placement-free
+//! iteration-time lower bound. None of it depends on the objective, the
+//! frontier, `top_k`, the prune switch or a predicate, so every query on
+//! one space shares one entry, and constrained planners filter its list
+//! in enumeration order.
+//!
+//! # Key
+//!
+//! An entry is keyed by the derived `Debug` text of the model, the whole
+//! [`systems::SystemSpec`], the [`super::SearchSpace`] with its `prune`
+//! flag normalized, and the serving traffic. The key is exact and needs
+//! no upkeep: `Debug` prints every `f64` in its shortest round-trip form,
+//! which tells every non-NaN bit pattern apart (`-0.0` included), and a
+//! derived `Debug` picks up fields added later. `Debug` cannot tell NaN
+//! payloads or signs apart while `total_cmp` orders them differently, so
+//! a space whose key text contains `NaN` bypasses the store: each call
+//! builds its own entry and drops it.
+//!
+//! # Budget
+//!
+//! The store holds at most [`SPACE_STORE_BUDGET`] candidate-sized units
+//! and evicts the least recently used space to stay within it. An entry
+//! is charged one unit per candidate, [`PROFILE_CHARGE`] per profile and
+//! one per [`CANDIDATE_BYTES`] bytes of key, so the budget bounds the
+//! store's bytes however its spaces are shaped, a flood of tiny ones
+//! included. An entry larger than the whole budget serves the call that
+//! built it and is not kept.
+//!
+//! # Concurrency
+//!
+//! Entries are built outside the store's lock; two calls that race on
+//! one space both build it, with identical values, and the first to
+//! finish stores it. The lock guards only the lookup and the insert. The
+//! one wait between searches is on an entry's bounds: a search that needs
+//! them while another computes them waits for that result rather than
+//! computing it again.
+
+use super::{Planner, SearchSpace};
+use crate::config::ParallelConfig;
+use crate::evaluate::{iteration_time_lower_bound, PassFingerprints};
+use crate::memory::MemoryUsage;
+use crate::partition::cache::{build_profiles, system_fingerprint};
+use crate::plan::LayerProfile;
+use rayon::prelude::*;
+use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+
+/// The process-wide store's capacity, in candidate-sized units of
+/// [`CANDIDATE_BYTES`]: 8 MiB. perfbench's `plan` workload stores 11,859
+/// candidates, 1,880 profiles and 8 keys of about 1.2 kB, a charge of
+/// about 30,700, so it fits twice over.
+pub(crate) const SPACE_STORE_BUDGET: usize = 1 << 16;
+
+/// The bytes one charge unit stands for: a stored candidate takes 124
+/// (its 72-byte configuration, 40-byte memory ledger, profile index and
+/// bound).
+const CANDIDATE_BYTES: usize = 128;
+
+/// The units one stored profile is charged: a layer profile with its
+/// communication patterns takes 0.4–1.3 kB.
+const PROFILE_CHARGE: usize = 10;
+
+/// The store every [`Planner`] reads.
+pub(crate) static SPACE_STORE: SpaceStore = SpaceStore::new(SPACE_STORE_BUDGET);
+
+/// Drops every space the process-wide space store holds, so the next
+/// search of any space enumerates, builds its profiles and assesses its
+/// candidates again: a truly cold search. The collective-pricing memo is
+/// left alone. Results never depend on the store, only the time they
+/// take.
+pub fn clear_space_store() {
+    SPACE_STORE.clear();
+}
+
+/// One search space's placement-free work (see the module docs).
+pub(crate) struct SpaceEntry {
+    /// The candidates in enumeration order, degree bounds applied, user
+    /// predicates not.
+    pub(crate) candidates: Vec<ParallelConfig>,
+    /// One layer profile and its pass fingerprints per TP tuple.
+    profiles: Vec<(LayerProfile, PassFingerprints)>,
+    /// Each candidate's index into `profiles`.
+    profile_of: Vec<u32>,
+    /// Each candidate's memory ledger (the planner's training or serving
+    /// ledger).
+    pub(crate) memory: Vec<MemoryUsage>,
+    /// Each candidate's placement-free iteration-time lower bound, built
+    /// by the first query that prunes, so a space only ever swept
+    /// unpruned (`Planner::evaluations`, the serving objectives) never
+    /// pays for bounds nothing reads.
+    time_lb: OnceLock<Vec<f64>>,
+}
+
+impl SpaceEntry {
+    /// Enumerates `p`'s space, builds its profiles and prices each
+    /// candidate's memory ledger.
+    fn build(p: &Planner) -> Self {
+        let candidates = p.enumerate();
+        let (_, profiles, profile_of) = build_profiles(p.model, &p.system.gpu, &candidates);
+        let global_batch = p.config.space.global_batch;
+        let memory = indices(candidates.len())
+            .par_iter()
+            .map(|&i| {
+                let profile = &profiles[profile_of[i] as usize].0;
+                p.candidate_memory(profile, &candidates[i], global_batch)
+            })
+            .collect();
+        Self {
+            candidates,
+            profiles,
+            profile_of,
+            memory,
+            time_lb: OnceLock::new(),
+        }
+    }
+
+    /// Candidate `i`'s layer profile and pass fingerprints.
+    pub(crate) fn profile(&self, i: usize) -> &(LayerProfile, PassFingerprints) {
+        &self.profiles[self.profile_of[i] as usize]
+    }
+
+    /// Each candidate's admissible lower bound on its iteration time over
+    /// every placement (`-inf`, which never prunes, for a candidate past
+    /// HBM). Built once per entry, by the first query that needs it; `p`
+    /// is any planner of this entry's space.
+    pub(crate) fn time_lower_bounds(&self, p: &Planner) -> &[f64] {
+        self.time_lb.get_or_init(|| {
+            let hbm = p.system.gpu.hbm_capacity;
+            let global_batch = p.config.space.global_batch;
+            let sys_fp = system_fingerprint(p.system);
+            indices(self.candidates.len())
+                .par_iter()
+                .map(|&i| {
+                    if !self.memory[i].fits(hbm) {
+                        return f64::NEG_INFINITY;
+                    }
+                    let (profile, fps) = self.profile(i);
+                    iteration_time_lower_bound(
+                        profile,
+                        p.model,
+                        &self.candidates[i],
+                        global_batch,
+                        p.system,
+                        sys_fp,
+                        *fps,
+                    )
+                })
+                .collect()
+        })
+    }
+}
+
+/// What storing `entry` under `key` costs against the budget (see the
+/// module docs).
+fn charge(entry: &SpaceEntry, key: &str) -> usize {
+    entry.candidates.len()
+        + PROFILE_CHARGE * entry.profiles.len()
+        + key.len().div_ceil(CANDIDATE_BYTES)
+}
+
+/// `0..n` as a vector, for the rayon shim's slice-only parallel
+/// iterators.
+fn indices(n: usize) -> Vec<usize> {
+    (0..n).collect()
+}
+
+/// The exact key of `p`'s space, or `None` when its text contains a NaN
+/// (see the module docs).
+fn space_key(p: &Planner) -> Option<String> {
+    let space = SearchSpace {
+        prune: true,
+        ..p.config.space.clone()
+    };
+    let key = format!(
+        "{:?}\n{:?}\n{:?}\n{:?}",
+        p.model, p.system, space, p.config.serving
+    );
+    (!key.contains("NaN")).then_some(key)
+}
+
+/// A bounded, least-recently-used map from space keys to entries (see
+/// the module docs), with its own hit, miss and eviction counters.
+pub(crate) struct SpaceStore {
+    /// Capacity in candidate-sized units (see [`charge`]).
+    budget: usize,
+    slots: Mutex<Slots>,
+    pub(crate) hits: AtomicU64,
+    pub(crate) misses: AtomicU64,
+    pub(crate) evictions: AtomicU64,
+}
+
+struct Slots {
+    map: BTreeMap<String, Slot>,
+    /// Sum of the stored entries' charges.
+    held: usize,
+    /// Recency clock, advanced by every hit and insert.
+    clock: u64,
+}
+
+struct Slot {
+    entry: Arc<SpaceEntry>,
+    charge: usize,
+    last_used: u64,
+}
+
+impl SpaceStore {
+    /// An empty store holding at most `budget` candidate-sized units.
+    pub(crate) const fn new(budget: usize) -> Self {
+        Self {
+            budget,
+            slots: Mutex::new(Slots {
+                map: BTreeMap::new(),
+                held: 0,
+                clock: 0,
+            }),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+        }
+    }
+
+    /// Poison-tolerant: a panicked holder can at worst have left an entry
+    /// out, never a torn one, since every entry is complete before it is
+    /// inserted.
+    fn lock(&self) -> MutexGuard<'_, Slots> {
+        self.slots.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The entry stored for `p`'s space, marked most recently used and
+    /// counted as a hit, or `None`, counted as a miss.
+    fn lookup(&self, p: &Planner) -> (Option<String>, Option<Arc<SpaceEntry>>) {
+        let key = space_key(p);
+        let found = key.as_deref().and_then(|key| {
+            let mut slots = self.lock();
+            slots.clock += 1;
+            let now = slots.clock;
+            let slot = slots.map.get_mut(key)?;
+            slot.last_used = now;
+            Some(Arc::clone(&slot.entry))
+        });
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        (key, found)
+    }
+
+    /// The entry for `p`'s space: the stored one, or one built now and
+    /// stored.
+    pub(crate) fn entry(&self, p: &Planner) -> Arc<SpaceEntry> {
+        let (key, found) = self.lookup(p);
+        if let Some(entry) = found {
+            return entry;
+        }
+        let entry = Arc::new(SpaceEntry::build(p));
+        if let Some(key) = key {
+            self.insert(key, Arc::clone(&entry));
+        }
+        entry
+    }
+
+    /// `p`'s candidates before its user predicates: the stored list, or
+    /// a fresh enumeration, which is not stored.
+    pub(crate) fn candidates(&self, p: &Planner) -> Vec<ParallelConfig> {
+        match self.lookup(p) {
+            (_, Some(entry)) => entry.candidates.clone(),
+            (_, None) => p.enumerate(),
+        }
+    }
+
+    /// Stores `entry` under `key`, evicting the least recently used
+    /// spaces until it fits. Keeps the stored entry when a racing build
+    /// got there first (the values are identical), and keeps nothing when
+    /// `entry` alone exceeds the budget.
+    fn insert(&self, key: String, entry: Arc<SpaceEntry>) {
+        let charge = charge(&entry, &key);
+        if charge > self.budget {
+            return;
+        }
+        // Declared before the guard, so evicted entries are freed after
+        // the lock is released.
+        let mut evicted = Vec::new();
+        let mut slots = self.lock();
+        if slots.map.contains_key(&key) {
+            return;
+        }
+        while slots.held + charge > self.budget {
+            let Some(oldest) = slots
+                .map
+                .iter()
+                .min_by_key(|(_, slot)| slot.last_used)
+                .map(|(key, _)| key.clone())
+            else {
+                break;
+            };
+            if let Some(slot) = slots.map.remove(&oldest) {
+                slots.held -= slot.charge;
+                evicted.push(slot.entry);
+                self.evictions.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        slots.clock += 1;
+        let last_used = slots.clock;
+        slots.held += charge;
+        slots.map.insert(
+            key,
+            Slot {
+                entry,
+                charge,
+                last_used,
+            },
+        );
+    }
+
+    /// Drops every stored entry (after releasing the lock).
+    pub(crate) fn clear(&self) {
+        let cleared = {
+            let mut slots = self.lock();
+            slots.held = 0;
+            std::mem::take(&mut slots.map)
+        };
+        drop(cleared);
+    }
+
+    /// The stored entries' summed charge.
+    #[cfg(test)]
+    pub(crate) fn held(&self) -> usize {
+        self.lock().held
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::{Query, Sweep};
+    use super::*;
+    use crate::{Objective, TpStrategy};
+    use systems::{system, GpuGeneration, NvsSize};
+    use txmodel::gpt3_175b;
+
+    /// The charge `insert` levies on `p`'s space.
+    fn charge_of(p: &Planner) -> usize {
+        charge(&SpaceEntry::build(p), &space_key(p).unwrap_or_default())
+    }
+
+    /// A pruned single optimum and an unpruned top-8 sweep of `p`,
+    /// against `store`.
+    fn queries(p: &Planner, store: &SpaceStore) -> [Sweep; 2] {
+        let ctx = p.objective_ctx();
+        let query = |top_k, prune| Query {
+            objective: &Objective::IterationTime,
+            top_k,
+            frontier: &[],
+            keep_infeasible: false,
+            prune,
+            ctx: &ctx,
+        };
+        [
+            p.search_in(store, &query(1, true)),
+            p.search_in(store, &query(8, false)),
+        ]
+    }
+
+    #[test]
+    fn one_entry_budget_evicts_without_changing_results() {
+        let model = gpt3_175b().config;
+        let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
+        let a = Planner::new(&model, &sys)
+            .gpus(64)
+            .global_batch(512)
+            .strategy(TpStrategy::OneD);
+        let b = a.clone().gpus(128);
+        let budget = charge_of(&a).max(charge_of(&b));
+        assert!(
+            budget < charge_of(&a) + charge_of(&b),
+            "the budget holds one space"
+        );
+        // A zero budget keeps nothing: every search is cold.
+        let cold = SpaceStore::new(0);
+        let store = SpaceStore::new(budget);
+        for p in [&a, &b, &a, &b, &a, &b] {
+            let want = queries(p, &cold);
+            let got = queries(p, &store);
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.evals, w.evals);
+                assert_eq!((g.candidates, g.feasible), (w.candidates, w.feasible));
+            }
+            assert!(store.held() <= budget, "{} > {budget}", store.held());
+        }
+        assert_eq!(cold.held(), 0);
+        // Each space's first query misses (the other space evicted it)
+        // and its second hits; every insert after the first evicts.
+        let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        assert_eq!(count(&store.misses), 6);
+        assert_eq!(count(&store.hits), 6);
+        assert_eq!(count(&store.evictions), 5);
+        assert_eq!(count(&cold.evictions), 0);
+    }
+
+    #[test]
+    fn keys_tell_signed_zeros_apart_and_skip_nan() {
+        let model = gpt3_175b().config;
+        let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
+        let mut zero = sys.clone();
+        zero.network.ib_latency = 0.0;
+        let mut negative_zero = sys.clone();
+        negative_zero.network.ib_latency = -0.0;
+        let key = |s| space_key(&Planner::new(&model, s));
+        assert!(key(&zero).is_some());
+        assert_ne!(key(&zero), key(&negative_zero));
+        // The prune flag is not part of the key.
+        let p = Planner::new(&model, &sys);
+        assert_eq!(space_key(&p), space_key(&p.clone().prune(false)));
+        let mut nan = sys.clone();
+        nan.network.ib_latency = f64::NAN;
+        assert_eq!(key(&nan), None);
+    }
+}

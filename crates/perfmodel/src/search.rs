@@ -116,7 +116,7 @@ pub(crate) fn enumerate_partitions(
                                             zero3,
                                             comm_algo: space.comm_algo,
                                         };
-                                        if cfg.validate(model, b).is_ok() {
+                                        if cfg.check(model, b).is_ok() {
                                             out.push(cfg);
                                         }
                                     }
@@ -155,6 +155,7 @@ pub fn best_placement_eval(
 /// placement runs).
 pub(crate) fn best_placement_with_memory(
     profile: &LayerProfile,
+    fps: PassFingerprints,
     model: &TransformerConfig,
     cfg: &ParallelConfig,
     global_batch: u64,
@@ -163,13 +164,13 @@ pub(crate) fn best_placement_with_memory(
 ) -> Evaluation {
     let placements = enumerate_placements(cfg, sys.nvs_size);
     // Light scoring loop: hoist the per-placement invariants (system
-    // fingerprint, pass fingerprints) and score each placement as a bare
-    // breakdown total — two pass-level memo probes each — keeping only
-    // the argmin. The full Evaluation is materialized once, for the
-    // winner. Strict `Less` keeps the first minimum on ties, matching
-    // `Iterator::min_by` over the same order bit for bit.
+    // fingerprint, and the pass fingerprints the caller passes in) and
+    // score each placement as a bare breakdown total — two pass-level
+    // memo probes each — keeping only the argmin. The full Evaluation is
+    // materialized once, for the winner. Strict `Less` keeps the first
+    // minimum on ties, matching `Iterator::min_by` over the same order
+    // bit for bit.
     let sys_fp = system_fingerprint(sys);
-    let fps = PassFingerprints::of(profile);
     let mut best = 0;
     let mut best_t = f64::INFINITY;
     for (i, p) in placements.iter().enumerate() {

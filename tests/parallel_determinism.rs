@@ -2,10 +2,15 @@
 //! same ordering, same `iteration_time` bits — no matter how many worker
 //! threads the rayon pool runs, and the vendored pool itself behaves like
 //! the sequential iterator chains it replaced.
+//!
+//! Each width starts from a cleared space store, so it enumerates, builds
+//! its profiles and assesses its candidates itself instead of reading
+//! what the previous width stored.
 
 #![allow(clippy::unwrap_used, reason = "test helpers fail by panicking")]
 
 use fmperf::prelude::*;
+use perfmodel::clear_space_store;
 use perfmodel::ord::time_cmp;
 use proptest::prelude::*;
 use rayon::prelude::*;
@@ -13,6 +18,12 @@ use rayon::ThreadPoolBuilder;
 
 fn pool(n: usize) -> rayon::ThreadPool {
     ThreadPoolBuilder::new().num_threads(n).build().unwrap()
+}
+
+/// Runs `f` on an `n`-thread pool from a cleared space store.
+fn fresh<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    clear_space_store();
+    pool(n).install(f)
 }
 
 /// Every candidate of the space, infeasible ones included, stably sorted
@@ -32,8 +43,8 @@ fn sweep_is_bit_identical_from_one_to_many_threads() {
             .gpus(256)
             .global_batch(4096)
             .strategy(strategy);
-        let seq = pool(1).install(|| sorted_sweep(&planner));
-        let par = pool(8).install(|| sorted_sweep(&planner));
+        let seq = fresh(1, || sorted_sweep(&planner));
+        let par = fresh(8, || sorted_sweep(&planner));
         assert_eq!(par.len(), seq.len());
         for (a, b) in par.iter().zip(&seq) {
             assert_eq!(a.config, b.config, "{strategy:?}: ordering diverged");
@@ -56,8 +67,8 @@ fn optimize_is_bit_identical_from_one_to_many_threads() {
         .gpus(512)
         .global_batch(4096)
         .strategy(TpStrategy::TwoD);
-    let seq = pool(1).install(|| planner.best_evaluation()).unwrap();
-    let par = pool(8).install(|| planner.best_evaluation()).unwrap();
+    let seq = fresh(1, || planner.best_evaluation()).unwrap();
+    let par = fresh(8, || planner.best_evaluation()).unwrap();
     assert_eq!(seq.iteration_time.to_bits(), par.iteration_time.to_bits());
     assert_eq!(seq, par);
 }

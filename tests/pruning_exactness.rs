@@ -16,6 +16,10 @@
 //! are process-global and the tests in this binary run concurrently, so
 //! each test asserts on monotone *deltas* (counters only ever increase)
 //! rather than absolute values.
+//!
+//! The 1/2/8-thread legs start each width from a cleared space store, so
+//! every width enumerates, builds its profiles and computes its bounds
+//! itself instead of reading the entry an earlier width stored.
 
 #![allow(
     clippy::panic,
@@ -24,6 +28,7 @@
 )]
 
 use fmperf::prelude::*;
+use perfmodel::clear_space_store;
 use perfmodel::ord::time_cmp;
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
@@ -36,6 +41,12 @@ fn b200_nvs8() -> SystemSpec {
 
 fn pool(n: usize) -> rayon::ThreadPool {
     ThreadPoolBuilder::new().num_threads(n).build().unwrap()
+}
+
+/// Runs `f` on `pool` from a cleared space store.
+fn fresh<R>(pool: &rayon::ThreadPool, f: impl FnOnce() -> R) -> R {
+    clear_space_store();
+    pool.install(f)
 }
 
 /// A single-scale, single-strategy planner.
@@ -169,8 +180,8 @@ fn prunes_are_exact_across_thread_counts() {
     let model = vit_64k().config;
     let sys = b200_nvs8();
     let p = planner(&model, &sys, 256, 4096, TpStrategy::Summa);
-    let seq = pool(1).install(|| p.best_evaluation()).unwrap();
-    let par = pool(8).install(|| p.best_evaluation()).unwrap();
+    let seq = fresh(&pool(1), || p.best_evaluation()).unwrap();
+    let par = fresh(&pool(8), || p.best_evaluation()).unwrap();
     assert_eq!(seq.iteration_time.to_bits(), par.iteration_time.to_bits());
     assert_eq!(seq, par);
     assert_exact(&p);
@@ -179,15 +190,16 @@ fn prunes_are_exact_across_thread_counts() {
 #[test]
 fn shared_memo_serves_fresh_worker_threads() {
     // Warm the process-wide shared table on the calling thread, then run
-    // the same search on a fresh 8-worker pool: the workers' thread-local
-    // L1 memos start empty, so their hits must come from the shared L2.
+    // the same search on a fresh 8-worker pool from a cleared space
+    // store: the workers' thread-local L1 memos start empty, so their
+    // hits must come from the shared L2.
     let model = vit_64k().config;
     let sys = b200_nvs8();
     let p = planner(&model, &sys, 256, 4096, TpStrategy::Summa);
     let warm = p.best_evaluation().unwrap();
 
     let before = search_stats();
-    let par = pool(8).install(|| p.best_evaluation()).unwrap();
+    let par = fresh(&pool(8), || p.best_evaluation()).unwrap();
     let after = search_stats();
     assert_eq!(warm, par);
     assert!(
@@ -389,15 +401,15 @@ fn ranked_prunes_are_exact_across_thread_counts() {
         .strategy(TpStrategy::OneD)
         .top_k(6)
         .pareto([Objective::IterationTime, Objective::GpuSeconds]);
-    let seq = pool(1).install(|| planner.clone().execute());
-    let seq_unpruned = pool(1).install(|| planner.clone().prune(false).execute());
+    let seq = fresh(&pool(1), || planner.clone().execute());
+    let seq_unpruned = fresh(&pool(1), || planner.clone().prune(false).execute());
     assert_eq!(seq, seq_unpruned);
     assert_eq!(
         plan_set_fingerprint(&seq),
         plan_set_fingerprint(&seq_unpruned)
     );
     for n in [2usize, 8] {
-        let par = pool(n).install(|| planner.clone().execute());
+        let par = fresh(&pool(n), || planner.clone().execute());
         assert_eq!(par, seq, "thread count {n}");
         assert_eq!(plan_set_fingerprint(&par), plan_set_fingerprint(&seq));
     }
@@ -533,9 +545,9 @@ fn goodput_prunes_are_exact_under_failure_regimes() {
                             .objective(objective.clone())
                             .pareto(frontier.clone())
                             .top_k(k);
-                        let reference = pools[0].install(|| p.clone().prune(false).execute());
+                        let reference = fresh(&pools[0], || p.clone().prune(false).execute());
                         for (pool, n) in pools.iter().zip([1, 2, 8]) {
-                            let pruned = pool.install(|| p.execute());
+                            let pruned = fresh(pool, || p.execute());
                             assert_eq!(
                                 format!("{pruned:?}"),
                                 format!("{reference:?}"),
@@ -635,10 +647,10 @@ proptest! {
         .objective(objective_variant(objective_idx))
         .pareto(pareto_variant(pareto_idx))
         .top_k(top_k);
-        let reference = pool(1).install(|| planner.clone().prune(false).execute());
+        let reference = fresh(&pool(1), || planner.clone().prune(false).execute());
         let ref_fp = plan_set_fingerprint(&reference);
         for n in [1usize, 2, 8] {
-            let pruned = pool(n).install(|| planner.clone().execute());
+            let pruned = fresh(&pool(n), || planner.clone().execute());
             prop_assert_eq!(plan_set_fingerprint(&pruned), ref_fp);
             prop_assert_eq!(&pruned, &reference);
         }
