@@ -59,8 +59,8 @@
 //!
 //! Stage 0's work depends on the space alone, never on the query, so a
 //! process-wide store keeps it across calls: asking a space for its best
-//! plan, its ranking, its goodput optimum and its serving plan enumerates
-//! it, builds its profiles and prices its ledgers once. A hit runs only
+//! plan, its ranking and its goodput optimum enumerates it, builds its
+//! profiles and prices its ledgers once. A hit runs only
 //! the assess arithmetic and stages 2–5. [`Planner::candidates`] reads
 //! the stored list too.
 //!
