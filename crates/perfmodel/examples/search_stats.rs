@@ -1,16 +1,18 @@
 //! Profiling counters and the pool-scaling gate on the heaviest
 //! single-strategy search: the SUMMA sweep of GPT3-1T on 16384 GPUs.
 //!
-//! Runs three queries of the planner's one search pipeline back-to-back —
-//! the pruned single optimum (`best_evaluation`), the pruned top-8 +
-//! Pareto ranking (`execute`) and the unpruned full sweep
-//! (`evaluations`) — and prints per-query wall clock next to the
-//! [`perfmodel::search_stats`] deltas: space-store hits and misses, memo
-//! hits split by level (thread-local L1 vs the process-wide shared
-//! table), profile rebuild counts and time, and how many candidates each
-//! prune skipped. The first query builds the space's entry in the space
-//! store; the second and third read it. See `PERFORMANCE.md` for how
-//! these numbers feed the perf methodology.
+//! Lists the space's candidates (`candidates`), which builds the space's
+//! entry in the space store — enumeration, profile builds and memory
+//! ledgers — and times that as the `enumerate` line. Then it runs three
+//! queries of the planner's one search pipeline back-to-back — the pruned
+//! single optimum (`best_evaluation`), the pruned top-8 + Pareto ranking
+//! (`execute`) and the unpruned full sweep (`evaluations`) — and prints
+//! per-query wall clock next to the [`perfmodel::search_stats`] deltas:
+//! space-store hits and misses, memo hits split by level (thread-local L1
+//! vs the process-wide shared table), profile rebuild counts and time,
+//! and how many candidates each prune skipped. All three queries read the
+//! stored entry, so each reports one store hit and no profile builds. See
+//! `PERFORMANCE.md` for how these numbers feed the perf methodology.
 //!
 //! Then it gates pool scaling. It pins the rayon pool to 1, 2, 4 and 8
 //! threads and times the pruned single optimum at each width: one
@@ -80,12 +82,12 @@ fn main() {
         .global_batch(4096)
         .strategy(TpStrategy::Summa);
 
+    // Builds and stores the space's entry; the three queries read it.
     let t0 = Instant::now();
     let n = planner.candidates().len();
     println!("enumerate:      {n:>7} candidates in {:.2?}", t0.elapsed());
 
-    // Pruned single optimum (top 1 by iteration time, no frontier). It
-    // builds the space's entry; the two queries after it read it.
+    // Pruned single optimum (top 1 by iteration time, no frontier).
     reset_search_stats();
     let t0 = Instant::now();
     let best = planner

@@ -50,6 +50,30 @@ pub struct Evaluation {
     pub feasible: bool,
 }
 
+impl Evaluation {
+    /// The evaluation of `cfg` under `placement`, assembled from its
+    /// priced [`placement_breakdown`] and its (placement-independent)
+    /// memory ledger.
+    pub(crate) fn assemble(
+        cfg: &ParallelConfig,
+        placement: &Placement,
+        global_batch: u64,
+        breakdown: Breakdown,
+        memory: MemoryUsage,
+        sys: &SystemSpec,
+    ) -> Self {
+        Self {
+            config: *cfg,
+            placement: *placement,
+            microbatches: cfg.num_microbatches(global_batch),
+            iteration_time: breakdown.total(),
+            breakdown,
+            memory,
+            feasible: memory.fits(sys.gpu.hbm_capacity),
+        }
+    }
+}
+
 /// Resolves a parallel-group reference to its communication placement.
 ///
 /// The expert-parallel group lives inside the data-parallel dimension, so
@@ -338,7 +362,7 @@ pub fn evaluate_with_tp_overlap(
 }
 
 /// The single implementation behind [`stage_times`] and
-/// [`evaluate_placement`]: prices each pass's communication exactly once
+/// [`placement_breakdown`]: prices each pass's communication exactly once
 /// and returns `(fwd_comm, bwd_comm, tf, tb)` — the comm sums feed the
 /// breakdown's TP bucket, the stage times feed everything else. Keeping
 /// one definition means the analytic model and the `trainsim` simulator
@@ -388,63 +412,12 @@ pub fn stage_times(
     (tf, tb)
 }
 
-/// Evaluates a configuration + placement using a precomputed layer
-/// profile (the search's fast path — the profile only depends on the TP
-/// tuple and microbatch size).
-pub fn evaluate_with_profile(
-    profile: &LayerProfile,
-    model: &TransformerConfig,
-    cfg: &ParallelConfig,
-    placement: &Placement,
-    global_batch: u64,
-    sys: &SystemSpec,
-) -> Evaluation {
-    let memory = memory_usage(profile, model, cfg, global_batch);
-    evaluate_placement(profile, model, cfg, placement, global_batch, sys, memory)
-}
-
-/// Core of [`evaluate_with_profile`] with the (placement-independent)
-/// memory accounting precomputed, so the search's per-candidate placement
-/// loop prices memory once instead of once per placement.
-pub(crate) fn evaluate_placement(
-    profile: &LayerProfile,
-    model: &TransformerConfig,
-    cfg: &ParallelConfig,
-    placement: &Placement,
-    global_batch: u64,
-    sys: &SystemSpec,
-    memory: MemoryUsage,
-) -> Evaluation {
-    let sys_fp = system_fingerprint(sys);
-    let fps = PassFingerprints::of(profile);
-    let breakdown = placement_breakdown(
-        profile,
-        model,
-        cfg,
-        placement,
-        global_batch,
-        sys,
-        sys_fp,
-        fps,
-    );
-    let feasible = memory.fits(sys.gpu.hbm_capacity);
-    Evaluation {
-        config: *cfg,
-        placement: *placement,
-        microbatches: cfg.num_microbatches(global_batch),
-        iteration_time: breakdown.total(),
-        breakdown,
-        memory,
-        feasible,
-    }
-}
-
 /// The pure timing core: the full bucket [`Breakdown`] of one
 /// configuration + placement, with every per-placement-loop invariant
 /// (`sys_fp`, `fps`, the memory accounting) hoisted to the caller. The
 /// search's inner loop calls this directly — scoring a placement is then
 /// nothing but two pass-level memo probes plus a handful of multiplies —
-/// and only materializes a full [`Evaluation`] for the winning placement.
+/// and keeps the winning placement's breakdown for its [`Evaluation`].
 #[expect(
     clippy::too_many_arguments,
     reason = "the hoisted per-placement invariants are passed in, not recomputed"
@@ -892,7 +865,18 @@ pub fn evaluate(
         cfg.ep,
         &sys.gpu,
     );
-    evaluate_with_profile(&profile, model, cfg, placement, global_batch, sys)
+    let breakdown = placement_breakdown(
+        &profile,
+        model,
+        cfg,
+        placement,
+        global_batch,
+        sys,
+        system_fingerprint(sys),
+        PassFingerprints::of(&profile),
+    );
+    let memory = memory_usage(&profile, model, cfg, global_batch);
+    Evaluation::assemble(cfg, placement, global_batch, breakdown, memory, sys)
 }
 
 #[cfg(test)]

@@ -1,27 +1,25 @@
-//! Profile memoization across partition candidates (the search's S1 → S2
-//! hand-off).
+//! Profile sharing across partition candidates (the search's S1 → S2
+//! hand-off), and the search's profiling counters and pricing memo.
 //!
 //! A [`crate::plan::LayerProfile`] depends only on the TP tuple
-//! `(strategy, n1, n2, microbatch, summa_panels)` for a fixed model and
-//! GPU — not on `np`, `nd`, interleaving, ZeRO-3 or the NVS placement. The
-//! brute-force search therefore shares one profile across the whole
-//! `(np, nd, interleave, zero3, placement)` inner space instead of
-//! rebuilding it per candidate.
+//! `(strategy, n1, n2, microbatch, summa_panels, ep)` for a fixed model
+//! and GPU — not on `np`, `nd`, interleaving, ZeRO-3 or the NVS
+//! placement. The one profile build, `build_profiles`, therefore builds
+//! one profile per distinct tuple of an enumeration and hands back each
+//! candidate's index into them, so the whole `(np, nd, interleave, zero3,
+//! placement)` inner space shares it. The planner's space store
+//! (`crate::planner`) keeps the profiles, with their pass fingerprints,
+//! for each space it holds.
 //!
-//! # Cache-key invariants
+//! # Key invariants
 //!
 //! * `summa_panels` only reaches [`build_profile`] under
 //!   [`TpStrategy::Summa`]; keys normalize it to 1 for the other
-//!   strategies so aliases cannot produce duplicate cache entries.
+//!   strategies so aliases cannot build duplicate profiles.
 //! * `n2` is 1 for [`TpStrategy::OneD`] (enforced by
 //!   [`crate::ParallelConfig::validate`]); it is kept in the key verbatim.
-//! * The cache is built **once**, before the parallel fan-out, and is
-//!   read-only afterwards — lookups are lock-free `HashMap` reads shared
-//!   across worker threads.
-//!
-//! The planner's search keeps the same profiles, with their pass
-//! fingerprints and each candidate's index into them, in its space store
-//! (`crate::planner`), which `build_profiles` fills.
+//! * The profiles are built once per space, in parallel, and are read-only
+//!   afterwards, shared across the worker threads that price placements.
 
 #![expect(
     clippy::disallowed_types,
@@ -44,26 +42,26 @@ use txmodel::TransformerConfig;
 
 /// The exact subset of [`ParallelConfig`] a layer profile depends on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct ProfileKey {
+pub(crate) struct ProfileKey {
     /// Tensor-parallel strategy (1D / 2D SUMMA).
-    pub strategy: TpStrategy,
+    strategy: TpStrategy,
     /// First tensor-parallel mesh dimension.
-    pub n1: u64,
+    n1: u64,
     /// Second tensor-parallel mesh dimension.
-    pub n2: u64,
+    n2: u64,
     /// Microbatch size the profile was built for.
-    pub microbatch: u64,
+    microbatch: u64,
     /// Normalized to 1 unless `strategy == TpStrategy::Summa`.
-    pub summa_panels: u64,
+    summa_panels: u64,
     /// Expert-parallel degree (1 for dense models, enforced by
     /// [`crate::ParallelConfig::validate`]; MoE profiles depend on it via
     /// the AllToAll volumes and the local-expert shard).
-    pub ep: u64,
+    ep: u64,
 }
 
 impl ProfileKey {
     /// Canonical key of a configuration (see the module-level invariants).
-    pub fn of(cfg: &ParallelConfig) -> Self {
+    pub(crate) fn of(cfg: &ParallelConfig) -> Self {
         Self {
             strategy: cfg.strategy,
             n1: cfg.n1,
@@ -79,62 +77,16 @@ impl ProfileKey {
     }
 }
 
-/// Build-once, read-many store of layer profiles for one `(model, gpu)`.
-pub struct ProfileCache {
-    map: HashMap<ProfileKey, LayerProfile>,
-}
-
-impl ProfileCache {
-    /// Builds the profile for every distinct key among `cfgs`, fanning the
-    /// (placement-independent) constructions out over the rayon pool.
-    /// Build count and wall-clock feed the [`SearchStats`] profiling
-    /// counters.
-    pub fn build(model: &TransformerConfig, gpu: &GpuSpec, cfgs: &[ParallelConfig]) -> Self {
-        let (keys, profiles, _) = build_profiles(model, gpu, cfgs);
-        let profiles = profiles.into_iter().map(|(profile, _)| profile);
-        Self {
-            map: keys.into_iter().zip(profiles).collect(),
-        }
-    }
-
-    /// The profile shared by every candidate with `cfg`'s TP tuple.
-    ///
-    /// Panics if `cfg` was not part of the slice the cache was built from
-    /// (a caller bug: the cache is keyed per enumeration, not global).
-    #[expect(
-        clippy::panic,
-        reason = "documented API contract: the cache is built from the same enumeration the caller iterates"
-    )]
-    pub fn get(&self, cfg: &ParallelConfig) -> &LayerProfile {
-        self.map
-            .get(&ProfileKey::of(cfg))
-            .unwrap_or_else(|| panic!("no cached profile for {cfg}"))
-    }
-
-    /// Number of distinct profiles held.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when no profiles are held.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-}
-
-/// The build behind [`ProfileCache::build`] and the planner's space
-/// store: one profile (with its pass fingerprints) per distinct TP tuple
-/// among `cfgs`, in first-seen order, plus each configuration's index
-/// into them.
+/// The one profile build: one profile (with its pass fingerprints) per
+/// distinct TP tuple among `cfgs`, in first-seen order, plus each
+/// configuration's index into them. The constructions fan out over the
+/// rayon pool; their count and wall-clock time feed the [`SearchStats`]
+/// profiling counters.
 pub(crate) fn build_profiles(
     model: &TransformerConfig,
     gpu: &GpuSpec,
     cfgs: &[ParallelConfig],
-) -> (
-    Vec<ProfileKey>,
-    Vec<(LayerProfile, PassFingerprints)>,
-    Vec<u32>,
-) {
+) -> (Vec<(LayerProfile, PassFingerprints)>, Vec<u32>) {
     #[expect(
         clippy::disallowed_methods,
         reason = "the profile-build timer feeds the SearchStats counters, never a result"
@@ -171,7 +123,7 @@ pub(crate) fn build_profiles(
         .collect();
     PROFILE_BUILDS.fetch_add(keys.len() as u64, Ordering::Relaxed);
     PROFILE_BUILD_NANOS.fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-    (keys, profiles, index_of)
+    (profiles, index_of)
 }
 
 // ---------------------------------------------------------------------------
@@ -252,8 +204,8 @@ pub struct SearchStats {
     pub memo_shared_hits: u64,
     /// Probes that computed (and published) a new value.
     pub memo_misses: u64,
-    /// Layer profiles constructed by [`ProfileCache::build`] or for a
-    /// space the planner's space store does not hold.
+    /// Layer profiles constructed for a space the planner's space store
+    /// does not hold: one per distinct TP tuple of the space.
     pub profile_builds: u64,
     /// Wall-clock nanoseconds spent building those profiles.
     pub profile_build_nanos: u64,
@@ -535,11 +487,12 @@ mod tests {
             cfg(TpStrategy::OneD, 8, 1, 32, 64, 1),
             cfg(TpStrategy::OneD, 16, 1, 64, 16, 1),
         ];
-        let cache = ProfileCache::build(&model, &gpu, &cfgs);
-        assert_eq!(cache.len(), 2);
-        assert!(!cache.is_empty());
-        // Shared profiles are bit-identical to direct construction.
-        for c in &cfgs {
+        let (profiles, profile_of) = build_profiles(&model, &gpu, &cfgs);
+        assert_eq!(profiles.len(), 2);
+        assert_eq!(profile_of, [0, 0, 1]);
+        // Shared profiles and their fingerprints are bit-identical to
+        // direct construction.
+        for (c, &i) in cfgs.iter().zip(&profile_of) {
             let direct = build_profile(
                 &model,
                 c.strategy,
@@ -550,7 +503,9 @@ mod tests {
                 c.ep,
                 &gpu,
             );
-            assert_eq!(cache.get(c), &direct);
+            let (profile, fps) = &profiles[i as usize];
+            assert_eq!(profile, &direct);
+            assert_eq!(fps, &PassFingerprints::of(&direct));
         }
     }
 
@@ -623,9 +578,9 @@ mod tests {
         let model = gpt3_1t().config;
         let gpu = GpuGeneration::B200.gpu();
         let before = search_stats();
-        let cache = ProfileCache::build(&model, &gpu, &[cfg(TpStrategy::OneD, 8, 1, 64, 32, 1)]);
+        let (profiles, _) = build_profiles(&model, &gpu, &[cfg(TpStrategy::OneD, 8, 1, 64, 32, 1)]);
         let after = search_stats();
-        assert_eq!(cache.len(), 1);
+        assert_eq!(profiles.len(), 1);
         assert!(after.profile_builds > before.profile_builds);
         assert!(after.profile_build_nanos > before.profile_build_nanos);
     }
@@ -640,14 +595,5 @@ mod tests {
         let mut fewer_nics = a.clone();
         fewer_nics.nics_per_node = 1;
         assert_ne!(system_fingerprint(&a), system_fingerprint(&fewer_nics));
-    }
-
-    #[test]
-    #[should_panic(expected = "no cached profile")]
-    fn lookup_outside_build_set_panics() {
-        let model = gpt3_1t().config;
-        let gpu = GpuGeneration::B200.gpu();
-        let cache = ProfileCache::build(&model, &gpu, &[cfg(TpStrategy::OneD, 8, 1, 64, 32, 1)]);
-        let _ = cache.get(&cfg(TpStrategy::OneD, 4, 1, 64, 64, 1));
     }
 }

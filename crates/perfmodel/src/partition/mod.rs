@@ -12,7 +12,7 @@ pub mod summa;
 pub mod tp1d;
 pub mod tp2d;
 
-pub use cache::{reset_search_stats, search_stats, ProfileCache, ProfileKey, SearchStats};
+pub use cache::{reset_search_stats, search_stats, SearchStats};
 pub use common::{FLASH_BWD_FACTOR, GEMM_BWD_FACTOR, VECTOR_BWD_FACTOR};
 
 use crate::config::TpStrategy;

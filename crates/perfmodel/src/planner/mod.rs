@@ -50,9 +50,9 @@
 //! top-k or the frontier, so every result is bit-identical to the
 //! unpruned sweep's ([`SearchSpace::prune`]). Races on the shared
 //! threshold only change *which redundant work is skipped*. Each stage
-//! evaluates its batch with one work item per candidate, or — when the
-//! batch is too small to occupy the pool — one per `(candidate,
-//! placement)` pair. Skip counts are reported through
+//! evaluates its batch with one work item per candidate, which prices
+//! every placement of the candidate once and keeps the winner's breakdown
+//! ([`crate::search`]). Skip counts are reported through
 //! [`crate::search_stats`].
 //!
 //! # The space store
@@ -62,7 +62,7 @@
 //! plan, its ranking and its goodput optimum enumerates it, builds its
 //! profiles and prices its ledgers once. A hit runs only
 //! the assess arithmetic and stages 2–5. [`Planner::candidates`] reads
-//! the stored list too.
+//! the stored list too, building and storing the entry on a miss.
 //!
 //! * **Key.** The derived `Debug` text of the model, the whole
 //!   [`SystemSpec`], the [`SearchSpace`] without its `prune` flag, and the
@@ -123,19 +123,14 @@ pub use store::clear_space_store;
 pub(crate) use store::SPACE_STORE;
 pub use validate::{validate_system, ConfigError, MAX_GPU_COUNTS, MAX_SCALE};
 
-use crate::config::{ParallelConfig, Placement};
-use crate::evaluate::{
-    evaluate_placement, placement_breakdown, CandidateBounds, Evaluation, PassFingerprints,
-};
+use crate::config::ParallelConfig;
+use crate::evaluate::{CandidateBounds, Evaluation, PassFingerprints};
 use crate::memory::{inference_memory_usage, memory_usage, MemoryUsage};
 use crate::ord;
 use crate::partition::build_profile;
-use crate::partition::cache::{
-    note_bound_pruned, note_dominated_pruned, note_topk_pruned, system_fingerprint,
-};
-use crate::placement::enumerate_placements;
+use crate::partition::cache::{note_bound_pruned, note_dominated_pruned, note_topk_pruned};
 use crate::search::{best_placement_with_memory, enumerate_partitions};
-use plan::{pareto_frontier, plan_of};
+use plan::{dominates, pareto_frontier, plan_of};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::sync::{Arc, Mutex};
@@ -151,11 +146,6 @@ use txmodel::{InferenceConfig, TransformerConfig};
 /// slack turns those ties into evaluations instead of prunes, keeping the
 /// result bit-identical to the unpruned sweep.
 const PRUNE_EPS: f64 = 1e-9;
-
-/// Batch-size threshold below which a batch is fanned out over
-/// `(candidate, placement)` pairs instead of candidates (in units of the
-/// current thread count).
-const FANOUT_FACTOR: usize = 4;
 
 /// Widens `bound` upward by the relative [`PRUNE_EPS`] slack (identity on
 /// non-finite bounds). Ranking keys may be negative (maximizing
@@ -209,13 +199,10 @@ impl DominanceArchive {
 
     /// Records one evaluated point's exact key vector, dropping it if an
     /// archived point already dominates it and evicting points it
-    /// dominates (IEEE dominance, same predicate as the final frontier).
+    /// dominates ([`dominates`], the final frontier's predicate).
     /// Eviction never shrinks what the archive covers: the evicting
     /// point is componentwise no worse than the evicted one.
     fn insert(&self, kv: Vec<f64>) {
-        let dominates = |a: &[f64], b: &[f64]| {
-            a.iter().zip(b).all(|(x, y)| x <= y) && a.iter().zip(b).any(|(x, y)| x < y)
-        };
         let mut points = self.points.lock().unwrap_or_else(|e| e.into_inner());
         if points.iter().any(|p| dominates(p, &kv)) {
             return;
@@ -481,10 +468,12 @@ impl<'a> Planner<'a> {
 
     /// Enumerates the candidate configurations of the space (every
     /// `(gpus, strategy)` sub-space in declaration order), with degree
-    /// bounds and user constraints applied. Deterministic. A space the
-    /// space store holds is read from it, not enumerated again.
+    /// bounds and user constraints applied. Deterministic. The list is
+    /// read from the space's entry in the space store, which a miss builds
+    /// and stores, so a search that follows does not enumerate again.
     pub fn candidates(&self) -> Vec<ParallelConfig> {
-        let mut out = SPACE_STORE.candidates(self);
+        let entry = SPACE_STORE.entry(self);
+        let mut out = entry.candidates.clone();
         for pred in &self.constraints {
             out.retain(|c| pred(c));
         }
@@ -721,15 +710,9 @@ impl<'a> Planner<'a> {
     }
 
     /// Evaluates the entries of `batch` that `skip` lets through under
-    /// their best placement, handing each evaluation to `publish` as it
-    /// lands, and returns `(enumeration index, evaluation)` pairs in
-    /// batch order. A batch that can occupy the pool fans out one work
-    /// item per candidate; a smaller one (the "few fat candidates" shape)
-    /// fans out one per `(candidate, placement)` pair and evaluates every
-    /// entry without consulting `skip`. Both shapes pick each candidate's
-    /// first-minimum placement in placement order, the argmin
-    /// `best_placement_with_memory`'s sequential loop computes, so an
-    /// entry's evaluation is bit-identical either way.
+    /// their best placement, one work item per candidate, handing each
+    /// evaluation to `publish` as it lands, and returns `(enumeration
+    /// index, evaluation)` pairs in batch order.
     fn evaluate_batch(
         &self,
         entry: &SpaceEntry,
@@ -738,76 +721,24 @@ impl<'a> Planner<'a> {
         publish: &(dyn Fn(&Evaluation) + Sync),
     ) -> Vec<(usize, Evaluation)> {
         let global_batch = self.config.space.global_batch;
-        let threads = rayon::current_num_threads();
-        if threads == 1 || batch.len() >= threads * FANOUT_FACTOR {
-            return batch
-                .par_iter()
-                .filter_map(|c| {
-                    if skip(c) {
-                        return None;
-                    }
-                    let (profile, fps) = entry.profile(c.index);
-                    let e = best_placement_with_memory(
-                        profile,
-                        *fps,
-                        self.model,
-                        &entry.candidates[c.index],
-                        global_batch,
-                        self.system,
-                        entry.memory[c.index],
-                    );
-                    publish(&e);
-                    Some((c.index, e))
-                })
-                .collect();
-        }
-        let mut pairs: Vec<(usize, Placement)> = Vec::new();
-        let mut spans: Vec<(usize, usize)> = Vec::with_capacity(batch.len());
-        for c in batch {
-            let start = pairs.len();
-            let placements = enumerate_placements(&entry.candidates[c.index], self.system.nvs_size);
-            pairs.extend(placements.into_iter().map(|p| (c.index, p)));
-            spans.push((start, pairs.len()));
-        }
-        let sys_fp = system_fingerprint(self.system);
-        let times: Vec<f64> = pairs
-            .par_iter()
-            .map(|&(i, ref p)| {
-                let (profile, fps) = entry.profile(i);
-                placement_breakdown(
-                    profile,
-                    self.model,
-                    &entry.candidates[i],
-                    p,
-                    global_batch,
-                    self.system,
-                    sys_fp,
-                    *fps,
-                )
-                .total()
-            })
-            .collect();
         batch
-            .iter()
-            .zip(&spans)
-            .map(|(c, &(start, end))| {
-                let mut best = start;
-                for j in start + 1..end {
-                    if ord::is_improvement(times[j], times[best]) {
-                        best = j;
-                    }
+            .par_iter()
+            .filter_map(|c| {
+                if skip(c) {
+                    return None;
                 }
-                let e = evaluate_placement(
-                    &entry.profile(c.index).0,
+                let (profile, fps) = entry.profile(c.index);
+                let e = best_placement_with_memory(
+                    profile,
+                    *fps,
                     self.model,
                     &entry.candidates[c.index],
-                    &pairs[best].1,
                     global_batch,
                     self.system,
                     entry.memory[c.index],
                 );
                 publish(&e);
-                (c.index, e)
+                Some((c.index, e))
             })
             .collect()
     }

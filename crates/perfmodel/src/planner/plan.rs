@@ -148,9 +148,17 @@ pub(crate) fn plan_of(
     }
 }
 
+/// Pareto dominance of lower-is-better key vectors under IEEE
+/// comparisons: `a` dominates `b` iff every key of `a` is ≤ `b`'s and at
+/// least one is strictly `<`. Exact key ties are mutually
+/// non-dominating, and a vector with a NaN key neither dominates nor is
+/// dominated.
+pub(super) fn dominates(a: &[f64], b: &[f64]) -> bool {
+    a.iter().zip(b).all(|(x, y)| x <= y) && a.iter().zip(b).any(|(x, y)| x < y)
+}
+
 /// Exact Pareto frontier of `idx` (indices into `evals`) under the
-/// lower-is-better key vectors of `objectives`: `a` dominates `b` iff
-/// every key of `a` is ≤ `b`'s and at least one is strictly `<`. Exact
+/// lower-is-better key vectors of `objectives` and [`dominates`]. Exact
 /// key ties are mutually non-dominating, so duplicates of a frontier
 /// point all appear. Output is ordered by the first objective's key
 /// (ties keep enumeration order).
@@ -167,9 +175,6 @@ pub(crate) fn pareto_frontier(
         .iter()
         .map(|e| objectives.iter().map(|o| o.key(e, ctx)).collect())
         .collect();
-    let dominates = |a: &[f64], b: &[f64]| -> bool {
-        a.iter().zip(b).all(|(x, y)| x <= y) && a.iter().zip(b).any(|(x, y)| x < y)
-    };
     let mut frontier: Vec<usize> = Vec::new();
     for &i in idx {
         if frontier.iter().any(|&j| dominates(&keys[j], &keys[i])) {

@@ -104,7 +104,7 @@ impl SpaceEntry {
     /// candidate's memory ledger.
     fn build(p: &Planner) -> Self {
         let candidates = p.enumerate();
-        let (_, profiles, profile_of) = build_profiles(p.model, &p.system.gpu, &candidates);
+        let (profiles, profile_of) = build_profiles(p.model, &p.system.gpu, &candidates);
         let global_batch = p.config.space.global_batch;
         let memory = indices(candidates.len())
             .par_iter()
@@ -234,9 +234,10 @@ impl SpaceStore {
         self.slots.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The entry stored for `p`'s space, marked most recently used and
-    /// counted as a hit, or `None`, counted as a miss.
-    fn lookup(&self, p: &Planner) -> (Option<String>, Option<Arc<SpaceEntry>>) {
+    /// The entry for `p`'s space: the stored one, marked most recently
+    /// used and counted as a hit, or one built now, counted as a miss, and
+    /// stored.
+    pub(crate) fn entry(&self, p: &Planner) -> Arc<SpaceEntry> {
         let key = space_key(p);
         let found = key.as_deref().and_then(|key| {
             let mut slots = self.lock();
@@ -246,36 +247,16 @@ impl SpaceStore {
             slot.last_used = now;
             Some(Arc::clone(&slot.entry))
         });
-        let counter = if found.is_some() {
-            &self.hits
-        } else {
-            &self.misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        (key, found)
-    }
-
-    /// The entry for `p`'s space: the stored one, or one built now and
-    /// stored.
-    pub(crate) fn entry(&self, p: &Planner) -> Arc<SpaceEntry> {
-        let (key, found) = self.lookup(p);
         if let Some(entry) = found {
+            self.hits.fetch_add(1, Ordering::Relaxed);
             return entry;
         }
+        self.misses.fetch_add(1, Ordering::Relaxed);
         let entry = Arc::new(SpaceEntry::build(p));
         if let Some(key) = key {
             self.insert(key, Arc::clone(&entry));
         }
         entry
-    }
-
-    /// `p`'s candidates before its user predicates: the stored list, or
-    /// a fresh enumeration, which is not stored.
-    pub(crate) fn candidates(&self, p: &Planner) -> Vec<ParallelConfig> {
-        match self.lookup(p) {
-            (_, Some(entry)) => entry.candidates.clone(),
-            (_, None) => p.enumerate(),
-        }
     }
 
     /// Stores `entry` under `key`, evicting the least recently used

@@ -14,18 +14,20 @@
 //!
 //! * the enumeration of one `(gpus, strategy)` sub-space of a
 //!   [`crate::SearchSpace`], reached through [`Planner::candidates`];
-//! * the per-candidate placement loop, which scores every placement
-//!   against the candidate's cached [`LayerProfile`] (one per distinct TP
+//! * the per-candidate placement loop, which prices every placement once
+//!   against the candidate's stored [`LayerProfile`] (one per distinct TP
 //!   tuple `(strategy, n1, n2, bm, nb, ep)`, see
-//!   [`crate::partition::cache`]) and materializes the winner — exposed
-//!   for a pinned configuration as [`best_placement_eval`].
+//!   [`crate::partition::cache`]) and keeps the winner's breakdown for its
+//!   [`Evaluation`] — exposed for a pinned configuration as
+//!   [`best_placement_eval`]. Every search evaluates each candidate
+//!   through this loop, one work item per candidate.
 //!
 //! Results are deterministic and bit-identical across thread counts: the
 //! pool preserves input order, every reduction runs over the ordered
 //! results, and sorting is stable.
 
 use crate::config::{ParallelConfig, TpStrategy};
-use crate::evaluate::{evaluate_placement, placement_breakdown, Evaluation, PassFingerprints};
+use crate::evaluate::{placement_breakdown, Evaluation, PassFingerprints};
 use crate::partition::cache::system_fingerprint;
 use crate::placement::{divisors, enumerate_placements};
 use crate::plan::LayerProfile;
@@ -162,39 +164,39 @@ pub(crate) fn best_placement_with_memory(
     sys: &SystemSpec,
     memory: crate::memory::MemoryUsage,
 ) -> Evaluation {
-    let placements = enumerate_placements(cfg, sys.nvs_size);
-    // Light scoring loop: hoist the per-placement invariants (system
-    // fingerprint, and the pass fingerprints the caller passes in) and
-    // score each placement as a bare breakdown total — two pass-level
-    // memo probes each — keeping only the argmin. The full Evaluation is
-    // materialized once, for the winner. Strict `Less` keeps the first
-    // minimum on ties, matching `Iterator::min_by` over the same order
-    // bit for bit.
+    // Each placement is priced once, as a bare breakdown — two pass-level
+    // memo probes, with the system and pass fingerprints hoisted — and the
+    // winner's breakdown is kept for its Evaluation. The winner is the
+    // first minimum under `ord::is_improvement` starting from +inf, so ties
+    // keep the earlier placement; when no total improves on +inf, it is
+    // the first placement.
     let sys_fp = system_fingerprint(sys);
-    let mut best = 0;
     let mut best_t = f64::INFINITY;
-    for (i, p) in placements.iter().enumerate() {
-        let t = placement_breakdown(profile, model, cfg, p, global_batch, sys, sys_fp, fps).total();
-        if crate::ord::is_improvement(t, best_t) {
-            best = i;
-            best_t = t;
+    let mut winner = None;
+    for p in enumerate_placements(cfg, sys.nvs_size) {
+        let breakdown =
+            placement_breakdown(profile, model, cfg, &p, global_batch, sys, sys_fp, fps);
+        let improves = crate::ord::is_improvement(breakdown.total(), best_t);
+        if improves {
+            best_t = breakdown.total();
+        }
+        if improves || winner.is_none() {
+            winner = Some((p, breakdown));
         }
     }
     #[expect(
         clippy::expect_used,
-        reason = "enumerate_placements always yields the trivial placement, so index 0 exists"
+        reason = "enumerate_placements always yields the trivial placement"
     )]
-    let winner = placements
-        .get(best)
-        .expect("at least the trivial placement exists");
-    evaluate_placement(profile, model, cfg, winner, global_batch, sys, memory)
+    let (placement, breakdown) = winner.expect("at least the trivial placement exists");
+    Evaluation::assemble(cfg, &placement, global_batch, breakdown, memory, sys)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ord::time_cmp;
-    use crate::partition::ProfileCache;
+    use crate::partition::cache::build_profiles;
     use systems::{system, GpuGeneration, NvsSize};
     use txmodel::{gpt3_1t, vit_64k};
 
@@ -508,18 +510,18 @@ mod tests {
 
     #[test]
     fn moe_search_reuses_profiles_like_dense() {
-        // Search-cost guard: the ProfileCache still collapses the
+        // Search-cost guard: one profile per TP tuple still collapses the
         // (np, nd, interleave, zero3, placement) inner space — the
         // distinct-profile count is bounded by (n1 choices) × (bm
         // choices) × (ep choices), orders of magnitude below the
         // candidate count.
         let model = txmodel::moe_1t().config;
         let parts = partitions(&model, 512, TpStrategy::OneD);
-        let cache = ProfileCache::build(&model, &b200_nvs8().gpu, &parts);
+        let (profiles, _) = build_profiles(&model, &b200_nvs8().gpu, &parts);
         assert!(
-            cache.len() * 4 < parts.len(),
+            profiles.len() * 4 < parts.len(),
             "{} profiles for {} candidates",
-            cache.len(),
+            profiles.len(),
             parts.len()
         );
     }

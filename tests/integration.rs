@@ -22,16 +22,32 @@ fn best_config(
 
 #[test]
 fn end_to_end_gpt_plan_is_consistent() {
-    let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
-    let model = gpt3_1t().config;
-    let best = best_config(&model, &sys, 2048, TpStrategy::OneD).expect("feasible");
-    // Re-evaluating the returned configuration + placement must give the
-    // same numbers (the search reports real evaluations).
-    let re = evaluate(&model, &best.config, &best.placement, 4096, &sys);
-    assert!((re.iteration_time - best.iteration_time).abs() < 1e-12);
-    assert_eq!(re.memory, best.memory);
-    // And the breakdown must account for the whole iteration.
-    assert!((re.breakdown.total() - re.iteration_time).abs() / re.iteration_time < 1e-12);
+    // Every evaluation the search reports, infeasible ones included, is
+    // the from-scratch evaluation of its configuration and placement, bit
+    // for bit: the search keeps the breakdown its placement loop priced.
+    // `Debug` text prints every f64 in its shortest round-trip form and a
+    // NaN as `NaN`, so the NaN network input compares exactly where `==`
+    // would fail.
+    let b200 = system(GpuGeneration::B200, NvsSize::Nvs8);
+    let mut nan_ib = b200.clone();
+    nan_ib.network.ib_bandwidth = f64::NAN;
+    for (model, sys, gpus, strategy) in [
+        (gpt3_1t().config, &b200, 64, TpStrategy::Summa),
+        (moe_1t().config, &b200, 256, TpStrategy::OneD),
+        (gpt3_175b().config, &nan_ib, 128, TpStrategy::OneD),
+    ] {
+        let evals = Planner::new(&model, sys)
+            .gpus(gpus)
+            .global_batch(4096)
+            .strategy(strategy)
+            .include_infeasible(true)
+            .evaluations();
+        assert!(!evals.is_empty());
+        for e in &evals {
+            let re = evaluate(&model, &e.config, &e.placement, 4096, sys);
+            assert_eq!(format!("{re:?}"), format!("{e:?}"), "{}", e.config);
+        }
+    }
 }
 
 #[test]

@@ -4,7 +4,8 @@
 //! after `clear_space_store`, at 1, 2 and 8 worker threads; spaces that
 //! differ in one input each get their own entry; a NaN input bypasses
 //! the store; constrained and unconstrained planners share an entry in
-//! either order; and concurrent searches agree with sequential ones.
+//! either order; `Planner::candidates` stores the entry a search after it
+//! reads; and concurrent searches agree with sequential ones.
 //!
 //! The store and its counters are process-wide, so every test here holds
 //! [`serial`] for its whole body: the counter deltas each test asserts
@@ -255,6 +256,27 @@ fn constrained_and_unconstrained_planners_share_an_entry() {
             "the second planner reads the first one's entry"
         );
     }
+}
+
+#[test]
+fn candidates_store_the_entry_the_search_reads() {
+    let _serial = serial();
+    let (model, sys) = (gpt3_175b().config, b200());
+    let p = training(&model, &sys);
+    clear_space_store();
+    let cold = format!("{:?}", p.best_evaluation());
+    clear_space_store();
+    let (h0, m0) = hits_misses();
+    let candidates = p.candidates();
+    let best = format!("{:?}", p.best_evaluation());
+    let (h1, m1) = hits_misses();
+    assert!(!candidates.is_empty());
+    assert_eq!(
+        (h1 - h0, m1 - m0),
+        (1, 1),
+        "candidates() builds the entry and the search reads it"
+    );
+    assert_eq!(best, cold);
 }
 
 #[test]
