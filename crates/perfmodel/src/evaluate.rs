@@ -92,12 +92,28 @@ fn comm_group(group: TpGroup, cfg: &ParallelConfig, placement: &Placement) -> Co
     }
 }
 
+/// Time of one [`CommPattern::Exposed`] collective over an
+/// already-resolved group: AllReduce and AllToAll under the
+/// configuration's [`Algorithm`] policy (`Auto` = NCCL-style
+/// fastest-of-three, and ring vs pairwise for the MoE dispatch/combine
+/// AllToAll); every other collective runs rings, as in NCCL. The one
+/// definition behind [`exposed_time`] and [`pattern_lower_bound`].
+fn collective_dispatch(
+    coll: Collective,
+    volume: f64,
+    algo: Algorithm,
+    grp: CommGroup,
+    sys: &SystemSpec,
+) -> f64 {
+    match coll {
+        Collective::AllReduce => allreduce_time(algo, volume, grp, sys),
+        Collective::AllToAll => alltoall_time(algo, volume, grp, sys),
+        _ => collective_time(coll, volume, grp, sys),
+    }
+}
+
 /// Exposed time of one [`CommPattern::Exposed`] collective over an
-/// already-resolved group.
-///
-/// AllReduce patterns are priced under the configuration's
-/// [`Algorithm`] policy (`Auto` = NCCL-style fastest-of-three); every
-/// other collective runs rings, as in NCCL.
+/// already-resolved group ([`collective_dispatch`]).
 ///
 /// The heavyweight pricings — policy-dispatched AllReduce/AllToAll — are
 /// memoized ([`memo_f64`]) on `(algorithm, volume, group, system)`: the
@@ -105,10 +121,7 @@ fn comm_group(group: TpGroup, cfg: &ParallelConfig, placement: &Placement) -> Co
 /// placement)` candidate sharing a TP tuple, so hit rates are high and
 /// hits are bit-identical. Plain ring AG/RS/Broadcast formulas cost less
 /// than a cache probe and are computed directly. `sys_fp` is the caller's
-/// hoisted [`system_fingerprint`]. Taking the resolved [`CommGroup`]
-/// (rather than a placement) lets the branch-and-bound lower bound price
-/// *hypothetical* best-case groups through the same memo entries real
-/// placements use.
+/// hoisted [`system_fingerprint`].
 fn exposed_time(
     coll: Collective,
     volume: f64,
@@ -117,37 +130,49 @@ fn exposed_time(
     sys: &SystemSpec,
     sys_fp: u64,
 ) -> f64 {
-    match coll {
-        Collective::AllReduce => {
-            let key = fnv([
-                0x45, // "E"xposed
-                algo as u64,
-                volume.to_bits(),
-                grp.size(),
-                grp.per_domain(),
-                sys_fp,
-            ]);
-            memo_f64(key, || allreduce_time(algo, volume, grp, sys))
-        }
-        Collective::AllToAll => {
-            // MoE dispatch/combine: ring vs pairwise under the same
-            // policy knob (Auto = fastest, as NCCL would pick).
-            let key = fnv([
-                0x41, // "A"lltoall
-                algo as u64,
-                volume.to_bits(),
-                grp.size(),
-                grp.per_domain(),
-                sys_fp,
-            ]);
-            memo_f64(key, || alltoall_time(algo, volume, grp, sys))
-        }
-        _ => collective_time(coll, volume, grp, sys),
+    let tag = match coll {
+        Collective::AllReduce => 0x45, // "E"xposed
+        Collective::AllToAll => 0x41,  // "A"lltoall
+        _ => return collective_dispatch(coll, volume, algo, grp, sys),
+    };
+    let key = fnv([
+        tag,
+        algo as u64,
+        volume.to_bits(),
+        grp.size(),
+        grp.per_domain(),
+        sys_fp,
+    ]);
+    memo_f64(key, || collective_dispatch(coll, volume, algo, grp, sys))
+}
+
+/// One SUMMA panel broadcast over `grp`: the per-step communication of
+/// one operand of a [`CommPattern::SummaOverlapped`] schedule. `vol`
+/// carries the `(g−1)/g` received factor; the broadcast of one panel
+/// moves the full panel tensor, so the factor is undone. Zero for a
+/// single-GPU group or a non-positive volume.
+fn panel_broadcast(vol: f64, panels: u64, grp: CommGroup, sys: &SystemSpec) -> f64 {
+    if grp.size() <= 1 || vol <= 0.0 {
+        return 0.0;
     }
+    let n = grp.size() as f64;
+    let tensor = vol * n / (n - 1.0) / panels.max(1) as f64;
+    collective_time(Collective::Broadcast, tensor, grp, sys)
+}
+
+/// The SUMMA panel schedule's exposed time for a per-step communication
+/// cost `step_comm`: the prologue (first panel fully exposed) plus the
+/// remainder of each later panel's broadcasts after overlapping with the
+/// panel's compute. Non-decreasing in `step_comm`, which is what lets
+/// [`pattern_lower_bound`] minimise the step cost before applying it.
+fn panel_schedule(step_comm: f64, panels: u64, panel_compute: f64) -> f64 {
+    let panels = panels.max(1) as f64;
+    step_comm + (panels - 1.0) * (step_comm - panel_compute).max(0.0)
 }
 
 /// Exposed time of one [`CommPattern::SummaOverlapped`] panel schedule
-/// over already-resolved groups (memoized like [`exposed_time`]).
+/// over already-resolved groups: [`panel_schedule`] of the two
+/// [`panel_broadcast`]s, memoized like [`exposed_time`].
 #[expect(
     clippy::too_many_arguments,
     reason = "the two panel broadcasts each need their volume and group"
@@ -175,22 +200,9 @@ fn summa_time(
         sys_fp,
     ]);
     memo_f64(key, || {
-        let panels = panels.max(1) as f64;
-        // `vol_*` carry the (g−1)/g received factor; the broadcast
-        // of one panel moves the full panel tensor, so undo the
-        // factor.
-        let per_step = |vol: f64, grp: CommGroup| -> f64 {
-            if grp.size() <= 1 || vol <= 0.0 {
-                return 0.0;
-            }
-            let n = grp.size() as f64;
-            let tensor = vol * n / (n - 1.0) / panels;
-            collective_time(Collective::Broadcast, tensor, grp, sys)
-        };
-        let step_comm = per_step(vol_a, grp_a) + per_step(vol_b, grp_b);
-        // Prologue (first panel fully exposed) + exposed remainder
-        // of each subsequent panel after overlapping with compute.
-        step_comm + (panels - 1.0) * (step_comm - panel_compute).max(0.0)
+        let step_comm =
+            panel_broadcast(vol_a, panels, grp_a, sys) + panel_broadcast(vol_b, panels, grp_b, sys);
+        panel_schedule(step_comm, panels, panel_compute)
     })
 }
 
@@ -605,6 +617,8 @@ pub fn largest_divisor_at_most(n: u64, cap: u64) -> u64 {
 /// domain assignment — the per-pattern piece of the branch-and-bound
 /// lower bound.
 ///
+/// # Admissibility
+///
 /// For each group the real placement choices are divisors `v` of the
 /// group size with `v1·v2·vp·vd ≤ budget` jointly; this relaxes to every
 /// divisor `d ≤ budget` **independently per group** (a superset: any
@@ -613,46 +627,71 @@ pub fn largest_divisor_at_most(n: u64, cap: u64) -> u64 {
 /// also a divisor of `ep` that is ≤ budget). Minimizing over the superset
 /// can only go lower, so the bound is admissible *without* assuming the
 /// collective models are monotone in the per-domain share — which the
-/// hierarchical AllReduce is not. SUMMA patterns minimize over the
-/// cartesian product of both groups' options for the same reason.
+/// hierarchical AllReduce is not. SUMMA patterns relax both groups
+/// independently for the same reason: their minimum is taken over the
+/// cartesian product of both groups' shares.
 ///
-/// Pricing goes through the same memoized [`exposed_time`] /
-/// [`summa_time`] helpers as real placements, so bound probes warm the
-/// memo for the survivors' full evaluation.
+/// # The per-group SUMMA minimum
+///
+/// A SUMMA pattern at shares `(da, db)` costs `S(a(da) + b(db))`, where
+/// `a` and `b` are the two operands' [`panel_broadcast`]s and `S` is
+/// [`panel_schedule`], `S(s) = s + (P−1)·max(s − c, 0)`. `S` never
+/// decreases as `s` rises: IEEE subtraction of a constant, `max`,
+/// multiplication by the non-negative `P − 1` and addition are each
+/// monotone. IEEE addition is monotone in each operand too, so the
+/// cheapest broadcast over group A's shares plus the cheapest over group
+/// B's gives the smallest step sum, and `S` of it is the cartesian
+/// minimum: |A| + |B| broadcasts replace |A|·|B| schedules.
+///
+/// The two forms agree bit for bit wherever the cartesian minimum is
+/// finite. A finite minimum is `S` of a finite step sum, so some share of
+/// each group prices finite, and no share prices `-inf` (`S(-inf)` is
+/// `-inf`, which would be the minimum). Both per-group minima are then
+/// finite (`f64::min` skips a NaN share, as the cartesian loop skips the
+/// NaN pairs it makes), their sum is the smallest step sum the loop sees,
+/// and the loop evaluates `S` at that very pair. Where the cartesian
+/// minimum is `+inf` — every share of a group prices NaN or `+inf` at one
+/// panel, so the cartesian form skips every pair as NaN — the per-group
+/// form can compute `inf + 0·inf`, a NaN, and a NaN bound never prunes
+/// (`crate::ord::exceeds_bound`). The test
+/// `summa_group_minimum_matches_the_cartesian_loop` pins this against a
+/// copy of the cartesian loop, on systems with hostile network fields.
+///
+/// # Direct pricing
+///
+/// Every share is priced directly ([`collective_dispatch`],
+/// [`panel_broadcast`]), not through the memo behind [`exposed_time`]
+/// and [`summa_time`]: in a cold perfbench `plan` pass the bound probes
+/// of the GPT3-1T SUMMA 16,384-GPU space were 82,052 of the pass's
+/// 84,730 memo misses, and later evaluations read fewer than one in ten
+/// of them back. The pass-level sum keeps its own memo entry
+/// ([`pass_comm_lower_bound`]).
 fn pattern_lower_bound(
     pattern: &CommPattern,
     cfg: &ParallelConfig,
     budget: u64,
     sys: &SystemSpec,
-    sys_fp: u64,
 ) -> f64 {
     let group_size = |g: TpGroup| match g {
         TpGroup::N1 => cfg.n1,
         TpGroup::N2 => cfg.n2,
         TpGroup::Ep => cfg.ep,
     };
+    // Every share of a group of `n` GPUs the relaxation allows.
+    let shares = |n: u64| {
+        divisors(n)
+            .into_iter()
+            .filter(|&d| d <= budget)
+            .map(move |d| CommGroup::new(n, d))
+    };
     match pattern {
         CommPattern::Exposed {
             coll,
             volume,
             group,
-        } => {
-            let n = group_size(*group);
-            divisors(n)
-                .into_iter()
-                .filter(|&d| d <= budget)
-                .map(|d| {
-                    exposed_time(
-                        *coll,
-                        *volume,
-                        cfg.comm_algo,
-                        CommGroup::new(n, d),
-                        sys,
-                        sys_fp,
-                    )
-                })
-                .fold(f64::INFINITY, f64::min)
-        }
+        } => shares(group_size(*group))
+            .map(|grp| collective_dispatch(*coll, *volume, cfg.comm_algo, grp, sys))
+            .fold(f64::INFINITY, f64::min),
         CommPattern::SummaOverlapped {
             vol_a,
             group_a,
@@ -661,34 +700,24 @@ fn pattern_lower_bound(
             panels,
             panel_compute,
         } => {
-            let na = group_size(*group_a);
-            let nb = group_size(*group_b);
-            let dbs: Vec<u64> = divisors(nb).into_iter().filter(|&d| d <= budget).collect();
-            let mut best = f64::INFINITY;
-            for da in divisors(na).into_iter().filter(|&d| d <= budget) {
-                for &db in &dbs {
-                    best = best.min(summa_time(
-                        *vol_a,
-                        *vol_b,
-                        *panels,
-                        *panel_compute,
-                        CommGroup::new(na, da),
-                        CommGroup::new(nb, db),
-                        sys,
-                        sys_fp,
-                    ));
-                }
-            }
-            best
+            let cheapest = |vol: f64, group: TpGroup| {
+                shares(group_size(group))
+                    .map(|grp| panel_broadcast(vol, *panels, grp, sys))
+                    .fold(f64::INFINITY, f64::min)
+            };
+            let step_comm = cheapest(*vol_a, *group_a) + cheapest(*vol_b, *group_b);
+            panel_schedule(step_comm, *panels, *panel_compute)
         }
     }
 }
 
 /// Sum of [`pattern_lower_bound`] over one pass, memoized under the
 /// `0x4C` key (pass fingerprint × candidate group sizes × domain budget —
-/// no placement fields, since the bound quantifies over all of them).
-/// A per-pass sum of per-pattern minima is itself a valid lower bound on
-/// the per-pass minimum: `Σᵢ minₚ tᵢ(p) ≤ minₚ Σᵢ tᵢ(p)`.
+/// no placement fields, since the bound quantifies over all of them, and
+/// no GPU count or space, so every space with the same TP tuple on the
+/// same system shares the entry: `figa4`'s 216 searches read it across
+/// GPU counts). A per-pass sum of per-pattern minima is itself a valid
+/// lower bound on the per-pass minimum: `Σᵢ minₚ tᵢ(p) ≤ minₚ Σᵢ tᵢ(p)`.
 fn pass_comm_lower_bound(
     comms: &[CommPattern],
     pass_fp: u64,
@@ -713,7 +742,7 @@ fn pass_comm_lower_bound(
     memo_f64(key, || {
         comms
             .iter()
-            .map(|p| pattern_lower_bound(p, cfg, budget, sys, sys_fp))
+            .map(|p| pattern_lower_bound(p, cfg, budget, sys))
             .sum()
     })
 }
@@ -1074,6 +1103,138 @@ mod tests {
         // Clamping.
         let over = evaluate_with_tp_overlap(&model, &cfg, &pl, 4096, &s, 7.0);
         assert_eq!(over.breakdown.tp_comm, 0.0);
+    }
+
+    /// The SUMMA bound as the search computed it before the per-group
+    /// minimum, minus the memo: the panel schedule of every pair of
+    /// shares, minimised in `(da, db)` order. The reference
+    /// [`pattern_lower_bound`] is pinned against.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "a SUMMA pattern's fields plus both group sizes, the budget and the system"
+    )]
+    fn cartesian_summa_bound(
+        vol_a: f64,
+        vol_b: f64,
+        panels: u64,
+        panel_compute: f64,
+        na: u64,
+        nb: u64,
+        budget: u64,
+        sys: &SystemSpec,
+    ) -> f64 {
+        let schedule = |grp_a: CommGroup, grp_b: CommGroup| {
+            let panels = panels.max(1) as f64;
+            let per_step = |vol: f64, grp: CommGroup| -> f64 {
+                if grp.size() <= 1 || vol <= 0.0 {
+                    return 0.0;
+                }
+                let n = grp.size() as f64;
+                let tensor = vol * n / (n - 1.0) / panels;
+                collective_time(Collective::Broadcast, tensor, grp, sys)
+            };
+            let step_comm = per_step(vol_a, grp_a) + per_step(vol_b, grp_b);
+            step_comm + (panels - 1.0) * (step_comm - panel_compute).max(0.0)
+        };
+        let dbs: Vec<u64> = divisors(nb).into_iter().filter(|&d| d <= budget).collect();
+        let mut best = f64::INFINITY;
+        for da in divisors(na).into_iter().filter(|&d| d <= budget) {
+            for &db in &dbs {
+                best = best.min(schedule(CommGroup::new(na, da), CommGroup::new(nb, db)));
+            }
+        }
+        best
+    }
+
+    /// A SUMMA pattern over the `n1 × n2` mesh of `cfg`.
+    fn summa_pattern(vol_a: f64, vol_b: f64, panels: u64, panel_compute: f64) -> CommPattern {
+        CommPattern::SummaOverlapped {
+            vol_a,
+            group_a: TpGroup::N1,
+            vol_b,
+            group_b: TpGroup::N2,
+            panels,
+            panel_compute,
+        }
+    }
+
+    /// Hostile and edge values the property test draws from.
+    const EDGES: [f64; 9] = [
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        0.0,
+        -0.0,
+        -3.5e9,
+        -1e-6,
+        1e-300,
+        1e300,
+    ];
+
+    /// `EDGES[pick]` when `pick` indexes it, else the ordinary `x`.
+    fn edge_or(pick: usize, x: f64) -> f64 {
+        EDGES.get(pick).copied().unwrap_or(x)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(20_000))]
+
+        /// The per-group SUMMA minimum equals the cartesian loop bit for
+        /// bit wherever the loop's minimum is not `+inf`; where it is,
+        /// the per-group form is `+inf` or NaN (a NaN bound never
+        /// prunes). Volumes, panel compute and one network field of a
+        /// catalog system are drawn from hostile values half the time.
+        #[test]
+        fn summa_group_minimum_matches_the_cartesian_loop(
+            vol_a_pick in 0usize..18,
+            vol_a in 1e3f64..1e12,
+            vol_b_pick in 0usize..18,
+            vol_b in 1e3f64..1e12,
+            panels in 0u64..=32,
+            compute_pick in 0usize..18,
+            panel_compute in 1e-9f64..1e-1,
+            na in 1u64..=64,
+            nb in 1u64..=64,
+            budget in 1u64..=64,
+            base in 0usize..3,
+            field in 0usize..10,
+            field_pick in 0usize..9,
+        ) {
+            let mut sys = [
+                system(GpuGeneration::B200, NvsSize::Nvs8),
+                system(GpuGeneration::A100, NvsSize::Nvs4),
+                system(GpuGeneration::H200, NvsSize::Nvs64),
+            ][base]
+                .clone();
+            let net = &mut sys.network;
+            if let Some(f) = [
+                &mut net.nvs_bandwidth,
+                &mut net.nvs_latency,
+                &mut net.ib_bandwidth,
+                &mut net.ib_latency,
+                &mut net.bandwidth_efficiency,
+            ]
+            .into_iter()
+            .nth(field)
+            {
+                *f = EDGES[field_pick];
+            }
+            let (vol_a, vol_b) = (edge_or(vol_a_pick, vol_a), edge_or(vol_b_pick, vol_b));
+            let panel_compute = edge_or(compute_pick, panel_compute);
+            let cfg = ParallelConfig::new(TpStrategy::Summa, na, nb, 1, 1, 1);
+            let pattern = summa_pattern(vol_a, vol_b, panels, panel_compute);
+            let bound = pattern_lower_bound(&pattern, &cfg, budget, &sys);
+            let reference =
+                cartesian_summa_bound(vol_a, vol_b, panels, panel_compute, na, nb, budget, &sys);
+            if reference == f64::INFINITY {
+                proptest::prop_assert!(
+                    bound == f64::INFINITY || bound.is_nan(),
+                    "reference +inf, bound {bound}"
+                );
+            } else {
+                proptest::prop_assert_eq!(bound.to_bits(), reference.to_bits());
+            }
+        }
     }
 
     #[test]

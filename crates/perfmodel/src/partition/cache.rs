@@ -162,6 +162,12 @@ pub(crate) fn build_profiles(
 //   `crate::evaluate`): `(pass fingerprint, algo, n1, n2, ep, placement
 //   projection or domain budget, system fingerprint)`.
 //
+// Evaluations write all four kinds. A lower bound writes only `0x4C`: it
+// prices each hypothetical domain share directly, without the per-pattern
+// keys, because later evaluations read back few of those shares. The
+// `0x4C` key names no GPU count and no search space, so every space with
+// the same TP tuple on the same system shares it.
+//
 // The system fingerprint ([`system_fingerprint`]) folds every network
 // parameter a collective time reads, so one process can price many
 // systems against one shared memo.
@@ -191,10 +197,11 @@ pub(crate) fn build_profiles(
 /// feeds each counter: the three store counters from the lookup that
 /// starts every search and every [`crate::Planner::candidates`] call;
 /// the profile counters from the profile build of a space the store
-/// does not hold; the memo counters from the lower bounds computed for
-/// such a space and from every evaluation (seeds, sweep, or the unpruned
-/// sweep); the three prune counters from the eliminate and sweep stages,
-/// split by query kind as each field says.
+/// does not hold; the memo counters from the pass-level lower bounds
+/// computed for such a space (one probe per pass) and from every
+/// evaluation (seeds, sweep, or the unpruned sweep); the three prune
+/// counters from the eliminate and sweep stages, split by query kind as
+/// each field says.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Collective-time memo probes answered by the thread-local L1.

@@ -48,7 +48,9 @@
 //!
 //! Every prune is exact: a skipped candidate provably cannot enter the
 //! top-k or the frontier, so every result is bit-identical to the
-//! unpruned sweep's ([`SearchSpace::prune`]). Races on the shared
+//! unpruned sweep's ([`SearchSpace::prune`]). The bounds assume finite,
+//! non-negative collective times, so a query on a network that
+//! [`validate_system`] rejects does not prune at all. Races on the shared
 //! threshold only change *which redundant work is skipped*. Each stage
 //! evaluates its batch with one work item per candidate, which prices
 //! every placement of the candidate once and keeps the winner's breakdown
@@ -573,7 +575,8 @@ impl<'a> Planner<'a> {
         let prune = q.prune
             && !q.keep_infeasible
             && q.objective.bounds_key()
-            && q.frontier.iter().all(Objective::bounds_key);
+            && q.frontier.iter().all(Objective::bounds_key)
+            && validate::validate_network(&self.system.network).is_ok();
 
         // Stage 1 (assess): the user constraints and the memory gate over
         // the stored candidates and ledgers; when the query prunes, its
@@ -789,10 +792,12 @@ impl<'a> Planner<'a> {
     /// Deterministic and thread-count invariant.
     ///
     /// The pipeline prunes when [`SearchSpace::prune`] is on (the
-    /// default), infeasible candidates are not kept, and every selected
-    /// objective admits an admissible key bound: candidates provably
-    /// outside the top-k *and* off the frontier skip their placement
-    /// loops, and every skip counts as `topk_pruned` in
+    /// default), infeasible candidates are not kept, the system's network
+    /// passes the checks of [`validate_system`] (every bandwidth positive
+    /// and finite, every latency non-negative and finite), and every
+    /// selected objective admits an admissible key bound: candidates
+    /// provably outside the top-k *and* off the frontier skip their
+    /// placement loops, and every skip counts as `topk_pruned` in
     /// [`crate::search_stats`]. The `PlanSet` — counts, ranking,
     /// frontier, every score — is bit-identical either way.
     ///

@@ -196,7 +196,12 @@ impl SearchSpace {
     /// candidates, and the two objectives without an admissible bound,
     /// [`crate::Objective::TokensPerSecPerGpu`] and
     /// [`crate::Objective::ServingSlo`]. Every training objective prunes,
-    /// the goodput pair included.
+    /// the goodput pair included. No query prunes on a network that
+    /// [`crate::planner::validate_system`] rejects (a bandwidth that is
+    /// not positive and finite, a latency that is negative or not
+    /// finite): the time bound assumes every collective time is finite
+    /// and non-negative, so every candidate of such a system is
+    /// evaluated. The reliability fields do not gate pruning.
     pub fn prune(mut self, yes: bool) -> Self {
         self.prune = yes;
         self

@@ -14,7 +14,7 @@
 
 use super::{LexStage, Objective, PlannerConfig, WeightedTerm};
 use serde::{Deserialize, Serialize};
-use systems::SystemSpec;
+use systems::{NetworkSpec, SystemSpec};
 
 /// Largest GPU count / global batch a replayed configuration may ask
 /// for: enumeration work grows with the divisor structure of these, so
@@ -249,13 +249,13 @@ impl PlannerConfig {
     }
 }
 
-/// Vets the numeric [`SystemSpec`] fields the planner's scoring context
-/// consumes: network bandwidths/latencies and the reliability rates the
-/// goodput objectives feed into the checkpoint-interval solver. (The
-/// catalog constructors always satisfy this; a hand-built or deserialized
-/// spec may not.)
-pub fn validate_system(sys: &SystemSpec) -> Result<(), ConfigError> {
-    let n = &sys.network;
+/// Vets the network fields every collective time reads: bandwidths and
+/// the bandwidth efficiency positive and finite, latencies non-negative
+/// and finite. On a network that passes, every priced collective is
+/// finite and non-negative, which the search's time bound assumes
+/// (`crate::evaluate::iteration_time_lower_bound`), so the planner prunes
+/// only on such a network and sweeps every candidate on any other.
+pub(crate) fn validate_network(n: &NetworkSpec) -> Result<(), ConfigError> {
     positive(n.nvs_bandwidth, "system.network.nvs_bandwidth")?;
     non_negative(n.nvs_latency, "system.network.nvs_latency")?;
     positive(n.ib_bandwidth, "system.network.ib_bandwidth")?;
@@ -263,7 +263,16 @@ pub fn validate_system(sys: &SystemSpec) -> Result<(), ConfigError> {
     positive(
         n.bandwidth_efficiency,
         "system.network.bandwidth_efficiency",
-    )?;
+    )
+}
+
+/// Vets the numeric [`SystemSpec`] fields the planner's scoring context
+/// consumes: network bandwidths/latencies and the reliability rates the
+/// goodput objectives feed into the checkpoint-interval solver. (The
+/// catalog constructors always satisfy this; a hand-built or deserialized
+/// spec may not.)
+pub fn validate_system(sys: &SystemSpec) -> Result<(), ConfigError> {
+    validate_network(&sys.network)?;
     let r = &sys.reliability;
     non_negative(r.gpu_mtbf_hours, "system.reliability.gpu_mtbf_hours")?;
     non_negative(r.nic_mtbf_hours, "system.reliability.nic_mtbf_hours")?;

@@ -32,7 +32,7 @@ use perfmodel::clear_space_store;
 use perfmodel::ord::time_cmp;
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
-use systems::SystemSpec;
+use systems::{NetworkSpec, SystemSpec};
 use txmodel::TransformerConfig;
 
 fn b200_nvs8() -> SystemSpec {
@@ -609,6 +609,69 @@ fn goodput_pruning_skips_most_of_the_summa_space() {
             "{:?}: skipped {skipped} of {total}",
             p.config().objective
         );
+    }
+}
+
+/// Network fields `validate_system` rejects: a zero slow-tier bandwidth
+/// (every cross-domain collective then takes `+inf`), a NaN fast-tier
+/// bandwidth, a NaN slow-tier latency and an infinite fast-tier latency.
+/// `execute` and `best_evaluation` do not validate the system, so these
+/// reach the search; its time bound assumes finite, non-negative
+/// collective times, so the planner must not prune on them.
+fn hostile_networks() -> [(&'static str, SystemSpec); 4] {
+    let with = |edit: fn(&mut NetworkSpec)| {
+        let mut sys = b200_nvs8();
+        edit(&mut sys.network);
+        sys
+    };
+    [
+        ("ib_bandwidth = 0", with(|n| n.ib_bandwidth = 0.0)),
+        ("nvs_bandwidth = NaN", with(|n| n.nvs_bandwidth = f64::NAN)),
+        ("ib_latency = NaN", with(|n| n.ib_latency = f64::NAN)),
+        (
+            "nvs_latency = +inf",
+            with(|n| n.nvs_latency = f64::INFINITY),
+        ),
+    ]
+}
+
+#[test]
+fn prunes_are_exact_on_hostile_networks() {
+    // On every hostile network, a 1D and a SUMMA space of GPT3-175B: the
+    // single optimum equals the unpruned sweep's first minimum, and the
+    // top-4 + [IterationTime, HbmHeadroom] PlanSet equals the unpruned
+    // one, at 1, 2 and 8 workers. Compared through `Debug`, which treats
+    // NaN as equal to NaN.
+    let model = gpt3_175b().config;
+    let pools = [pool(1), pool(2), pool(8)];
+    for (what, sys) in hostile_networks() {
+        for strategy in [TpStrategy::OneD, TpStrategy::Summa] {
+            let p = planner(&model, &sys, 128, 1024, strategy);
+            let ranked = p
+                .clone()
+                .top_k(4)
+                .pareto([Objective::IterationTime, Objective::HbmHeadroom]);
+            let first_minimum = fresh(&pools[0], || {
+                let mut sweep = p.evaluations();
+                sweep.sort_by(|a, b| time_cmp(a.iteration_time, b.iteration_time));
+                sweep.into_iter().next()
+            });
+            let unpruned = fresh(&pools[0], || ranked.clone().prune(false).execute());
+            for (pool, n) in pools.iter().zip([1, 2, 8]) {
+                let best = fresh(pool, || p.best_evaluation());
+                assert_eq!(
+                    format!("{best:?}"),
+                    format!("{first_minimum:?}"),
+                    "{what}, {strategy:?}: best_evaluation at {n} threads"
+                );
+                let plans = fresh(pool, || ranked.execute());
+                assert_eq!(
+                    format!("{plans:?}"),
+                    format!("{unpruned:?}"),
+                    "{what}, {strategy:?}: top-4 + Pareto at {n} threads"
+                );
+            }
+        }
     }
 }
 
