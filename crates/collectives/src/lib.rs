@@ -205,7 +205,9 @@ fn ring_latency(group: CommGroup, sys: &SystemSpec) -> f64 {
 
 /// Effective bottleneck bandwidth (bytes/s) for a ring spanning this
 /// placement: the slower of the NIC-aggregated IB tier and the fast tier;
-/// purely intra-domain groups use the fast tier alone.
+/// purely intra-domain groups use the fast tier alone. NaN when either
+/// tier it spans has a NaN bandwidth (`f64::min` would drop the NaN and
+/// price the ring at the other tier's rate).
 pub fn effective_bandwidth(group: CommGroup, sys: &SystemSpec) -> f64 {
     let fast = sys.network.effective_nvs_bandwidth();
     if group.is_intra_domain() {
@@ -213,6 +215,9 @@ pub fn effective_bandwidth(group: CommGroup, sys: &SystemSpec) -> f64 {
     }
     let nics = group.per_domain().min(sys.nics_per_node);
     let slow = sys.network.effective_ib_bandwidth(nics);
+    if slow.is_nan() || fast.is_nan() {
+        return f64::NAN;
+    }
     slow.min(fast)
 }
 
@@ -450,6 +455,31 @@ mod tests {
     #[should_panic(expected = "must divide")]
     fn bad_placement_panics() {
         let _ = CommGroup::new(12, 5);
+    }
+
+    /// A NaN bandwidth on either tier a cross-domain ring spans makes its
+    /// bandwidth, and every collective over it, NaN rather than the other
+    /// tier's rate.
+    #[test]
+    fn nan_tier_bandwidth_prices_cross_domain_rings_as_nan() {
+        let group = CommGroup::new(32, 8);
+        let catalog = collective_time(Collective::AllGather, 1e9, group, &b200_nvs8());
+        assert!(catalog.is_finite() && catalog > 0.0);
+        let mut nan_ib = b200_nvs8();
+        nan_ib.network.ib_bandwidth = f64::NAN;
+        let mut nan_nvs = b200_nvs8();
+        nan_nvs.network.nvs_bandwidth = f64::NAN;
+        for sys in [&nan_ib, &nan_nvs] {
+            assert!(effective_bandwidth(group, sys).is_nan());
+            assert!(collective_time(Collective::AllGather, 1e9, group, sys).is_nan());
+        }
+        // A group inside one domain never touches the IB tier.
+        let intra = CommGroup::single_domain(8);
+        assert_eq!(
+            effective_bandwidth(intra, &nan_ib),
+            effective_bandwidth(intra, &b200_nvs8())
+        );
+        assert!(effective_bandwidth(intra, &nan_nvs).is_nan());
     }
 
     #[test]

@@ -454,8 +454,9 @@ pub(crate) fn placement_breakdown(
 
     // Steady-state + bubble. Interleaving the stage into `v` virtual
     // chunks divides the bubble by `v` (Narayanan et al. / paper
-    // Limitations).
-    let bubble = (cfg.np - 1) as f64 * (tf + tb) / cfg.interleave as f64;
+    // Limitations). One stage has no bubble, even when a stage time is
+    // infinite (`0·inf` would be NaN).
+    let bubble = pipeline_bubble(cfg, tf + tb);
 
     // Pipeline P2P: each microbatch's activation forward and gradient
     // backward across the stage boundary, not overlapped (paper S1).
@@ -747,6 +748,17 @@ fn pass_comm_lower_bound(
     })
 }
 
+/// The pipeline bubble `(np − 1)·(tf + tb)/interleave` of a stage whose
+/// forward and backward take `stage_time` per microbatch: zero for one
+/// stage, whatever the stage time.
+fn pipeline_bubble(cfg: &ParallelConfig, stage_time: f64) -> f64 {
+    if cfg.np > 1 {
+        (cfg.np - 1) as f64 * stage_time / cfg.interleave as f64
+    } else {
+        0.0
+    }
+}
+
 /// Admissible lower bound on [`placement_breakdown`]`.total()` over
 /// **every** placement of `cfg` — the branch-and-bound pruning predicate.
 ///
@@ -790,7 +802,7 @@ pub(crate) fn iteration_time_lower_bound(
         layers * pass_comm_lower_bound(&profile.bwd.comms, fps.bwd, cfg, budget, sys, sys_fp);
     let tf_lb = layers * profile.fwd.time.total() + fwd_lb;
     let tb_lb = layers * profile.bwd.time.total() + bwd_lb;
-    let bubble_lb = (cfg.np - 1) as f64 * (tf_lb + tb_lb) / cfg.interleave as f64;
+    let bubble_lb = pipeline_bubble(cfg, tf_lb + tb_lb);
     let pp_lb = if cfg.np > 1 {
         let per_hop = p2p_time(profile.boundary_bytes, true, sys).min(p2p_time(
             profile.boundary_bytes,
@@ -1001,6 +1013,47 @@ mod tests {
         assert_eq!(e.breakdown.pp_bubble, 0.0);
         assert_eq!(e.breakdown.pp_comm, 0.0);
         assert!(!e.feasible, "1T params on one GPU's worth of TP cannot fit");
+    }
+
+    /// The catalog B200-NVS8 iteration time and lower bound of the
+    /// candidate below, pinned bit for bit: with finite stage times a
+    /// single stage's bubble was already exactly +0.0, so charging none
+    /// must leave both unchanged.
+    const CATALOG_ITERATION_TIME_BITS: u64 = 0x403a_068c_0951_6a6d;
+    const CATALOG_LOWER_BOUND_BITS: u64 = 0x4039_aeba_8e26_7840;
+
+    /// One pipeline stage charges no bubble, so a stage time made
+    /// infinite by a zero-bandwidth IB tier gives an infinite iteration
+    /// time (and lower bound), not `0·inf` = NaN; on the catalog system
+    /// the same candidate reads the bits it always did.
+    #[test]
+    fn one_stage_has_no_bubble_even_when_a_stage_never_ends() {
+        let model = txmodel::gpt3_175b().config;
+        let cfg = ParallelConfig::new(TpStrategy::OneD, 16, 1, 1, 8, 1);
+        let placement = Placement {
+            v1: 8,
+            v2: 1,
+            vp: 1,
+            vd: 1,
+        };
+        let lower_bound = |sys: &SystemSpec| {
+            let profile = build_profile(&model, cfg.strategy, 16, 1, 1, 1, 1, &sys.gpu);
+            let fps = PassFingerprints::of(&profile);
+            let sys_fp = system_fingerprint(sys);
+            iteration_time_lower_bound(&profile, &model, &cfg, 1024, sys, sys_fp, fps)
+        };
+        let mut zero_ib = sys();
+        zero_ib.network.ib_bandwidth = 0.0;
+        let e = evaluate(&model, &cfg, &placement, 1024, &zero_ib);
+        assert_eq!(e.breakdown.tp_comm, f64::INFINITY);
+        assert_eq!(e.breakdown.pp_bubble.to_bits(), 0.0f64.to_bits());
+        assert_eq!(e.iteration_time, f64::INFINITY);
+        assert_eq!(lower_bound(&zero_ib), f64::INFINITY);
+
+        let e = evaluate(&model, &cfg, &placement, 1024, &sys());
+        assert_eq!(e.breakdown.pp_bubble.to_bits(), 0.0f64.to_bits());
+        assert_eq!(e.iteration_time.to_bits(), CATALOG_ITERATION_TIME_BITS);
+        assert_eq!(lower_bound(&sys()).to_bits(), CATALOG_LOWER_BOUND_BITS);
     }
 
     #[test]

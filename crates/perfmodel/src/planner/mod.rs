@@ -774,7 +774,9 @@ impl<'a> Planner<'a> {
 
     /// [`Planner::execute`] behind typed validation: rejects structurally
     /// invalid configurations (empty axes, zero degrees, out-of-bound
-    /// scales, non-finite objective weights — see [`ConfigError`]) and
+    /// scales, non-finite objective weights, serving traffic outside its
+    /// constructors' invariants or with lengths past [`MAX_SCALE`] — see
+    /// [`ConfigError`]) and
     /// adversarial system numerics (non-finite MTBF rates, non-positive
     /// bandwidths) *before* any search work. This is the entry point for
     /// configurations replayed from JSON ([`Planner::from_config`]),

@@ -3,8 +3,9 @@
 //! [`PlannerConfig`] round-trips through JSON ([`crate::Planner::from_config`]
 //! replays persisted planning problems), which makes its fields attacker-
 //! controlled inputs: a hand-edited or corrupted document can carry
-//! non-finite objective weights, zero degrees, or absurd GPU counts that
-//! would send the enumeration into a multi-hour sweep. [`PlannerConfig::
+//! non-finite objective weights, zero degrees, absurd GPU counts that
+//! would send the enumeration into a multi-hour sweep, or serving
+//! traffic its constructors would reject. [`PlannerConfig::
 //! validate`] rejects those *before* any search work with a typed
 //! [`ConfigError`] naming the offending field; [`crate::Planner::try_execute`]
 //! is the validating entry point (it also vets the numeric fields the
@@ -15,12 +16,15 @@
 use super::{LexStage, Objective, PlannerConfig, WeightedTerm};
 use serde::{Deserialize, Serialize};
 use systems::{NetworkSpec, SystemSpec};
+use txmodel::InferenceConfig;
 
 /// Largest GPU count / global batch a replayed configuration may ask
 /// for: enumeration work grows with the divisor structure of these, so
 /// the bound keeps adversarial documents from turning `execute` into an
 /// unbounded sweep. Generous — 2²⁴ is 16× the largest cluster in the
-/// paper's projections.
+/// paper's projections. Serving prompt and output lengths share the
+/// bound, which keeps the p99 context, the padded prompt and the layer
+/// profile built at the p99 prompt far inside `u64`.
 pub const MAX_SCALE: u64 = 1 << 24;
 
 /// Longest `gpu_counts` list (each entry spawns a full sub-space sweep).
@@ -104,6 +108,28 @@ fn positive(value: f64, field: &'static str) -> Result<(), ConfigError> {
     }
 }
 
+fn nonzero(value: u64, field: &'static str) -> Result<(), ConfigError> {
+    if value == 0 {
+        Err(ConfigError::Zero {
+            field: field.into(),
+        })
+    } else {
+        Ok(())
+    }
+}
+
+fn at_most(value: u64, max: u64, field: &'static str) -> Result<(), ConfigError> {
+    if value > max {
+        Err(ConfigError::TooLarge {
+            field: field.into(),
+            value,
+            max,
+        })
+    } else {
+        Ok(())
+    }
+}
+
 fn non_negative(value: f64, field: &'static str) -> Result<(), ConfigError> {
     finite(value, field)?;
     if value >= 0.0 {
@@ -170,12 +196,44 @@ fn check_objective(o: &Objective) -> Result<(), ConfigError> {
     }
 }
 
+/// Vets serving traffic with the invariants [`InferenceConfig::new`]
+/// and [`LengthMix::new`](txmodel::LengthMix::new) assert (a positive
+/// rate, batch ceiling and lengths, `long ≥ typical`), and bounds each
+/// length by [`MAX_SCALE`].
+fn check_traffic(t: &InferenceConfig) -> Result<(), ConfigError> {
+    for (value, field) in [
+        (t.prompt.typical, "serving.prompt.typical"),
+        (t.prompt.long, "serving.prompt.long"),
+        (t.output.typical, "serving.output.typical"),
+        (t.output.long, "serving.output.long"),
+        (t.request_rate_milli, "serving.request_rate_milli"),
+        (t.max_batch, "serving.max_batch"),
+    ] {
+        nonzero(value, field)?;
+    }
+    for (mix, field) in [
+        (t.prompt, "serving.prompt.long"),
+        (t.output, "serving.output.long"),
+    ] {
+        if mix.long < mix.typical {
+            return Err(ConfigError::OutOfRange {
+                field: field.into(),
+                value: mix.long as f64,
+            });
+        }
+        at_most(mix.long, MAX_SCALE, field)?;
+    }
+    Ok(())
+}
+
 impl PlannerConfig {
     /// Validates a (possibly replayed-from-JSON) configuration: every
     /// list non-empty, every degree/bound at least 1, GPU counts and the
-    /// global batch inside [`MAX_SCALE`], and every objective float
-    /// finite (and positive where the semantics require it). Returns the
-    /// first violation as a typed [`ConfigError`].
+    /// global batch inside [`MAX_SCALE`], every objective float finite
+    /// (and positive where the semantics require it), and any serving
+    /// traffic within its constructors' invariants, lengths inside
+    /// [`MAX_SCALE`]. Returns the first violation as a typed
+    /// [`ConfigError`].
     pub fn validate(&self) -> Result<(), ConfigError> {
         let s = &self.space;
         if s.gpu_counts.is_empty() {
@@ -183,39 +241,17 @@ impl PlannerConfig {
                 field: "space.gpu_counts".into(),
             });
         }
-        if s.gpu_counts.len() > MAX_GPU_COUNTS {
-            return Err(ConfigError::TooLarge {
-                field: "space.gpu_counts.len".into(),
-                value: s.gpu_counts.len() as u64,
-                max: MAX_GPU_COUNTS as u64,
-            });
-        }
+        at_most(
+            s.gpu_counts.len() as u64,
+            MAX_GPU_COUNTS as u64,
+            "space.gpu_counts.len",
+        )?;
         for &n in &s.gpu_counts {
-            if n == 0 {
-                return Err(ConfigError::Zero {
-                    field: "space.gpu_counts".into(),
-                });
-            }
-            if n > MAX_SCALE {
-                return Err(ConfigError::TooLarge {
-                    field: "space.gpu_counts".into(),
-                    value: n,
-                    max: MAX_SCALE,
-                });
-            }
+            nonzero(n, "space.gpu_counts")?;
+            at_most(n, MAX_SCALE, "space.gpu_counts")?;
         }
-        if s.global_batch == 0 {
-            return Err(ConfigError::Zero {
-                field: "space.global_batch".into(),
-            });
-        }
-        if s.global_batch > MAX_SCALE {
-            return Err(ConfigError::TooLarge {
-                field: "space.global_batch".into(),
-                value: s.global_batch,
-                max: MAX_SCALE,
-            });
-        }
+        nonzero(s.global_batch, "space.global_batch")?;
+        at_most(s.global_batch, MAX_SCALE, "space.global_batch")?;
         if s.strategies.is_empty() {
             return Err(ConfigError::Empty {
                 field: "space.strategies".into(),
@@ -229,21 +265,16 @@ impl PlannerConfig {
             (s.max_pipeline, "space.max_pipeline"),
             (s.max_data_parallel, "space.max_data_parallel"),
             (s.max_tensor_parallel, "space.max_tensor_parallel"),
+            (self.top_k as u64, "top_k"),
         ] {
-            if value == 0 {
-                return Err(ConfigError::Zero {
-                    field: field.into(),
-                });
-            }
-        }
-        if self.top_k == 0 {
-            return Err(ConfigError::Zero {
-                field: "top_k".into(),
-            });
+            nonzero(value, field)?;
         }
         check_objective(&self.objective)?;
         for o in &self.pareto {
             check_objective(o)?;
+        }
+        if let Some(traffic) = &self.serving {
+            check_traffic(traffic)?;
         }
         Ok(())
     }

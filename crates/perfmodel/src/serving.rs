@@ -59,6 +59,16 @@
 //! `servesim` crate replays the same pricing through a seeded discrete-
 //! event scheduler and pins how far these closed forms drift (tolerance
 //! bands documented in its validation suite).
+//!
+//! # One pricing
+//!
+//! The phase prices do not depend on the split, so [`ServingPhases`]
+//! prices a candidate once: the batch ceiling, both prefill latencies
+//! (the long prompt's from the capacity ledger's own profile), both KV
+//! handoffs, and each decode step on the first batch size that asks for
+//! it. Every split of an assessment, its occupancy fixed point and
+//! servesim's handoff (`SimSpec::from_plan`, which copies the full
+//! table) read that one pricing.
 
 use crate::config::{ParallelConfig, Placement};
 use crate::evaluate::{largest_divisor_at_most, stage_times, Evaluation};
@@ -67,6 +77,7 @@ use crate::partition::build_profile;
 use crate::plan::LayerProfile;
 use collectives::{allreduce_auto_time, alltoall_auto_time, p2p_time, CommGroup};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 use systems::SystemSpec;
 use txmodel::{InferenceConfig, TransformerConfig, BYTES_PER_ELEM, LONG_PCT};
 
@@ -222,13 +233,52 @@ impl ServingReport {
     }
 }
 
-/// Pads a prompt length up to the tensor-parallel shard grid (`n1·n2` —
-/// the profile's sequence-divisibility constraint) so the prefill
-/// profile can be built at the prompt length; the padding tokens model
-/// the real systems' practice of right-padding to the shard grid.
-fn padded_prompt(cfg: &ParallelConfig, prompt: u64) -> u64 {
+/// The model at `prompt`'s padded length and its layer profile under
+/// `cfg`: the prefill pass's profile, which at the long prompt is also
+/// the capacity ledger's. The prompt pads up to the tensor-parallel
+/// shard grid (`n1·n2` — the profile's sequence-divisibility
+/// constraint); the padding tokens model the real systems' practice of
+/// right-padding to the shard grid.
+fn prompt_profile(
+    model: &TransformerConfig,
+    cfg: &ParallelConfig,
+    sys: &SystemSpec,
+    prompt: u64,
+) -> (TransformerConfig, LayerProfile) {
     let pad = cfg.tensor_parallel().max(1);
-    prompt.div_ceil(pad).max(1) * pad
+    let mut m = *model;
+    m.seq_len = prompt.div_ceil(pad).max(1) * pad;
+    let profile = build_profile(
+        &m,
+        cfg.strategy,
+        cfg.n1,
+        cfg.n2,
+        1,
+        cfg.summa_panels,
+        cfg.ep,
+        &sys.gpu,
+    );
+    (m, profile)
+}
+
+/// The forward pass of `profile` (built for `m`, the model at the padded
+/// prompt length) with the `np` stages chained serially plus their
+/// boundary hops.
+fn chained_prefill(
+    profile: &LayerProfile,
+    m: &TransformerConfig,
+    cfg: &ParallelConfig,
+    placement: &Placement,
+    sys: &SystemSpec,
+) -> f64 {
+    let (tf, _tb) = stage_times(profile, m, cfg, placement, sys);
+    let hops = cfg.np.saturating_sub(1) as f64;
+    let hop = if cfg.np > 1 {
+        p2p_time(profile.boundary_bytes, placement.vp >= 2, sys)
+    } else {
+        0.0
+    };
+    cfg.np as f64 * tf + hops * hop
 }
 
 /// Prefill latency for one request of `prompt` tokens: the training
@@ -244,26 +294,8 @@ pub fn prefill_time(
     sys: &SystemSpec,
     prompt: u64,
 ) -> f64 {
-    let mut m = *model;
-    m.seq_len = padded_prompt(cfg, prompt);
-    let profile = build_profile(
-        &m,
-        cfg.strategy,
-        cfg.n1,
-        cfg.n2,
-        1,
-        cfg.summa_panels,
-        cfg.ep,
-        &sys.gpu,
-    );
-    let (tf, _tb) = stage_times(&profile, &m, cfg, placement, sys);
-    let hops = cfg.np.saturating_sub(1) as f64;
-    let hop = if cfg.np > 1 {
-        p2p_time(profile.boundary_bytes, placement.vp >= 2, sys)
-    } else {
-        0.0
-    };
-    cfg.np as f64 * tf + hops * hop
+    let (m, profile) = prompt_profile(model, cfg, sys, prompt);
+    chained_prefill(&profile, &m, cfg, placement, sys)
 }
 
 /// One decode step for `batch` resident sequences at `context` KV tokens
@@ -363,34 +395,110 @@ pub fn kv_transfer_time(
     p2p_time(shard, false, sys)
 }
 
-/// The simulator's handoff from the analytic model: the effective batch
-/// ceiling (scheduler `max_batch` ∧ KV capacity at the mean context,
-/// with the capacity ledger taken at the long prompt's transient working
-/// set) and the exact decode step time at every batch `1..=ceiling` —
-/// so a discrete-event scheduler replays the *same* per-phase pricing
-/// and any divergence is purely emergent queueing behavior. An empty
-/// table means the weights alone don't fit.
-pub fn decode_step_table(e: &Evaluation, s: &ServingCtx) -> (u64, Vec<f64>) {
-    let cfg = &e.config;
-    let mut cap_model = s.model;
-    cap_model.seq_len = padded_prompt(cfg, s.traffic.prompt.p99());
-    let profile = build_profile(
-        &cap_model,
-        cfg.strategy,
-        cfg.n1,
-        cfg.n2,
-        1,
-        cfg.summa_panels,
-        cfg.ep,
-        &s.system.gpu,
-    );
-    let context = s.traffic.mean_context().ceil() as u64;
-    let kv_ceiling = max_kv_batch(&profile, &s.model, cfg, context, s.system.gpu.hbm_capacity);
-    let ceiling = s.traffic.max_batch.min(kv_ceiling);
-    let table = (1..=ceiling)
-        .map(|b| decode_step_time(&profile, &s.model, cfg, &e.placement, &s.system, b, context))
-        .collect();
-    (ceiling, table)
+/// One candidate's serving phases, priced once: the batch ceiling, the
+/// p50/p99 prefill latencies and KV handoffs, and the decode step at each
+/// batch size, priced on first use. It is the one pricing every serving
+/// reader shares: [`assess_mode`] reports one split from it, [`assess`]
+/// and [`assess_slo`] report every split of [`placement_modes`] from one
+/// of it, and servesim's `SimSpec::from_plan` copies its fields and full
+/// [`ServingPhases::decode_table`], so a discrete-event replay runs the
+/// *same* per-phase prices and any divergence is emergent queueing.
+///
+/// The occupancy fixed point visits a handful of batch sizes, while the
+/// full table has one entry per batch up to the ceiling, so the table
+/// fills lazily: each batch size is priced on first use, and once.
+#[derive(Debug)]
+pub struct ServingPhases<'a> {
+    /// Effective per-replica batch ceiling, at least 1: the smaller of
+    /// the scheduler's `max_batch` and the KV-capacity batch at the mean
+    /// context ([`max_kv_batch`]), with the capacity ledger taken at the
+    /// long prompt's transient working set.
+    pub batch_ceiling: u64,
+    /// Prefill latency of the typical (p50) prompt ([`prefill_time`]).
+    pub prefill_p50: f64,
+    /// Prefill latency of the long (p99) prompt ([`prefill_time`]).
+    pub prefill_p99: f64,
+    /// Prompt-KV handoff of the typical prompt ([`kv_transfer_time`]),
+    /// paid by disaggregated splits only.
+    pub kv_transfer_p50: f64,
+    /// Prompt-KV handoff of the long prompt ([`kv_transfer_time`]).
+    pub kv_transfer_p99: f64,
+    e: &'a Evaluation,
+    s: &'a ServingCtx,
+    /// The long prompt's profile: the capacity ledger's, and the weight
+    /// census every decode step reads.
+    profile: LayerProfile,
+    /// The mean full context, in tokens, every decode step reads.
+    context: u64,
+    /// The decode steps priced so far, by batch size.
+    steps: BTreeMap<u64, f64>,
+}
+
+impl<'a> ServingPhases<'a> {
+    /// Prices `e`'s phases under `s`, building two layer profiles: the
+    /// long prompt's, which serves the capacity ledger and the p99
+    /// prefill, and the typical prompt's. `None` when the weights alone
+    /// overflow HBM (a zero batch ceiling); no phase is priced then.
+    pub fn price(e: &'a Evaluation, s: &'a ServingCtx) -> Option<Self> {
+        let (cfg, placement, sys) = (&e.config, &e.placement, &s.system);
+        let prompt = s.traffic.prompt;
+        // Capacity ledger at the long prompt's transient working set: the
+        // batch ceiling must survive the worst prefill passing through.
+        let (long_model, profile) = prompt_profile(&s.model, cfg, sys, prompt.p99());
+        let context = s.traffic.mean_context().ceil() as u64;
+        let kv_ceiling = max_kv_batch(&profile, &s.model, cfg, context, sys.gpu.hbm_capacity);
+        let batch_ceiling = s.traffic.max_batch.min(kv_ceiling);
+        if batch_ceiling == 0 {
+            return None;
+        }
+        Some(Self {
+            batch_ceiling,
+            prefill_p50: prefill_time(&s.model, cfg, placement, sys, prompt.p50()),
+            prefill_p99: chained_prefill(&profile, &long_model, cfg, placement, sys),
+            kv_transfer_p50: kv_transfer_time(&s.model, cfg, sys, prompt.p50()),
+            kv_transfer_p99: kv_transfer_time(&s.model, cfg, sys, prompt.p99()),
+            e,
+            s,
+            profile,
+            context,
+            steps: BTreeMap::new(),
+        })
+    }
+
+    /// One clean decode step at `batch` resident sequences of the mean
+    /// context ([`decode_step_time`]), priced on the first call for each
+    /// batch size and read back after.
+    pub fn decode_step(&mut self, batch: u64) -> f64 {
+        let (e, s) = (self.e, self.s);
+        *self.steps.entry(batch).or_insert_with(|| {
+            decode_step_time(
+                &self.profile,
+                &s.model,
+                &e.config,
+                &e.placement,
+                &s.system,
+                batch,
+                self.context,
+            )
+        })
+    }
+
+    /// The decode step at every batch `1..=batch_ceiling`: entry `b − 1`
+    /// is [`ServingPhases::decode_step`]`(b)`.
+    pub fn decode_table(&mut self) -> Vec<f64> {
+        (1..=self.batch_ceiling)
+            .map(|b| self.decode_step(b))
+            .collect()
+    }
+
+    /// The KV handoffs `(p50, p99)` a request pays under `mode`: none
+    /// when colocated.
+    pub fn kv_transfers(&self, mode: PdPlacement) -> (f64, f64) {
+        match mode {
+            PdPlacement::Colocated => (0.0, 0.0),
+            PdPlacement::Disaggregated { .. } => (self.kv_transfer_p50, self.kv_transfer_p99),
+        }
+    }
 }
 
 /// The deterministic placement grid [`assess`]/[`assess_slo`] sweep:
@@ -447,54 +555,15 @@ fn dead_report(mode: PdPlacement) -> ServingReport {
 /// traffic and system. Deterministic: closed forms and a fixed-iteration
 /// fixed point only.
 pub fn assess_mode(e: &Evaluation, s: &ServingCtx, mode: PdPlacement) -> ServingReport {
-    let cfg = &e.config;
-    let placement = &e.placement;
-    let sys = &s.system;
-    let model = &s.model;
-    let traffic = &s.traffic;
-    let n = cfg.total_gpus() as f64;
-
-    // Capacity ledger at the long prompt's transient working set: the
-    // batch ceiling must survive the worst prefill passing through.
-    let mut cap_model = *model;
-    cap_model.seq_len = padded_prompt(cfg, traffic.prompt.p99());
-    let profile = build_profile(
-        &cap_model,
-        cfg.strategy,
-        cfg.n1,
-        cfg.n2,
-        1,
-        cfg.summa_panels,
-        cfg.ep,
-        &sys.gpu,
-    );
-    let context = traffic.mean_context().ceil() as u64;
-    let kv_ceiling = max_kv_batch(&profile, model, cfg, context, sys.gpu.hbm_capacity);
-    let ceiling = traffic.max_batch.min(kv_ceiling);
-    if ceiling == 0 {
-        return dead_report(mode);
+    match ServingPhases::price(e, s) {
+        Some(mut phases) => split_report(&mut phases, mode),
+        None => dead_report(mode),
     }
+}
 
-    let lf = long_frac();
-    let prefill_p50 = prefill_time(model, cfg, placement, sys, traffic.prompt.p50());
-    let prefill_p99 = prefill_time(model, cfg, placement, sys, traffic.prompt.p99());
-    let prefill_mean = (1.0 - lf) * prefill_p50 + lf * prefill_p99;
-    let prefill_sq_mean = (1.0 - lf) * prefill_p50 * prefill_p50 + lf * prefill_p99 * prefill_p99;
-    let step = |b: f64| {
-        decode_step_time(
-            &profile,
-            model,
-            cfg,
-            placement,
-            sys,
-            b.ceil().max(1.0) as u64,
-            context,
-        )
-    };
-    let l_out = traffic.output.mean();
-    let lambda = traffic.request_rate();
-    let step_cap = step(ceiling as f64);
-
+/// Reports one split from a candidate's priced phases.
+fn split_report(phases: &mut ServingPhases<'_>, mode: PdPlacement) -> ServingReport {
+    let (cfg, traffic) = (&phases.e.config, &phases.s.traffic);
     // Split the replica pool by mode and derive capacity (max sustainable
     // request rate) and the per-decode-replica load.
     let (decode_replicas, prefill_replicas) = match mode {
@@ -507,6 +576,19 @@ pub fn assess_mode(e: &Evaluation, s: &ServingCtx, mode: PdPlacement) -> Serving
         }
     };
     let colocated = matches!(mode, PdPlacement::Colocated);
+    let n = cfg.total_gpus() as f64;
+    let ceiling = phases.batch_ceiling;
+    let (prefill_p50, prefill_p99) = (phases.prefill_p50, phases.prefill_p99);
+    let (kv_p50, kv_p99) = phases.kv_transfers(mode);
+
+    let lf = long_frac();
+    let prefill_mean = (1.0 - lf) * prefill_p50 + lf * prefill_p99;
+    let prefill_sq_mean = (1.0 - lf) * prefill_p50 * prefill_p50 + lf * prefill_p99 * prefill_p99;
+    let l_out = traffic.output.mean();
+    let lambda = traffic.request_rate();
+    let mut step = |b: f64| phases.decode_step(b.ceil().max(1.0) as u64);
+    let step_cap = step(ceiling as f64);
+
     // Max requests/s: a colocated replica splits its time between
     // prefill (λ·Tp of every second) and decode (b tokens per T(b) of
     // what remains) — λ·L·T(b)/b = 1 − λ·Tp ⇒ λ = b/(L·T(b) + b·Tp);
@@ -570,14 +652,6 @@ pub fn assess_mode(e: &Evaluation, s: &ServingCtx, mode: PdPlacement) -> Serving
     // arrivals also wait out the in-flight decode step).
     let rho_wait = rho_p.min(0.999_999);
     let wq = lam_prefill * prefill_sq_mean / (2.0 * (1.0 - rho_wait));
-    let (kv_p50, kv_p99) = if colocated {
-        (0.0, 0.0)
-    } else {
-        (
-            kv_transfer_time(model, cfg, sys, traffic.prompt.p50()),
-            kv_transfer_time(model, cfg, sys, traffic.prompt.p99()),
-        )
-    };
     let step_wait_p50 = if colocated { 0.5 * decode_step } else { 0.0 };
     let step_wait_p99 = if colocated { decode_step } else { 0.0 };
     let ttft_p50 = step_wait_p50 + wq + prefill_p50 + kv_p50;
@@ -609,25 +683,32 @@ pub fn assess_mode(e: &Evaluation, s: &ServingCtx, mode: PdPlacement) -> Serving
     }
 }
 
+/// The split loop [`assess`] and [`assess_slo`] share: prices the
+/// candidate's phases once, reports every split of [`placement_modes`]
+/// from them and keeps the first report of the highest `key`.
+fn best_split(
+    e: &Evaluation,
+    s: &ServingCtx,
+    key: impl Fn(&ServingReport) -> f64,
+) -> ServingReport {
+    ServingPhases::price(e, s)
+        .and_then(|mut phases| {
+            placement_modes(e.config.nd)
+                .into_iter()
+                .map(|mode| {
+                    let r = split_report(&mut phases, mode);
+                    (key(&r), r)
+                })
+                .reduce(|best, next| if next.0 > best.0 { next } else { best })
+        })
+        .map_or_else(|| dead_report(PdPlacement::Colocated), |(_, r)| r)
+}
+
 /// Best-throughput serving assessment: prices every placement mode of
 /// the grid and keeps the highest capacity (ties keep the earliest mode,
 /// so colocated wins exact ties — it is the simpler deployment).
 pub fn assess(e: &Evaluation, s: &ServingCtx) -> ServingReport {
-    let mut best: Option<ServingReport> = None;
-    for mode in placement_modes(e.config.nd) {
-        let r = assess_mode(e, s, mode);
-        let better = match &best {
-            Some(b) => r.tokens_per_gpu_second > b.tokens_per_gpu_second,
-            None => true,
-        };
-        if better {
-            best = Some(r);
-        }
-    }
-    match best {
-        Some(r) => r,
-        None => dead_report(PdPlacement::Colocated),
-    }
+    best_split(e, s, |r| r.tokens_per_gpu_second)
 }
 
 /// Best-under-SLO serving assessment: like [`assess`] but ranked by
@@ -635,21 +716,7 @@ pub fn assess(e: &Evaluation, s: &ServingCtx) -> ServingReport {
 /// targets at the highest capacity, or the nearest-to-compliant mode
 /// when none does.
 pub fn assess_slo(e: &Evaluation, s: &ServingCtx, slo: &SloSpec) -> ServingReport {
-    let mut best: Option<ServingReport> = None;
-    for mode in placement_modes(e.config.nd) {
-        let r = assess_mode(e, s, mode);
-        let better = match &best {
-            Some(b) => r.slo_score(slo) > b.slo_score(slo),
-            None => true,
-        };
-        if better {
-            best = Some(r);
-        }
-    }
-    match best {
-        Some(r) => r,
-        None => dead_report(PdPlacement::Colocated),
-    }
+    best_split(e, s, |r| r.slo_score(slo))
 }
 
 #[cfg(test)]

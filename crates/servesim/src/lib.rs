@@ -4,13 +4,13 @@
 //! queueing approximations (Little's-law occupancy, Pollaczek–Khinchine
 //! waits, exponential tails). This crate replays the *same* per-phase
 //! step times — prefill latencies, per-batch decode step times and KV
-//! handoff costs all taken verbatim from the analytic model via
-//! [`perfmodel::serving::decode_step_table`] — through an explicit
-//! continuous-batching scheduler over a seeded Poisson arrival trace, so
-//! any divergence between the two is purely *emergent queueing behavior*:
-//! admission waits, prefill stalls landing inside decode gaps, batch
-//! occupancy ramping, pool imbalance. The validation suite pins how far
-//! the closed forms drift (documented tolerance bands, the same
+//! handoff costs, copied verbatim from the one pricing the analytic
+//! assessments read, [`perfmodel::serving::ServingPhases`] — through an
+//! explicit continuous-batching scheduler over a seeded Poisson arrival
+//! trace, so any divergence between the two is purely *emergent queueing
+//! behavior*: admission waits, prefill stalls landing inside decode gaps,
+//! batch occupancy ramping, pool imbalance. The validation suite pins
+//! how far the closed forms drift (documented tolerance bands, the same
 //! cross-validation discipline `trainsim` applies to the training model).
 //!
 //! # Scheduler semantics
@@ -46,7 +46,7 @@
 //! Single-threaded and seeded throughout: reports are bit-identical
 //! across runs and trivially invariant to the host's thread count.
 
-use perfmodel::serving::{decode_step_table, kv_transfer_time, prefill_time, PdPlacement};
+use perfmodel::serving::{PdPlacement, ServingPhases};
 use perfmodel::{Evaluation, ServingCtx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -118,53 +118,29 @@ pub struct SimSpec {
 }
 
 impl SimSpec {
-    /// Prices one planned candidate's serving phases into a simulatable
-    /// spec: ceiling and per-batch decode table from
-    /// [`decode_step_table`], prefill and KV-handoff latencies from the
-    /// analytic phase models, pools split per `mode`.
+    /// Copies one planned candidate's priced serving phases
+    /// ([`ServingPhases`]) into a simulatable spec: the batch ceiling,
+    /// the full decode table, the prefill latencies and, for a
+    /// disaggregated `mode`, the KV handoffs; pools split per `mode`.
     pub fn from_plan(e: &Evaluation, s: &ServingCtx, mode: PdPlacement) -> Result<Self, SimError> {
         if let PdPlacement::Disaggregated { prefill_replicas } = mode {
             if prefill_replicas == 0 || prefill_replicas >= e.config.nd {
                 return Err(SimError::BadSplit);
             }
         }
-        let (ceiling, table) = decode_step_table(e, s);
-        if ceiling == 0 {
-            return Err(SimError::Infeasible);
-        }
-        let cfg = &e.config;
-        let colocated = matches!(mode, PdPlacement::Colocated);
-        let (kv_typ, kv_long) = if colocated {
-            (0.0, 0.0)
-        } else {
-            (
-                kv_transfer_time(&s.model, cfg, &s.system, s.traffic.prompt.p50()),
-                kv_transfer_time(&s.model, cfg, &s.system, s.traffic.prompt.p99()),
-            )
-        };
+        let mut phases = ServingPhases::price(e, s).ok_or(SimError::Infeasible)?;
+        let (kv_transfer_typical, kv_transfer_long) = phases.kv_transfers(mode);
         Ok(SimSpec {
             traffic: s.traffic,
-            replicas: cfg.nd,
-            gpus: cfg.total_gpus(),
+            replicas: e.config.nd,
+            gpus: e.config.total_gpus(),
             mode,
-            batch_ceiling: ceiling,
-            decode_steps: table,
-            prefill_typical: prefill_time(
-                &s.model,
-                cfg,
-                &e.placement,
-                &s.system,
-                s.traffic.prompt.p50(),
-            ),
-            prefill_long: prefill_time(
-                &s.model,
-                cfg,
-                &e.placement,
-                &s.system,
-                s.traffic.prompt.p99(),
-            ),
-            kv_transfer_typical: kv_typ,
-            kv_transfer_long: kv_long,
+            batch_ceiling: phases.batch_ceiling,
+            decode_steps: phases.decode_table(),
+            prefill_typical: phases.prefill_p50,
+            prefill_long: phases.prefill_p99,
+            kv_transfer_typical,
+            kv_transfer_long,
         })
     }
 

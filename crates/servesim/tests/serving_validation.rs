@@ -3,9 +3,10 @@
 //! (`servesim::simulate_serving`) — the serving layer's counterpart of
 //! `trainsim`'s goodput validation.
 //!
-//! Both sides price the *same* phases (the simulator's step times come
-//! verbatim from the analytic model via `decode_step_table`), so every
-//! gap measured here is emergent queueing behavior: admission waits,
+//! Both sides price the *same* phases (the simulator's step times are
+//! copied verbatim from the analytic model's one pricing,
+//! `perfmodel::serving::ServingPhases`), so every gap measured here is
+//! emergent queueing behavior: admission waits,
 //! prefill stalls landing inside decode gaps, occupancy ramping, pool
 //! imbalance, trace edge effects.
 //!

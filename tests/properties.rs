@@ -559,6 +559,59 @@ fn hostile_planner_json_is_rejected_not_panicked() {
             assert!(!err.to_string().is_empty());
         }
     }
+
+    // Serving traffic: every invariant `InferenceConfig::new` and
+    // `LengthMix::new` assert, and lengths past `MAX_SCALE` (at
+    // `u64::MAX` the p99 context overflows inside the search), come back
+    // as a typed error naming the field.
+    let serving = serde_json::to_string(&PlannerConfig {
+        objective: Objective::TokensPerSecPerGpu,
+        serving: Some(gpt3_175b_chat().traffic),
+        ..PlannerConfig::default()
+    })
+    .unwrap();
+    let max = u64::MAX.to_string();
+    let past = (perfmodel::planner::MAX_SCALE + 1).to_string();
+    let hostile_traffic = [
+        ("\"long\":2048", max.as_str(), "serving.prompt.long"),
+        ("\"long\":1024", max.as_str(), "serving.output.long"),
+        ("\"long\":2048", past.as_str(), "serving.prompt.long"),
+        ("\"long\":1024", past.as_str(), "serving.output.long"),
+        ("\"long\":2048", "100", "serving.prompt.long"),
+        ("\"long\":1024", "0", "serving.output.long"),
+        ("\"typical\":512", "0", "serving.prompt.typical"),
+        ("\"typical\":256", "0", "serving.output.typical"),
+        ("\"max_batch\":128", "0", "serving.max_batch"),
+        (
+            "\"request_rate_milli\":8000",
+            "0",
+            "serving.request_rate_milli",
+        ),
+    ];
+    for (from, value, field) in hostile_traffic {
+        let (key, _) = from.split_once(':').unwrap();
+        let doc = serving.replacen(from, &format!("{key}:{value}"), 1);
+        assert_ne!(doc, serving, "{from} is not in the serving document");
+        let cfg: PlannerConfig = serde_json::from_str(&doc).unwrap();
+        let err = fmperf::perfmodel::Planner::from_config(&model, &sys, cfg)
+            .try_execute()
+            .expect_err("hostile traffic passed validation");
+        assert!(err.to_string().contains(field), "{field}: {err}");
+    }
+    // A length at the bound is valid, and the search (which builds the
+    // serving profiles at the p99 prompt) runs on it without overflow.
+    let at_bound = perfmodel::planner::MAX_SCALE.to_string();
+    for from in ["\"long\":2048", "\"long\":1024"] {
+        let doc = serving.replacen(from, &format!("\"long\":{at_bound}"), 1);
+        let cfg: PlannerConfig = serde_json::from_str(&doc).unwrap();
+        let plans = fmperf::perfmodel::Planner::from_config(&model, &sys, cfg)
+            .try_execute()
+            .expect("a length at MAX_SCALE plans");
+        assert!(
+            plans.feasible > 0,
+            "{from}: no candidate reached the assessment"
+        );
+    }
 }
 
 fn synthetic_spec(
