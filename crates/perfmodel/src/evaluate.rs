@@ -349,7 +349,10 @@ fn pass_comm_time(
 /// Evaluates with a fraction of the exposed tensor-parallel communication
 /// hidden behind compute (paper Limitations: "there are more lower-level
 /// opportunities for TP communications to be overlapped with compute").
-/// `tp_overlap` ∈ [0, 1]; 0 is the paper's baseline.
+/// `tp_overlap` ∈ [0, 1]; 0 is the paper's baseline and returns
+/// [`evaluate`]'s result bit for bit. Only a finite TP time can be hidden:
+/// TP communication that never finishes (a zero-bandwidth tier) keeps
+/// [`evaluate`]'s infinite TP time and bubble at every overlap.
 pub fn evaluate_with_tp_overlap(
     model: &TransformerConfig,
     cfg: &ParallelConfig,
@@ -360,6 +363,9 @@ pub fn evaluate_with_tp_overlap(
 ) -> Evaluation {
     let tp_overlap = tp_overlap.clamp(0.0, 1.0);
     let mut e = evaluate(model, cfg, placement, global_batch, sys);
+    if !e.breakdown.tp_comm.is_finite() {
+        return e;
+    }
     let hidden = e.breakdown.tp_comm * tp_overlap;
     e.breakdown.tp_comm -= hidden;
     // The bubble is proportional to (tf + tb), which shrinks by the
@@ -1156,6 +1162,35 @@ mod tests {
         // Clamping.
         let over = evaluate_with_tp_overlap(&model, &cfg, &pl, 4096, &s, 7.0);
         assert_eq!(over.breakdown.tp_comm, 0.0);
+    }
+
+    /// At overlap 0 the overlap path is [`evaluate`], on a catalog system
+    /// and on one whose IB tier has no bandwidth, where the TP time of a
+    /// TP group spanning two domains is infinite: hiding part of it must
+    /// neither make it NaN (`inf − 0·inf`) nor clamp the infinite bubble
+    /// of four stages to zero (`inf − inf`).
+    #[test]
+    fn tp_overlap_leaves_an_infinite_tp_time_infinite() {
+        let model = txmodel::gpt3_175b().config;
+        let placement = Placement {
+            v1: 8,
+            v2: 1,
+            vp: 1,
+            vd: 1,
+        };
+        let mut zero_ib = sys();
+        zero_ib.network.ib_bandwidth = 0.0;
+        for np in [1, 4] {
+            let cfg = ParallelConfig::new(TpStrategy::OneD, 16, 1, np, 8, 1);
+            for s in [sys(), zero_ib.clone()] {
+                let base = evaluate(&model, &cfg, &placement, 1024, &s);
+                let none = evaluate_with_tp_overlap(&model, &cfg, &placement, 1024, &s, 0.0);
+                assert_eq!(format!("{none:?}"), format!("{base:?}"), "np {np}");
+            }
+            let half = evaluate_with_tp_overlap(&model, &cfg, &placement, 1024, &zero_ib, 0.5);
+            assert_eq!(half.breakdown.tp_comm, f64::INFINITY, "np {np}");
+            assert_eq!(half.iteration_time, f64::INFINITY, "np {np}");
+        }
     }
 
     /// The SUMMA bound as the search computed it before the per-group

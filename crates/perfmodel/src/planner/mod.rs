@@ -26,9 +26,11 @@
 //! | [`Planner::evaluations`] | pruning off: every candidate |
 //!
 //! 0. **Stored entry**: the space's candidates, layer profiles, memory
-//!    ledgers and placement-free iteration-time lower bounds
-//!    (`evaluate::iteration_time_lower_bound`), read from the space
-//!    store, or built there on a miss.
+//!    ledgers, placement-free iteration-time lower bounds
+//!    (`evaluate::iteration_time_lower_bound`) and one list of maximal
+//!    NVS placements per `(n1, n2, np, nd)` group, read from the space
+//!    store, or built there on a miss. A group's list is enumerated when
+//!    a stage first evaluates one of its candidates.
 //! 1. **Assess**: the user constraints filter the stored candidates in
 //!    enumeration order and the stored memory ledger gates each on HBM;
 //!    when the query can prune, admissible lower bounds on the ranking
@@ -53,8 +55,9 @@
 //! [`validate_system`] rejects does not prune at all. Races on the shared
 //! threshold only change *which redundant work is skipped*. Each stage
 //! evaluates its batch with one work item per candidate, which prices
-//! every placement of the candidate once and keeps the winner's breakdown
-//! ([`crate::search`]). Skip counts are reported through
+//! every placement of the candidate's stored group list once, in
+//! [`crate::enumerate_placements`] order, and keeps the winner's
+//! breakdown ([`crate::search`]). Skip counts are reported through
 //! [`crate::search_stats`].
 //!
 //! # The space store
@@ -62,9 +65,11 @@
 //! Stage 0's work depends on the space alone, never on the query, so a
 //! process-wide store keeps it across calls: asking a space for its best
 //! plan, its ranking and its goodput optimum enumerates it, builds its
-//! profiles and prices its ledgers once. A hit runs only
-//! the assess arithmetic and stages 2–5. [`Planner::candidates`] reads
-//! the stored list too, building and storing the entry on a miss.
+//! profiles, prices its ledgers and enumerates each evaluated group's
+//! placements once. A hit runs only the assess arithmetic and stages 2–5,
+//! and those enumerate only the groups no earlier query evaluated.
+//! [`Planner::candidates`] reads the stored list too, building and
+//! storing the entry on a miss.
 //!
 //! * **Key.** The derived `Debug` text of the model, the whole
 //!   [`SystemSpec`], the [`SearchSpace`] without its `prune` flag, and the
@@ -80,13 +85,17 @@
 //!   never stored: each call builds its own entry, as every call did
 //!   before the store existed.
 //! * **Budget.** The store holds at most 65,536 candidate-sized units of
-//!   128 bytes, 8 MiB: each candidate counts one, each layer profile ten
-//!   and each 128 bytes of key one. Past the budget it evicts the least
-//!   recently used space; an entry larger than the whole budget serves
-//!   its call and is not kept.
+//!   128 bytes, 8 MiB: each candidate counts one, each layer profile ten,
+//!   each placement group one, and each 128 bytes of key or of stored
+//!   placements one. A search that filled placement lists charges them
+//!   when it ends. Past the budget the store evicts the least recently
+//!   used space; an entry larger than the whole budget serves its call
+//!   and is not kept.
 //! * **Concurrency.** Entries are built outside the store's lock, which
-//!   guards only lookups and inserts. Two calls racing on one space both
-//!   build it, with identical values, and the first stores it.
+//!   guards only lookups, inserts and recharges. Two calls racing on one
+//!   space both build it, with identical values, and the first stores it.
+//!   Two evaluations racing on one group's placement list both
+//!   enumerate it, and the first to finish stores it.
 //!
 //! The store changes only how long a search takes, never a result bit.
 //! [`crate::clear_space_store`] empties it for a truly cold search (the
@@ -131,6 +140,7 @@ use crate::memory::{inference_memory_usage, memory_usage, MemoryUsage};
 use crate::ord;
 use crate::partition::build_profile;
 use crate::partition::cache::{note_bound_pruned, note_dominated_pruned, note_topk_pruned};
+use crate::placement::enumerate_placements;
 use crate::search::{best_placement_with_memory, enumerate_partitions};
 use plan::{dominates, pareto_frontier, plan_of};
 use rayon::prelude::*;
@@ -568,9 +578,21 @@ impl<'a> Planner<'a> {
         self.search_in(&SPACE_STORE, q)
     }
 
-    /// [`Planner::search`] against `store`.
+    /// [`Planner::search`] against `store`: stage 0, then the stages
+    /// over the entry, then the charge for the placement lists they
+    /// filled.
     fn search_in(&self, store: &SpaceStore, q: &Query) -> Sweep {
         let entry = store.entry(self);
+        let held = entry.placements_held();
+        let sweep = self.search_entry(&entry, q);
+        if entry.placements_held() != held {
+            store.recharge(&entry);
+        }
+        sweep
+    }
+
+    /// Stages 1–5 of the search over `entry`, `self`'s space entry.
+    fn search_entry(&self, entry: &SpaceEntry, q: &Query) -> Sweep {
         let hbm = self.system.gpu.hbm_capacity;
         let prune = q.prune
             && !q.keep_infeasible
@@ -629,7 +651,7 @@ impl<'a> Planner<'a> {
             .filter(|c| entry.memory[c.index].fits(hbm))
             .count() as u64;
         if !prune {
-            let evals = self.evaluate_batch(&entry, &work, &|_| false, &|_| {});
+            let evals = self.evaluate_batch(entry, &work, &|_| false, &|_| {});
             return Sweep {
                 evals: evals.into_iter().map(|(_, e)| e).collect(),
                 candidates,
@@ -656,7 +678,7 @@ impl<'a> Planner<'a> {
                 archive.insert(q.frontier.iter().map(|o| o.key(e, q.ctx)).collect());
             }
         };
-        let mut evaluated = self.evaluate_batch(&entry, &work, &|_| false, &publish);
+        let mut evaluated = self.evaluate_batch(entry, &work, &|_| false, &publish);
 
         // A candidate may be skipped once at least k evaluated candidates
         // outrank it. For a multi-stage lexicographic objective its bound
@@ -693,7 +715,7 @@ impl<'a> Planner<'a> {
 
         // Stage 4 (sweep the survivors best-first, parallel).
         rest.sort_unstable_by(by_bound);
-        let swept = self.evaluate_batch(&entry, &rest, &prunable, &publish);
+        let swept = self.evaluate_batch(entry, &rest, &prunable, &publish);
         let skipped = (rest.len() - swept.len()) as u64;
         evaluated.extend(swept);
         if q.frontier.is_empty() {
@@ -736,6 +758,7 @@ impl<'a> Planner<'a> {
                     *fps,
                     self.model,
                     &entry.candidates[c.index],
+                    entry.placements(c.index),
                     global_batch,
                     self.system,
                     entry.memory[c.index],
@@ -766,6 +789,7 @@ impl<'a> Planner<'a> {
             PassFingerprints::of(&profile),
             self.model,
             cfg,
+            &enumerate_placements(cfg, self.system.nvs_size),
             self.config.space.global_batch,
             self.system,
             memory,

@@ -1,15 +1,19 @@
-//! The space store: each search space's placement-free work, kept across
-//! [`Planner`] calls.
+//! The space store: each search space's query-independent work, kept
+//! across [`Planner`] calls.
 //!
-//! A [`SpaceEntry`] holds what a search computes before it looks at a
+//! A [`SpaceEntry`] holds what a search computes before it prices a
 //! single placement: the candidates as [`Planner::candidates`] lists them
 //! before the user predicates, one layer profile per TP tuple with each
-//! candidate's profile index, each candidate's memory ledger, and — once
-//! a query that prunes asks for them — each candidate's placement-free
-//! iteration-time lower bound. None of it depends on the objective, the
-//! frontier, `top_k`, the prune switch or a predicate, so every query on
-//! one space shares one entry, and constrained planners filter its list
-//! in enumeration order.
+//! candidate's profile index, each candidate's memory ledger, each
+//! candidate's placement-free iteration-time lower bound (once a query
+//! that prunes asks for them), and one list of maximal NVS placements per
+//! distinct `(n1, n2, np, nd)` group with each candidate's group index.
+//! A group's list is enumerated by the first evaluation of one of its
+//! candidates, so a query that evaluates a few candidates enumerates a
+//! few groups, and every later evaluation of the group reads it. None of
+//! it depends on the objective, the frontier, `top_k`, the prune switch
+//! or a predicate, so every query on one space shares one entry, and
+//! constrained planners filter its list in enumeration order.
 //!
 //! # Key
 //!
@@ -27,41 +31,50 @@
 //!
 //! The store holds at most [`SPACE_STORE_BUDGET`] candidate-sized units
 //! and evicts the least recently used space to stay within it. An entry
-//! is charged one unit per candidate, [`PROFILE_CHARGE`] per profile and
-//! one per [`CANDIDATE_BYTES`] bytes of key, so the budget bounds the
-//! store's bytes however its spaces are shaped, a flood of tiny ones
-//! included. An entry larger than the whole budget serves the call that
-//! built it and is not kept.
+//! is charged one unit per candidate, [`PROFILE_CHARGE`] per profile, one
+//! per placement group, and one per [`CANDIDATE_BYTES`] bytes of key and
+//! of the placements its lists hold, so the budget bounds the store's
+//! bytes however its spaces are shaped, a flood of tiny ones included.
+//! The lists fill after the entry is stored, so a search that filled some
+//! recharges its entry when it ends, evicting other spaces as an insert
+//! does. An entry larger than the whole budget serves the call that built
+//! it, or that filled it past the budget, and is not kept.
 //!
 //! # Concurrency
 //!
 //! Entries are built outside the store's lock; two calls that race on
 //! one space both build it, with identical values, and the first to
-//! finish stores it. The lock guards only the lookup and the insert. The
-//! one wait between searches is on an entry's bounds: a search that needs
-//! them while another computes them waits for that result rather than
-//! computing it again.
+//! finish stores it. The lock guards only the lookup, the insert and the
+//! recharge. The one wait between searches is on an entry's bounds: a
+//! search that needs them while another computes them waits for that
+//! result rather than computing it again. Evaluations racing on one
+//! group's placement list instead each enumerate it, and the first to
+//! finish stores it, so no worker sleeps on another's enumeration.
 
 use super::{Planner, SearchSpace};
-use crate::config::ParallelConfig;
+use crate::config::{ParallelConfig, Placement};
 use crate::evaluate::{iteration_time_lower_bound, PassFingerprints};
 use crate::memory::MemoryUsage;
 use crate::partition::cache::{build_profiles, system_fingerprint};
+use crate::placement::enumerate_placements;
 use crate::plan::LayerProfile;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// The process-wide store's capacity, in candidate-sized units of
 /// [`CANDIDATE_BYTES`]: 8 MiB. perfbench's `plan` workload stores 11,859
-/// candidates, 1,880 profiles and 8 keys of about 1.2 kB, a charge of
-/// about 30,700, so it fits twice over.
+/// candidates, 1,880 profiles, 818 placement groups and 8 keys of about
+/// 1.2 kB, and a pass of its queries fills 188 of the groups with 1,736
+/// placements: a charge of about 32,000 (33,500 were every group filled,
+/// 7,946 placements), so it fits twice over.
 pub(crate) const SPACE_STORE_BUDGET: usize = 1 << 16;
 
-/// The bytes one charge unit stands for: a stored candidate takes 124
-/// (its 72-byte configuration, 40-byte memory ledger, profile index and
-/// bound).
+/// The bytes one charge unit stands for: a stored candidate takes 128
+/// (its 72-byte configuration, 40-byte memory ledger, profile and group
+/// indices and bound), four placements take 128, and a group's empty
+/// list 32.
 const CANDIDATE_BYTES: usize = 128;
 
 /// The units one stored profile is charged: a layer profile with its
@@ -89,6 +102,16 @@ pub(crate) struct SpaceEntry {
     profiles: Vec<(LayerProfile, PassFingerprints)>,
     /// Each candidate's index into `profiles`.
     profile_of: Vec<u32>,
+    /// The NVS domain size of the space's system.
+    nvs_size: u64,
+    /// One placement list per distinct `(n1, n2, np, nd)` group of the
+    /// candidates, each enumerated by the first evaluation that needs it,
+    /// so a query that evaluates few candidates enumerates few groups.
+    placements: Vec<OnceLock<Vec<Placement>>>,
+    /// Each candidate's index into `placements`.
+    group_of: Vec<u32>,
+    /// The placements held across `placements`, for the store's charge.
+    placements_held: AtomicUsize,
     /// Each candidate's memory ledger (the planner's training or serving
     /// ledger).
     pub(crate) memory: Vec<MemoryUsage>,
@@ -105,6 +128,26 @@ impl SpaceEntry {
     fn build(p: &Planner) -> Self {
         let candidates = p.enumerate();
         let (profiles, profile_of) = build_profiles(p.model, &p.system.gpu, &candidates);
+        // A group's candidates are enumerated consecutively within each
+        // `(strategy, gpus)` sub-space, so the map is consulted once per
+        // run of them.
+        let mut group_index = BTreeMap::new();
+        let mut run = None;
+        let group_of = candidates
+            .iter()
+            .map(|c| {
+                let key = (c.n1, c.n2, c.np, c.nd);
+                match run {
+                    Some((k, group)) if k == key => group,
+                    _ => {
+                        let next = group_index.len() as u32;
+                        let group = *group_index.entry(key).or_insert(next);
+                        run = Some((key, group));
+                        group
+                    }
+                }
+            })
+            .collect();
         let global_batch = p.config.space.global_batch;
         let memory = indices(candidates.len())
             .par_iter()
@@ -117,9 +160,37 @@ impl SpaceEntry {
             candidates,
             profiles,
             profile_of,
+            nvs_size: p.system.nvs_size,
+            placements: (0..group_index.len()).map(|_| OnceLock::new()).collect(),
+            group_of,
+            placements_held: AtomicUsize::new(0),
             memory,
             time_lb: OnceLock::new(),
         }
+    }
+
+    /// Candidate `i`'s maximal NVS placements, in
+    /// [`enumerate_placements`] order: its group's list, which the first
+    /// call for any candidate of the group enumerates.
+    pub(crate) fn placements(&self, i: usize) -> &[Placement] {
+        let slot = &self.placements[self.group_of[i] as usize];
+        if let Some(list) = slot.get() {
+            return list;
+        }
+        // Enumerate outside the slot's lock, so that evaluations racing
+        // on one group each enumerate rather than wait; the first list
+        // stored is kept, and the lists are equal.
+        let list = enumerate_placements(&self.candidates[i], self.nvs_size);
+        slot.get_or_init(|| {
+            self.placements_held
+                .fetch_add(list.len(), Ordering::Relaxed);
+            list
+        })
+    }
+
+    /// The placements the entry's lists hold so far.
+    pub(crate) fn placements_held(&self) -> usize {
+        self.placements_held.load(Ordering::Relaxed)
     }
 
     /// Candidate `i`'s layer profile and pass fingerprints.
@@ -158,11 +229,13 @@ impl SpaceEntry {
     }
 }
 
-/// What storing `entry` under `key` costs against the budget (see the
-/// module docs).
+/// What holding `entry` under `key` costs against the budget, with the
+/// placement lists it holds now (see the module docs).
 fn charge(entry: &SpaceEntry, key: &str) -> usize {
     entry.candidates.len()
         + PROFILE_CHARGE * entry.profiles.len()
+        + entry.placements.len()
+        + (entry.placements_held() * std::mem::size_of::<Placement>()).div_ceil(CANDIDATE_BYTES)
         + key.len().div_ceil(CANDIDATE_BYTES)
 }
 
@@ -275,21 +348,7 @@ impl SpaceStore {
         if slots.map.contains_key(&key) {
             return;
         }
-        while slots.held + charge > self.budget {
-            let Some(oldest) = slots
-                .map
-                .iter()
-                .min_by_key(|(_, slot)| slot.last_used)
-                .map(|(key, _)| key.clone())
-            else {
-                break;
-            };
-            if let Some(slot) = slots.map.remove(&oldest) {
-                slots.held -= slot.charge;
-                evicted.push(slot.entry);
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
+        self.evict(&mut slots, charge, &mut evicted);
         slots.clock += 1;
         let last_used = slots.clock;
         slots.held += charge;
@@ -301,6 +360,58 @@ impl SpaceStore {
                 last_used,
             },
         );
+    }
+
+    /// Charges `entry`'s placement lists as they are now, if the store
+    /// holds it, and evicts the least recently used spaces until the
+    /// store fits its budget again; an `entry` that alone no longer fits
+    /// goes first. A search calls this after it filled some lists.
+    pub(crate) fn recharge(&self, entry: &Arc<SpaceEntry>) {
+        let mut evicted = Vec::new();
+        let mut guard = self.lock();
+        let slots = &mut *guard;
+        let Some((key, slot)) = slots
+            .map
+            .iter_mut()
+            .find(|(_, slot)| Arc::ptr_eq(&slot.entry, entry))
+        else {
+            return;
+        };
+        let charge = charge(entry, key);
+        slots.held = slots.held - slot.charge + charge;
+        slot.charge = charge;
+        if charge > self.budget {
+            let key = key.clone();
+            self.remove(slots, &key, &mut evicted);
+        }
+        self.evict(slots, 0, &mut evicted);
+    }
+
+    /// Evicts the least recently used spaces until `room` more units fit
+    /// the budget, moving them into `evicted` so the caller frees them
+    /// after releasing the lock.
+    fn evict(&self, slots: &mut Slots, room: usize, evicted: &mut Vec<Arc<SpaceEntry>>) {
+        while slots.held + room > self.budget {
+            let Some(oldest) = slots
+                .map
+                .iter()
+                .min_by_key(|(_, slot)| slot.last_used)
+                .map(|(key, _)| key.clone())
+            else {
+                break;
+            };
+            self.remove(slots, &oldest, evicted);
+        }
+    }
+
+    /// Evicts the space stored under `key`, moving its entry into
+    /// `evicted`.
+    fn remove(&self, slots: &mut Slots, key: &str, evicted: &mut Vec<Arc<SpaceEntry>>) {
+        if let Some(slot) = slots.map.remove(key) {
+            slots.held -= slot.charge;
+            evicted.push(slot.entry);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// Drops every stored entry (after releasing the lock).
@@ -326,11 +437,14 @@ mod tests {
     use super::*;
     use crate::{Objective, TpStrategy};
     use systems::{system, GpuGeneration, NvsSize};
-    use txmodel::gpt3_175b;
+    use txmodel::{gpt3_175b, gpt3_1t, moe_1t, vit_64k};
 
-    /// The charge `insert` levies on `p`'s space.
+    /// The charge `p`'s space holds once [`queries`] has run on it: its
+    /// entry with the placement lists those queries fill.
     fn charge_of(p: &Planner) -> usize {
-        charge(&SpaceEntry::build(p), &space_key(p).unwrap_or_default())
+        let store = SpaceStore::new(SPACE_STORE_BUDGET);
+        queries(p, &store);
+        store.held()
     }
 
     /// A pruned single optimum and an unpruned top-8 sweep of `p`,
@@ -385,6 +499,75 @@ mod tests {
         assert_eq!(count(&store.hits), 6);
         assert_eq!(count(&store.evictions), 5);
         assert_eq!(count(&cold.evictions), 0);
+    }
+
+    /// Every candidate's stored placement list is its own enumeration,
+    /// whichever candidate of its group filled the list, on a multi-count
+    /// 1D space, a SUMMA space, a mixed 1D and 2D space and the MoE-1T
+    /// space; and the store charges the lists a search fills.
+    #[test]
+    fn stored_placement_lists_are_each_candidates_enumeration() {
+        let sys = system(GpuGeneration::B200, NvsSize::Nvs8);
+        let (gpt175, gpt1t, vit, moe) = (
+            gpt3_175b().config,
+            gpt3_1t().config,
+            vit_64k().config,
+            moe_1t().config,
+        );
+        let spaces = [
+            Planner::new(&gpt175, &sys)
+                .gpu_counts([8, 24, 64, 512])
+                .global_batch(1024)
+                .strategy(TpStrategy::OneD),
+            Planner::new(&gpt1t, &sys)
+                .gpus(256)
+                .strategy(TpStrategy::Summa),
+            Planner::new(&vit, &sys)
+                .gpus(128)
+                .strategies([TpStrategy::OneD, TpStrategy::TwoD]),
+            Planner::new(&moe, &sys)
+                .gpus(1024)
+                .strategy(TpStrategy::OneD),
+        ];
+        for p in &spaces {
+            let entry = SpaceEntry::build(p);
+            let n = entry.candidates.len();
+            assert!(entry.placements.len() < n, "groups are shared");
+            // Fill each list from the group's last candidate, then read
+            // it for every candidate.
+            for i in (0..n).rev() {
+                entry.placements(i);
+            }
+            for (i, cfg) in entry.candidates.iter().enumerate() {
+                assert_eq!(
+                    entry.placements(i),
+                    enumerate_placements(cfg, sys.nvs_size),
+                    "{cfg}"
+                );
+            }
+            let held: usize = entry
+                .placements
+                .iter()
+                .flat_map(OnceLock::get)
+                .map(Vec::len)
+                .sum();
+            assert_eq!(entry.placements_held(), held);
+
+            // The store charges what the searches filled, once they end.
+            let fresh = charge(&SpaceEntry::build(p), &space_key(p).unwrap_or_default());
+            let store = SpaceStore::new(SPACE_STORE_BUDGET);
+            queries(p, &store);
+            let filled = store.entry(p).placements_held();
+            assert!(filled > 0);
+            let lists = (filled * std::mem::size_of::<Placement>()).div_ceil(CANDIDATE_BYTES);
+            assert_eq!(store.held(), fresh + lists);
+            // An entry that fits only until its lists fill serves the
+            // search that fills them and is then dropped.
+            let tight = SpaceStore::new(fresh);
+            queries(p, &tight);
+            assert_eq!(tight.held(), 0);
+            assert_eq!(tight.evictions.load(Ordering::Relaxed), 2);
+        }
     }
 
     #[test]

@@ -297,12 +297,14 @@ pub(crate) fn validate_network(n: &NetworkSpec) -> Result<(), ConfigError> {
     )
 }
 
-/// Vets the numeric [`SystemSpec`] fields the planner's scoring context
-/// consumes: network bandwidths/latencies and the reliability rates the
-/// goodput objectives feed into the checkpoint-interval solver. (The
-/// catalog constructors always satisfy this; a hand-built or deserialized
-/// spec may not.)
+/// Vets the [`SystemSpec`] fields the search and the planner's scoring
+/// context consume: an NVS domain of at least one GPU (every candidate's
+/// placement search needs the trivial placement), network
+/// bandwidths/latencies and the reliability rates the goodput objectives
+/// feed into the checkpoint-interval solver. (The catalog constructors
+/// always satisfy this; a hand-built or deserialized spec may not.)
 pub fn validate_system(sys: &SystemSpec) -> Result<(), ConfigError> {
+    nonzero(sys.nvs_size, "system.nvs_size")?;
     validate_network(&sys.network)?;
     let r = &sys.reliability;
     non_negative(r.gpu_mtbf_hours, "system.reliability.gpu_mtbf_hours")?;
@@ -455,14 +457,28 @@ mod tests {
             }
             other => panic!("expected OutOfRange, got {other:?}"),
         }
-        let bad =
-            sys.with_reliability(ReliabilitySpec::datacenter().with_stragglers(2.0, 1.5, 60.0));
+        let bad = sys
+            .clone()
+            .with_reliability(ReliabilitySpec::datacenter().with_stragglers(2.0, 1.5, 60.0));
         match validate_system(&bad) {
             Err(ConfigError::OutOfRange { field, .. }) => {
                 assert_eq!(field, "system.reliability.straggler_prob")
             }
             other => panic!("expected OutOfRange, got {other:?}"),
         }
+        // A domain of no GPUs holds no placement, not even the trivial
+        // one, so the placement search would have nothing to pick from.
+        let mut bad = sys;
+        bad.nvs_size = 0;
+        let zero = Err(ConfigError::Zero {
+            field: "system.nvs_size".into(),
+        });
+        assert_eq!(validate_system(&bad), zero);
+        let model = txmodel::gpt3_175b().config;
+        let planner = crate::Planner::new(&model, &bad)
+            .gpus(64)
+            .strategy(crate::TpStrategy::OneD);
+        assert_eq!(planner.try_execute().map(|_| ()), zero);
     }
 
     #[test]

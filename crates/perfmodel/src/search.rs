@@ -14,22 +14,24 @@
 //!
 //! * the enumeration of one `(gpus, strategy)` sub-space of a
 //!   [`crate::SearchSpace`], reached through [`Planner::candidates`];
-//! * the per-candidate placement loop, which prices every placement once
-//!   against the candidate's stored [`LayerProfile`] (one per distinct TP
-//!   tuple `(strategy, n1, n2, bm, nb, ep)`, see
+//! * the per-candidate placement loop, which prices every placement of
+//!   the candidate's stored placement list (one per distinct
+//!   `(n1, n2, np, nd)` group) once against its stored [`LayerProfile`]
+//!   (one per distinct TP tuple `(strategy, n1, n2, bm, nb, ep)`, see
 //!   [`crate::partition::cache`]) and keeps the winner's breakdown for its
-//!   [`Evaluation`] — exposed for a pinned configuration as
-//!   [`best_placement_eval`]. Every search evaluates each candidate
-//!   through this loop, one work item per candidate.
+//!   [`Evaluation`] — exposed for a pinned configuration, whose
+//!   placements are enumerated afresh, as [`best_placement_eval`]. Every
+//!   search evaluates each candidate through this loop, one work item per
+//!   candidate.
 //!
 //! Results are deterministic and bit-identical across thread counts: the
 //! pool preserves input order, every reduction runs over the ordered
 //! results, and sorting is stable.
 
-use crate::config::{ParallelConfig, TpStrategy};
+use crate::config::{ParallelConfig, Placement, TpStrategy};
 use crate::evaluate::{placement_breakdown, Evaluation, PassFingerprints};
 use crate::partition::cache::system_fingerprint;
-use crate::placement::{divisors, enumerate_placements};
+use crate::placement::divisors;
 use crate::plan::LayerProfile;
 use crate::planner::{Planner, SearchSpace};
 use rayon::prelude::*;
@@ -152,14 +154,21 @@ pub fn best_placement_eval(
 }
 
 /// The placement loop behind [`best_placement_eval`] and the
-/// [`Planner`]'s per-candidate evaluation, with the placement-independent
-/// memory accounting already priced (the search gates on it before any
-/// placement runs).
+/// [`Planner`]'s per-candidate evaluation, over `placements` (the
+/// candidate's maximal placements in [`crate::enumerate_placements`]
+/// order, at least one), with the placement-independent memory
+/// accounting already priced (the search gates on it before any placement
+/// runs).
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the candidate's stored profile, placements and ledger are passed in, not rebuilt"
+)]
 pub(crate) fn best_placement_with_memory(
     profile: &LayerProfile,
     fps: PassFingerprints,
     model: &TransformerConfig,
     cfg: &ParallelConfig,
+    placements: &[Placement],
     global_batch: u64,
     sys: &SystemSpec,
     memory: crate::memory::MemoryUsage,
@@ -173,9 +182,8 @@ pub(crate) fn best_placement_with_memory(
     let sys_fp = system_fingerprint(sys);
     let mut best_t = f64::INFINITY;
     let mut winner = None;
-    for p in enumerate_placements(cfg, sys.nvs_size) {
-        let breakdown =
-            placement_breakdown(profile, model, cfg, &p, global_batch, sys, sys_fp, fps);
+    for p in placements {
+        let breakdown = placement_breakdown(profile, model, cfg, p, global_batch, sys, sys_fp, fps);
         let improves = crate::ord::is_improvement(breakdown.total(), best_t);
         if improves {
             best_t = breakdown.total();
@@ -186,10 +194,10 @@ pub(crate) fn best_placement_with_memory(
     }
     #[expect(
         clippy::expect_used,
-        reason = "enumerate_placements always yields the trivial placement"
+        reason = "every domain of at least one GPU holds the trivial placement"
     )]
     let (placement, breakdown) = winner.expect("at least the trivial placement exists");
-    Evaluation::assemble(cfg, &placement, global_batch, breakdown, memory, sys)
+    Evaluation::assemble(cfg, placement, global_batch, breakdown, memory, sys)
 }
 
 #[cfg(test)]
