@@ -124,7 +124,8 @@ impl ParallelConfig {
     /// extended with the expert-parallel constraints: parallel degrees
     /// must evenly divide the tensor dimensions they partition, `np | d`,
     /// `nd | b`, `bm | b/nd`, and for MoE models `ep | nd` and
-    /// `ep | experts` (dense models require `ep = 1`).
+    /// `ep | experts` (dense models require `ep = 1`); and that `n1·n2`
+    /// and `n1·n2·np·nd` fit in a `u64`.
     pub fn validate(&self, model: &TransformerConfig, global_batch: u64) -> Result<(), String> {
         self.check(model, global_batch).map_err(|e| e.to_string())
     }
@@ -221,6 +222,12 @@ impl ParallelConfig {
                 local_batch,
             ));
         }
+        // The grid's products must not wrap: `tensor_parallel` and
+        // `total_gpus` multiply unchecked.
+        let nt = n1.checked_mul(n2).ok_or(Invalid::Overflow("n1*n2"))?;
+        nt.checked_mul(np)
+            .and_then(|n| n.checked_mul(nd))
+            .ok_or(Invalid::Overflow("n1*n2*np*nd"))?;
         // Tensor-dimension divisibility. All strategies shard heads, embed
         // and hidden over n1; the sequence is sharded over nt = n1·n2 at
         // the residual stream.
@@ -228,7 +235,7 @@ impl ParallelConfig {
             (model.heads, n1, "heads % n1"),
             (model.embed, n1, "embed % n1"),
             (model.hidden, n1, "hidden % n1"),
-            (model.seq_len, n1 * n2, "seq_len % (n1*n2)"),
+            (model.seq_len, nt, "seq_len % (n1*n2)"),
         ];
         for (dim, div, what) in checks {
             if dim % div != 0 {
@@ -284,6 +291,8 @@ pub(crate) enum Invalid {
         div: u64,
     },
     SummaN2(u64),
+    /// The named product of configuration factors overflows `u64`.
+    Overflow(&'static str),
 }
 
 impl Invalid {
@@ -328,6 +337,7 @@ impl std::fmt::Display for Invalid {
             Invalid::SummaN2(n2) => {
                 write!(f, "SUMMA requires n2 ({n2}) to divide embed and hidden")
             }
+            Invalid::Overflow(product) => write!(f, "{product} overflows u64"),
         }
     }
 }
@@ -380,10 +390,13 @@ impl Placement {
                 return Err(format!("{what} violated ({v} does not divide {n})"));
             }
         }
-        if self.gpus_per_domain() > nvs_size {
+        let used = [self.v2, self.vp, self.vd]
+            .into_iter()
+            .try_fold(self.v1, u64::checked_mul)
+            .ok_or("v1*v2*vp*vd overflows u64")?;
+        if used > nvs_size {
             return Err(format!(
-                "placement packs {} GPUs into a domain of {nvs_size}",
-                self.gpus_per_domain()
+                "placement packs {used} GPUs into a domain of {nvs_size}"
             ));
         }
         Ok(())
@@ -690,6 +703,51 @@ mod tests {
         for (cfg, model, msg) in cases {
             assert_eq!(cfg.validate(&model, 4096).unwrap_err(), msg, "{cfg:?}");
         }
+    }
+
+    /// A product of configuration factors that overflows `u64` is a typed
+    /// rejection, not an arithmetic panic.
+    #[test]
+    fn validate_rejects_overflowing_products() {
+        let gpt = gpt();
+        let two_d = |n1, n2| ParallelConfig::new(TpStrategy::TwoD, n1, n2, 1, 1, 1);
+        for cfg in [two_d(8, 1 << 61), two_d(1 << 32, 1 << 32)] {
+            assert_eq!(
+                cfg.validate(&gpt, 4096).unwrap_err(),
+                "n1*n2 overflows u64",
+                "{cfg:?}"
+            );
+        }
+        // n1·n2 divides the sequence and np the depth, yet the grid
+        // n1·n2·np·nd has 2^70 GPUs.
+        let deep = TransformerConfig {
+            seq_len: 1 << 40,
+            depth: 1 << 30,
+            ..gpt
+        };
+        let grid = ParallelConfig::new(TpStrategy::TwoD, 1, 1 << 40, 1 << 30, 1, 1);
+        assert_eq!(
+            grid.validate(&deep, 4096).unwrap_err(),
+            "n1*n2*np*nd overflows u64"
+        );
+    }
+
+    /// Four placement factors whose product overflows `u64` are rejected,
+    /// not wrapped to a product that fits any domain (release) or a panic
+    /// (debug).
+    #[test]
+    fn placement_rejects_an_overflowing_product() {
+        let cfg = ParallelConfig::new(TpStrategy::TwoD, 1 << 32, 1 << 32, 1, 1, 1);
+        let wide = Placement {
+            v1: 1 << 32,
+            v2: 1 << 32,
+            vp: 1,
+            vd: 1,
+        };
+        assert_eq!(
+            wide.validate(&cfg, 8).unwrap_err(),
+            "v1*v2*vp*vd overflows u64"
+        );
     }
 
     #[test]

@@ -96,8 +96,7 @@ fn comm_group(group: TpGroup, cfg: &ParallelConfig, placement: &Placement) -> Co
 /// already-resolved group: AllReduce and AllToAll under the
 /// configuration's [`Algorithm`] policy (`Auto` = NCCL-style
 /// fastest-of-three, and ring vs pairwise for the MoE dispatch/combine
-/// AllToAll); every other collective runs rings, as in NCCL. The one
-/// definition behind [`exposed_time`] and [`pattern_lower_bound`].
+/// AllToAll); every other collective runs rings, as in NCCL.
 fn collective_dispatch(
     coll: Collective,
     volume: f64,
@@ -110,40 +109,6 @@ fn collective_dispatch(
         Collective::AllToAll => alltoall_time(algo, volume, grp, sys),
         _ => collective_time(coll, volume, grp, sys),
     }
-}
-
-/// Exposed time of one [`CommPattern::Exposed`] collective over an
-/// already-resolved group ([`collective_dispatch`]).
-///
-/// The heavyweight pricings — policy-dispatched AllReduce/AllToAll — are
-/// memoized ([`memo_f64`]) on `(algorithm, volume, group, system)`: the
-/// search prices the same pattern for every `(np, nd, interleave,
-/// placement)` candidate sharing a TP tuple, so hit rates are high and
-/// hits are bit-identical. Plain ring AG/RS/Broadcast formulas cost less
-/// than a cache probe and are computed directly. `sys_fp` is the caller's
-/// hoisted [`system_fingerprint`].
-fn exposed_time(
-    coll: Collective,
-    volume: f64,
-    algo: Algorithm,
-    grp: CommGroup,
-    sys: &SystemSpec,
-    sys_fp: u64,
-) -> f64 {
-    let tag = match coll {
-        Collective::AllReduce => 0x45, // "E"xposed
-        Collective::AllToAll => 0x41,  // "A"lltoall
-        _ => return collective_dispatch(coll, volume, algo, grp, sys),
-    };
-    let key = fnv([
-        tag,
-        algo as u64,
-        volume.to_bits(),
-        grp.size(),
-        grp.per_domain(),
-        sys_fp,
-    ]);
-    memo_f64(key, || collective_dispatch(coll, volume, algo, grp, sys))
 }
 
 /// One SUMMA panel broadcast over `grp`: the per-step communication of
@@ -170,64 +135,28 @@ fn panel_schedule(step_comm: f64, panels: u64, panel_compute: f64) -> f64 {
     step_comm + (panels - 1.0) * (step_comm - panel_compute).max(0.0)
 }
 
-/// Exposed time of one [`CommPattern::SummaOverlapped`] panel schedule
-/// over already-resolved groups: [`panel_schedule`] of the two
-/// [`panel_broadcast`]s, memoized like [`exposed_time`].
-#[expect(
-    clippy::too_many_arguments,
-    reason = "the two panel broadcasts each need their volume and group"
-)]
-fn summa_time(
-    vol_a: f64,
-    vol_b: f64,
-    panels: u64,
-    panel_compute: f64,
-    grp_a: CommGroup,
-    grp_b: CommGroup,
-    sys: &SystemSpec,
-    sys_fp: u64,
-) -> f64 {
-    let key = fnv([
-        0x53, // "S"umma
-        vol_a.to_bits(),
-        vol_b.to_bits(),
-        panels,
-        panel_compute.to_bits(),
-        grp_a.size(),
-        grp_a.per_domain(),
-        grp_b.size(),
-        grp_b.per_domain(),
-        sys_fp,
-    ]);
-    memo_f64(key, || {
-        let step_comm =
-            panel_broadcast(vol_a, panels, grp_a, sys) + panel_broadcast(vol_b, panels, grp_b, sys);
-        panel_schedule(step_comm, panels, panel_compute)
-    })
-}
-
 /// Exposed time of one communication pattern under a placement: resolves
-/// the pattern's symbolic groups via [`comm_group`] and dispatches to the
-/// memoized pricing helpers.
+/// the pattern's symbolic groups via [`comm_group`] and prices it with
+/// the helpers [`pattern_lower_bound`] uses: an exposed collective
+/// through [`collective_dispatch`], a SUMMA schedule as
+/// [`panel_schedule`] of its two [`panel_broadcast`]s.
 fn pattern_time(
     pattern: &CommPattern,
     cfg: &ParallelConfig,
     placement: &Placement,
     sys: &SystemSpec,
-    sys_fp: u64,
 ) -> f64 {
     match pattern {
         CommPattern::Exposed {
             coll,
             volume,
             group,
-        } => exposed_time(
+        } => collective_dispatch(
             *coll,
             *volume,
             cfg.comm_algo,
             comm_group(*group, cfg, placement),
             sys,
-            sys_fp,
         ),
         CommPattern::SummaOverlapped {
             vol_a,
@@ -236,16 +165,12 @@ fn pattern_time(
             group_b,
             panels,
             panel_compute,
-        } => summa_time(
-            *vol_a,
-            *vol_b,
-            *panels,
-            *panel_compute,
-            comm_group(*group_a, cfg, placement),
-            comm_group(*group_b, cfg, placement),
-            sys,
-            sys_fp,
-        ),
+        } => {
+            let step_comm =
+                panel_broadcast(*vol_a, *panels, comm_group(*group_a, cfg, placement), sys)
+                    + panel_broadcast(*vol_b, *panels, comm_group(*group_b, cfg, placement), sys);
+            panel_schedule(step_comm, *panels, *panel_compute)
+        }
     }
 }
 
@@ -305,15 +230,11 @@ impl PassFingerprints {
     }
 }
 
-/// Sum of exposed communication over one pass of one layer, memoized at
-/// the **pass** level: the key folds the pass fingerprint with everything
-/// [`comm_group`] can read from the candidate (`n1`, `n2`, `ep`, the
-/// algorithm policy) and from the placement (`v1`, `v2`, and the
-/// expert group's derived per-domain share — `vp` never enters a pass
-/// pattern). In the all-hit steady state this turns the former
-/// one-probe-per-pattern inner loop into one probe per pass; on a miss
-/// the per-pattern sum below runs in the exact order it always did, so
-/// the published value is bit-identical to the unmemoized sum.
+/// Sum of [`pattern_time`] over one pass of one layer, memoized under the
+/// `0x50` key: the pass fingerprint and everything [`comm_group`] reads
+/// from the candidate (`n1`, `n2`, `ep`, the algorithm policy) and the
+/// placement (`v1`, `v2`, the expert group's share; `vp` enters no pass
+/// pattern). A miss sums the patterns in list order.
 fn pass_comm_time(
     comms: &[CommPattern],
     pass_fp: u64,
@@ -341,7 +262,7 @@ fn pass_comm_time(
     memo_f64(key, || {
         comms
             .iter()
-            .map(|p| pattern_time(p, cfg, placement, sys, sys_fp))
+            .map(|p| pattern_time(p, cfg, placement, sys))
             .sum()
     })
 }
@@ -538,30 +459,7 @@ pub fn dp_sync_time(
     tf: f64,
     tb: f64,
 ) -> f64 {
-    let layers = (model.depth / cfg.np) as f64;
-    // (group, volume) parts: dense weights over the full `nd × n2` group,
-    // expert weights over the `n1 × nd/ep` replica group. A fixed
-    // two-slot array — this sits on the search's per-placement hot path,
-    // so no heap allocation.
-    let mut parts: [Option<(CommGroup, f64)>; 2] = [None, None];
-    let dp_size = cfg.nd * profile.dp_group_multiplier;
-    if dp_size > 1 && profile.weight_bytes > 0.0 {
-        let per_domain = (placement.vd * placement.v2).min(dp_size);
-        let per_domain = largest_divisor_at_most(dp_size, per_domain);
-        parts[0] = Some((
-            CommGroup::new(dp_size, per_domain),
-            profile.weight_bytes * layers,
-        ));
-    }
-    let replicas = cfg.n1 * (cfg.nd / cfg.ep);
-    if replicas > 1 && profile.expert_weight_bytes > 0.0 {
-        let per_domain =
-            largest_divisor_at_most(replicas, (placement.v1 * placement.vd).min(replicas));
-        parts[1] = Some((
-            CommGroup::new(replicas, per_domain),
-            profile.expert_weight_bytes * layers,
-        ));
-    }
+    let parts = dp_sync_groups(profile, model, cfg, placement);
     if parts.iter().all(Option::is_none) {
         return 0.0;
     }
@@ -601,8 +499,45 @@ pub fn dp_sync_time(
     }
 }
 
+/// The `(group, volume)` parts of the data-parallel synchronization that
+/// [`dp_sync_time`] prices: dense weights over the full `nd × n2` group,
+/// expert weights over the `n1 × nd/ep` replica group. A part is `None`
+/// when its group is one GPU or its volume is zero. A fixed two-slot
+/// array, because this sits on the search's per-placement hot path.
+///
+/// Public so `trainsim` re-prices the same groups when it degrades the
+/// slow tier.
+pub fn dp_sync_groups(
+    profile: &LayerProfile,
+    model: &TransformerConfig,
+    cfg: &ParallelConfig,
+    placement: &Placement,
+) -> [Option<(CommGroup, f64)>; 2] {
+    let layers = (model.depth / cfg.np) as f64;
+    let mut parts = [None, None];
+    let dp_size = cfg.nd * profile.dp_group_multiplier;
+    if dp_size > 1 && profile.weight_bytes > 0.0 {
+        let per_domain = (placement.vd * placement.v2).min(dp_size);
+        let per_domain = largest_divisor_at_most(dp_size, per_domain);
+        parts[0] = Some((
+            CommGroup::new(dp_size, per_domain),
+            profile.weight_bytes * layers,
+        ));
+    }
+    let replicas = cfg.n1 * (cfg.nd / cfg.ep);
+    if replicas > 1 && profile.expert_weight_bytes > 0.0 {
+        let per_domain =
+            largest_divisor_at_most(replicas, (placement.v1 * placement.vd).min(replicas));
+        parts[1] = Some((
+            CommGroup::new(replicas, per_domain),
+            profile.expert_weight_bytes * layers,
+        ));
+    }
+    parts
+}
+
 /// Largest divisor of `n` that is ≤ `cap` (≥ 1).
-pub fn largest_divisor_at_most(n: u64, cap: u64) -> u64 {
+pub(crate) fn largest_divisor_at_most(n: u64, cap: u64) -> u64 {
     let mut best = 1;
     let mut d = 1;
     while d * d <= n {
@@ -622,7 +557,8 @@ pub fn largest_divisor_at_most(n: u64, cap: u64) -> u64 {
 
 /// Best-case exposed time of one communication pattern over *any* legal
 /// domain assignment — the per-pattern piece of the branch-and-bound
-/// lower bound.
+/// lower bound. Each share is priced by [`pattern_time`]'s helpers; only
+/// the pass-level sum is memoized ([`pass_comm_lower_bound`]).
 ///
 /// # Admissibility
 ///
@@ -663,16 +599,6 @@ pub fn largest_divisor_at_most(n: u64, cap: u64) -> u64 {
 /// (`crate::ord::exceeds_bound`). The test
 /// `summa_group_minimum_matches_the_cartesian_loop` pins this against a
 /// copy of the cartesian loop, on systems with hostile network fields.
-///
-/// # Direct pricing
-///
-/// Every share is priced directly ([`collective_dispatch`],
-/// [`panel_broadcast`]), not through the memo behind [`exposed_time`]
-/// and [`summa_time`]: in a cold perfbench `plan` pass the bound probes
-/// of the GPT3-1T SUMMA 16,384-GPU space were 82,052 of the pass's
-/// 84,730 memo misses, and later evaluations read fewer than one in ten
-/// of them back. The pass-level sum keeps its own memo entry
-/// ([`pass_comm_lower_bound`]).
 fn pattern_lower_bound(
     pattern: &CommPattern,
     cfg: &ParallelConfig,

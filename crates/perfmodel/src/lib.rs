@@ -78,7 +78,9 @@ pub mod training;
 pub use breakdown::Breakdown;
 pub use collectives::Algorithm;
 pub use config::{ParallelConfig, Placement, TpStrategy};
-pub use evaluate::{dp_sync_time, evaluate, evaluate_with_tp_overlap, stage_times, Evaluation};
+pub use evaluate::{
+    dp_sync_groups, dp_sync_time, evaluate, evaluate_with_tp_overlap, stage_times, Evaluation,
+};
 pub use memory::MemoryUsage;
 pub use partition::{reset_search_stats, search_stats, SearchStats};
 pub use placement::enumerate_placements;

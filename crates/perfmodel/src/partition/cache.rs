@@ -127,60 +127,44 @@ pub(crate) fn build_profiles(
 }
 
 // ---------------------------------------------------------------------------
-// Collective-time memoization (per-placement pricing hot path)
+// Pass-level pricing memo (per-placement pricing hot path)
 // ---------------------------------------------------------------------------
 //
-// `evaluate`'s per-placement pricing (`pattern_time` and the pass-level
-// sums above it) recomputes the same collective times for every
-// `(np, nd, bm, interleave, placement)` candidate sharing a TP tuple —
-// the SUMMA sweep alone prices millions of `(collective, volume, group)`
-// triples drawn from a few thousand distinct ones. The memo below caches
-// those scalar times in **two levels**:
+// The search prices the same pass of the same TP tuple under the same
+// group shares for many `(np, nd, bm, interleave, placement)` candidates.
+// The memo caches those pass sums in **two levels**:
 //
-// * **L1** — a thread-local `HashMap` probed first, lock-free. It absorbs
-//   the all-hit steady state, which is the actual hot path: once warm, a
-//   probe is one hash + one lookup with no synchronization at all.
+// * **L1** — a thread-local `HashMap`, probed first without a lock. It
+//   serves the all-hit steady state.
 // * **L2** — a process-global, 64-way-sharded `RwLock` map shared by all
-//   workers. The vendored rayon pool spawns *fresh* scoped threads per
-//   parallel call, so every worker starts with an empty L1; before L2
-//   existed, each of them re-derived the same few thousand distinct
-//   pricings per call (8× redundant first-compute work at 8 threads —
-//   the profiling counters below confirmed the hypothesis). An L1 miss
-//   now falls through to a shared read lock; only a genuine first
-//   compute takes a shard's write lock.
+//   workers. The vendored rayon pool spawns fresh scoped threads per
+//   parallel call, so every worker starts with an empty L1 and reads what
+//   its siblings and earlier calls published here; only a first compute
+//   takes a shard's write lock.
 //
 // # Key scheme
 //
-// Keys are FNV-1a folds ([`fnv`]) over a domain tag byte plus every input
-// the priced value depends on:
+// Keys are FNV-1a folds ([`fnv`]) of a tag byte and every input the value
+// depends on. The memo holds two kinds, both written in `crate::evaluate`:
 //
-// * `0x45`/`0x41` — exposed AllReduce / AllToAll: `(algo, volume bits,
-//   group size, per-domain share, system fingerprint)`;
-// * `0x53` — SUMMA overlapped panel schedule: `(volumes, panel count,
-//   panel compute bits, both groups, system fingerprint)`;
-// * `0x50`/`0x4C` — pass-level sum / pass-level lower bound (see
-//   `crate::evaluate`): `(pass fingerprint, algo, n1, n2, ep, placement
-//   projection or domain budget, system fingerprint)`.
+// * `0x50` — a pass's exposed communication under one placement: `(pass
+//   fingerprint, algo, n1, n2, ep, v1, v2, expert share, system
+//   fingerprint)`;
+// * `0x4C` — its lower bound over every placement: the same, with the
+//   domain budget in place of the placement. It names no GPU count and no
+//   space, so every space with the same TP tuple on one system shares it.
 //
-// Evaluations write all four kinds. A lower bound writes only `0x4C`: it
-// prices each hypothetical domain share directly, without the per-pattern
-// keys, because later evaluations read back few of those shares. The
-// `0x4C` key names no GPU count and no search space, so every space with
-// the same TP tuple on the same system shares it.
-//
-// The system fingerprint ([`system_fingerprint`]) folds every network
-// parameter a collective time reads, so one process can price many
-// systems against one shared memo.
+// A miss prices each pattern of the pass directly. The system fingerprint
+// ([`system_fingerprint`]) folds every network parameter a collective
+// time reads, so one memo serves many systems.
 //
 // # Sharing lifecycle and determinism
 //
-// L2 is append-only for the process lifetime (entries are never evicted
-// or mutated — `f64` values are pure functions of their key, ~16 bytes
-// each). Two workers racing on the same first compute insert
-// **bit-identical** values, so last-write-wins is harmless; hits return
-// exactly the bits the first compute produced. Memoization therefore
-// never changes results — only speed — and the search stays bit-identical
-// across thread counts.
+// L2 is append-only for the process lifetime: entries are never evicted
+// or mutated, and each `f64` value is a pure function of its key. Two
+// workers racing on the same first compute insert **bit-identical**
+// values, so last-write-wins is harmless. Memoization therefore changes
+// only speed, never a result, at any thread count.
 
 /// Profiling counters for the S3 search hot path (process-global).
 ///

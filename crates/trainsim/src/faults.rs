@@ -41,9 +41,8 @@
 //!   restarts from that (just-completed) checkpoint.
 
 use crate::sim::{simulate_iteration, SimParams, UnsupportedConfig};
-use collectives::{Collective, CommGroup};
-use netsim::{simulate_collective, simulate_collective_derated, SimOptions};
-use perfmodel::evaluate::largest_divisor_at_most;
+use collectives::Collective;
+use netsim::{simulate_collective_derated, SimOptions};
 use perfmodel::partition::build_profile;
 use perfmodel::{ParallelConfig, Placement};
 use rand::rngs::StdRng;
@@ -476,49 +475,23 @@ fn dp_degrade_increment(
     let dp_tail =
         perfmodel::dp_sync_time(&profile, model, cfg, placement, global_batch, sys, tf, tb);
     if dp_tail <= 0.0 {
-        return 1.0;
+        return 0.0;
     }
-    let layers = (model.depth / cfg.np) as f64;
-    // The same (group, volume) decomposition as `perfmodel::dp_sync_time`:
-    // dense weights over the full DP group, expert weights over the
-    // expert-replica group.
-    let mut parts: [Option<(CommGroup, f64)>; 2] = [None, None];
-    let dp_size = cfg.nd * profile.dp_group_multiplier;
-    if dp_size > 1 && profile.weight_bytes > 0.0 {
-        let per_domain =
-            largest_divisor_at_most(dp_size, (placement.vd * placement.v2).min(dp_size));
-        parts[0] = Some((
-            CommGroup::new(dp_size, per_domain),
-            profile.weight_bytes * layers,
-        ));
-    }
-    let replicas = cfg.n1 * (cfg.nd / cfg.ep);
-    if replicas > 1 && profile.expert_weight_bytes > 0.0 {
-        let per_domain =
-            largest_divisor_at_most(replicas, (placement.v1 * placement.vd).min(replicas));
-        parts[1] = Some((
-            CommGroup::new(replicas, per_domain),
-            profile.expert_weight_bytes * layers,
-        ));
-    }
+    let parts = perfmodel::dp_sync_groups(&profile, model, cfg, placement);
     let opts = SimOptions::default();
     let sum_des = |derate: f64| -> f64 {
         parts
             .iter()
             .flatten()
             .map(|&(grp, vol)| {
-                if derate == 1.0 {
-                    simulate_collective(Collective::AllReduce, vol, grp, sys, &opts).time
-                } else {
-                    simulate_collective_derated(Collective::AllReduce, vol, grp, sys, &opts, derate)
-                        .time
-                }
+                simulate_collective_derated(Collective::AllReduce, vol, grp, sys, &opts, derate)
+                    .time
             })
             .sum()
     };
     let nominal = sum_des(1.0);
     if nominal <= 0.0 {
-        return 1.0;
+        return 0.0;
     }
     let ratio = (sum_des(sys.reliability.link_degradation) / nominal).max(1.0);
     // The DES measures the *relative* slowdown of the collective; the
@@ -744,6 +717,35 @@ mod tests {
         );
         assert!(r.degraded_iterations > 0);
         assert!(r.goodput_fraction < 1.0);
+    }
+
+    /// With one data-parallel replica there is no DP tail for a link flap
+    /// to slow down, so a degraded iteration takes the failure-free time.
+    #[test]
+    fn link_flaps_cost_nothing_without_a_dp_tail() {
+        let model = gpt3_175b().config;
+        let cfg = ParallelConfig::new(TpStrategy::OneD, 4, 1, 16, 1, 1);
+        let pl = Placement {
+            v1: 4,
+            v2: 1,
+            vp: 1,
+            vd: 1,
+        };
+        let s = sys()
+            .with_reliability(ReliabilitySpec::failure_free().with_link_flaps(0.4, 0.1, 120.0));
+        let plan = FaultPlan::sample(&s.reliability, 64, 16, 15, 2.0 * 86_400.0, 11);
+        let r = simulate_training(
+            &model,
+            &cfg,
+            &pl,
+            1024,
+            &s,
+            &plan,
+            &TrainingParams::new(f64::INFINITY, 0.0, 0.0),
+        )
+        .unwrap();
+        assert!(r.degraded_iterations > 0);
+        assert_eq!(r.degraded_iteration_time, r.iteration_time);
     }
 
     #[test]

@@ -409,6 +409,26 @@ mod tests {
         assert!(e.to_string().contains("1F1B"));
     }
 
+    /// A configuration whose `n1·n2` overflows `u64` fails validation as
+    /// data, not with an arithmetic panic inside the validator.
+    #[test]
+    fn an_overflowing_tp_product_is_invalid() {
+        let cfg = ParallelConfig::new(TpStrategy::TwoD, 8, 1 << 61, 1, 1, 1);
+        assert_eq!(
+            simulate_iteration(
+                &txmodel::gpt3_1t().config,
+                &cfg,
+                &Placement::trivial(),
+                4096,
+                &sys(),
+                &SimParams::ideal()
+            ),
+            Err(UnsupportedConfig::Invalid {
+                message: "n1*n2 overflows u64".into()
+            })
+        );
+    }
+
     #[test]
     fn straggler_stage_slows_the_whole_pipeline() {
         let (model, cfg, pl) = cfg_175b();
