@@ -23,7 +23,7 @@
 //! |---|---|
 //! | [`Planner::execute`] | the configured objective and `top_k`, frontier across the Pareto objectives |
 //! | [`Planner::best_evaluation`] | top 1 by iteration time, no frontier |
-//! | [`Planner::evaluations`] | pruning off: every candidate |
+//! | [`Planner::evaluations`] | pruning off: every candidate, keyed by iteration time |
 //!
 //! 0. **Stored entry**: the space's candidates, layer profiles, memory
 //!    ledgers, placement-free iteration-time lower bounds
@@ -37,16 +37,27 @@
 //!    key and on every frontier key (`Objective::key_lower_bound` over
 //!    the stored time bound) are derived in parallel.
 //! 2. **Seed**: the `top_k` lowest-bound candidates are evaluated
-//!    unconditionally; their keys set the k-th-best threshold
-//!    ([`crate::ord::TopkIncumbent`]).
+//!    unconditionally. The worker that evaluates a candidate keys it,
+//!    once: a row of [`Objective::key`] under the ranking objective's
+//!    stages, then under the frontier objectives, an objective that
+//!    appears twice keyed once (`Query::key_row`). The seeds' ranking
+//!    keys set the k-th-best threshold ([`crate::ord::TopkIncumbent`])
+//!    and their frontier keys fill the dominance archive.
 //! 3. **Eliminate**: every other candidate is dropped when its bound is
 //!    past that threshold, past the primary-stage cut of a lexicographic
 //!    objective, and — only when a frontier is asked for — its bound
 //!    vector is strictly dominated by an evaluated point. A NaN bound
 //!    never prunes ([`crate::ord::exceeds_bound`]).
-//! 4. **Sweep** (parallel): the survivors are evaluated best-first, each
-//!    checked once more against the live threshold and frontier archive.
-//! 5. **Reassemble** the evaluations in enumeration order.
+//! 4. **Sweep** (parallel): the survivors are evaluated and keyed
+//!    best-first, each checked once more against the live threshold and
+//!    frontier archive.
+//! 5. **Reassemble** the evaluations and their key rows in enumeration
+//!    order. [`Planner::execute`] ranks the rows and takes their frontier
+//!    (`Objective::rank`, `pareto_frontier`) without keying anything
+//!    again; it prices [`Objective::value`] only for the plans it reports.
+//!
+//! A query that does not prune evaluates and keys every candidate in one
+//! batch after stage 1 and goes straight to stage 5.
 //!
 //! Every prune is exact: a skipped candidate provably cannot enter the
 //! top-k or the frontier, so every result is bit-identical to the
@@ -214,13 +225,13 @@ impl DominanceArchive {
     /// dominates ([`dominates`], the final frontier's predicate).
     /// Eviction never shrinks what the archive covers: the evicting
     /// point is componentwise no worse than the evicted one.
-    fn insert(&self, kv: Vec<f64>) {
+    fn insert(&self, kv: &[f64]) {
         let mut points = self.points.lock().unwrap_or_else(|e| e.into_inner());
-        if points.iter().any(|p| dominates(p, &kv)) {
+        if points.iter().any(|p| dominates(p, kv)) {
             return;
         }
-        points.retain(|p| !dominates(&kv, p));
-        points.push(kv);
+        points.retain(|p| !dominates(kv, p));
+        points.push(kv.to_vec());
     }
 }
 
@@ -240,6 +251,34 @@ struct Query<'q> {
     ctx: &'q ObjectiveCtx,
 }
 
+impl Query<'_> {
+    /// How the query keys an evaluation, once, in the worker that
+    /// evaluates it: the key row holds [`Objective::key`] under each of
+    /// the ranking objective's [`Objective::stages`], then under each
+    /// frontier objective. An objective that appears twice is keyed once
+    /// and its key copied. Twice means the same `Debug` text, which tells
+    /// every non-NaN parameter bit apart, so the copy is the key the
+    /// repeat would compute.
+    fn key_row(&self) -> impl Fn(&Evaluation) -> Vec<f64> + Sync + '_ {
+        let stages = self.objective.stages().into_iter().map(|s| s.0);
+        let objectives: Vec<&Objective> = stages.chain(self.frontier).collect();
+        let text: Vec<String> = objectives.iter().map(|o| format!("{o:?}")).collect();
+        // The column each key is read from: its first occurrence.
+        let first: Vec<usize> = (0..text.len())
+            .map(|j| text[..j].iter().position(|t| *t == text[j]).unwrap_or(j))
+            .collect();
+        move |e| {
+            let mut row = Vec::with_capacity(objectives.len());
+            for (o, &i) in objectives.iter().zip(&first) {
+                // Column `i` is already in the row exactly when it repeats.
+                let key = row.get(i).copied().unwrap_or_else(|| o.key(e, self.ctx));
+                row.push(key);
+            }
+            row
+        }
+    }
+}
+
 /// A candidate past the memory gate, with its stage-1 assessment.
 struct Candidate {
     /// Position in the space's enumeration (its index in the
@@ -254,8 +293,9 @@ struct Candidate {
 
 /// What the pipeline returns for one [`Query`].
 struct Sweep {
-    /// Every evaluated candidate, in enumeration order.
-    evals: Vec<Evaluation>,
+    /// Every evaluated candidate with its key row ([`Query::key_row`]),
+    /// in enumeration order.
+    evals: Vec<(Evaluation, Vec<f64>)>,
     /// Candidates past the memory gate, evaluated or skipped.
     candidates: u64,
     /// Of those, the ones that fit in HBM.
@@ -536,7 +576,7 @@ impl<'a> Planner<'a> {
     pub fn evaluations(&self) -> Vec<Evaluation> {
         let ctx = self.objective_ctx();
         self.search(&Query {
-            objective: &self.config.objective,
+            objective: &Objective::IterationTime,
             top_k: self.config.top_k,
             frontier: &[],
             keep_infeasible: self.config.include_infeasible,
@@ -544,6 +584,9 @@ impl<'a> Planner<'a> {
             ctx: &ctx,
         })
         .evals
+        .into_iter()
+        .map(|(e, _)| e)
+        .collect()
     }
 
     /// The single fastest feasible candidate, or `None` when nothing fits
@@ -569,6 +612,7 @@ impl<'a> Planner<'a> {
         })
         .evals
         .into_iter()
+        .map(|(e, _)| e)
         .min_by(|a, b| ord::time_cmp(a.iteration_time, b.iteration_time))
     }
 
@@ -650,10 +694,11 @@ impl<'a> Planner<'a> {
             .iter()
             .filter(|c| entry.memory[c.index].fits(hbm))
             .count() as u64;
+        let key_row = q.key_row();
         if !prune {
-            let evals = self.evaluate_batch(entry, &work, &|_| false, &|_| {});
+            let evals = self.evaluate_batch(entry, &work, &|_| false, &key_row, &|_| {});
             return Sweep {
-                evals: evals.into_iter().map(|(_, e)| e).collect(),
+                evals: evals.into_iter().map(|(_, e, row)| (e, row)).collect(),
                 candidates,
                 feasible,
             };
@@ -672,13 +717,16 @@ impl<'a> Planner<'a> {
         let mut rest = work.split_off(k);
         let topk = ord::TopkIncumbent::new(q.top_k);
         let archive = (!q.frontier.is_empty()).then(DominanceArchive::default);
-        let publish = |e: &Evaluation| {
-            topk.publish(q.objective.key(e, q.ctx));
+        // The ranking key is the primary stage's (0 with no stage, as
+        // `Objective::key` has it); the frontier keys follow the stages.
+        let stages = q.objective.stages();
+        let publish = |row: &[f64]| {
+            topk.publish(if stages.is_empty() { 0.0 } else { row[0] });
             if let Some(archive) = &archive {
-                archive.insert(q.frontier.iter().map(|o| o.key(e, q.ctx)).collect());
+                archive.insert(&row[stages.len()..]);
             }
         };
-        let mut evaluated = self.evaluate_batch(entry, &work, &|_| false, &publish);
+        let mut evaluated = self.evaluate_batch(entry, &work, &|_| false, &key_row, &publish);
 
         // A candidate may be skipped once at least k evaluated candidates
         // outrank it. For a multi-stage lexicographic objective its bound
@@ -687,12 +735,7 @@ impl<'a> Planner<'a> {
         // where no admissible bound exists. The cut `b + tol·|b|` is
         // monotone in `b` only for `tol ≤ 1`; wider tolerances never
         // prune.
-        let lex_cut_tol = match q.objective {
-            Objective::Lexicographic { stages } if stages.len() > 1 => {
-                Some(stages[0].rel_tolerance.max(0.0))
-            }
-            _ => None,
-        };
+        let lex_cut_tol = (stages.len() > 1).then(|| stages[0].1.max(0.0));
         let prunable = |c: &Candidate| {
             ord::exceeds_bound(c.rank_lb, relax_up(topk.threshold()))
                 && match lex_cut_tol {
@@ -715,7 +758,7 @@ impl<'a> Planner<'a> {
 
         // Stage 4 (sweep the survivors best-first, parallel).
         rest.sort_unstable_by(by_bound);
-        let swept = self.evaluate_batch(entry, &rest, &prunable, &publish);
+        let swept = self.evaluate_batch(entry, &rest, &prunable, &key_row, &publish);
         let skipped = (rest.len() - swept.len()) as u64;
         evaluated.extend(swept);
         if q.frontier.is_empty() {
@@ -726,25 +769,27 @@ impl<'a> Planner<'a> {
         }
 
         // Stage 5 (reassemble in enumeration order).
-        evaluated.sort_unstable_by_key(|&(i, _)| i);
+        evaluated.sort_unstable_by_key(|&(i, ..)| i);
         Sweep {
-            evals: evaluated.into_iter().map(|(_, e)| e).collect(),
+            evals: evaluated.into_iter().map(|(_, e, row)| (e, row)).collect(),
             candidates,
             feasible,
         }
     }
 
     /// Evaluates the entries of `batch` that `skip` lets through under
-    /// their best placement, one work item per candidate, handing each
-    /// evaluation to `publish` as it lands, and returns `(enumeration
-    /// index, evaluation)` pairs in batch order.
+    /// their best placement, one work item per candidate, keys each
+    /// evaluation with `key_row` in the same work item and hands the row
+    /// to `publish`, and returns `(enumeration index, evaluation, key
+    /// row)` triples in batch order.
     fn evaluate_batch(
         &self,
         entry: &SpaceEntry,
         batch: &[Candidate],
         skip: &(dyn Fn(&Candidate) -> bool + Sync),
-        publish: &(dyn Fn(&Evaluation) + Sync),
-    ) -> Vec<(usize, Evaluation)> {
+        key_row: &(dyn Fn(&Evaluation) -> Vec<f64> + Sync),
+        publish: &(dyn Fn(&[f64]) + Sync),
+    ) -> Vec<(usize, Evaluation, Vec<f64>)> {
         let global_batch = self.config.space.global_batch;
         batch
             .par_iter()
@@ -763,8 +808,9 @@ impl<'a> Planner<'a> {
                     self.system,
                     entry.memory[c.index],
                 );
-                publish(&e);
-                Some((c.index, e))
+                let row = key_row(&e);
+                publish(&row);
+                Some((c.index, e, row))
             })
             .collect()
     }
@@ -849,17 +895,21 @@ impl<'a> Planner<'a> {
         let feasible_idx: Vec<usize> = evals
             .iter()
             .enumerate()
-            .filter(|(_, e)| e.feasible)
+            .filter(|(_, (e, _))| e.feasible)
             .map(|(i, _)| i)
             .collect();
         // Scores reported per plan: ranking objective first, then the
         // frontier's (plan_of dedups).
         let mut score_objectives = vec![self.config.objective.clone()];
         score_objectives.extend(pareto_objectives.iter().cloned());
-        let mk_plan = |i: &usize| plan_of(&evals[*i], self.model, &ctx, &score_objectives);
-        let ranked = self.config.objective.rank(&evals, &feasible_idx, &ctx);
+        let mk_plan = |i: &usize| plan_of(&evals[*i].0, self.model, &ctx, &score_objectives);
+        let rows: Vec<&[f64]> = evals.iter().map(|(_, row)| &row[..]).collect();
+        let ranked = self.config.objective.rank(&rows, &feasible_idx);
         let top: Vec<Plan> = ranked.iter().take(self.config.top_k).map(mk_plan).collect();
-        let frontier = pareto_frontier(&evals, &feasible_idx, &pareto_objectives, &ctx);
+        // Each row's frontier keys follow its ranking stages' keys.
+        let stages = self.config.objective.stages().len();
+        let frontier_keys: Vec<&[f64]> = rows.iter().map(|row| &row[stages..]).collect();
+        let frontier = pareto_frontier(&frontier_keys, &feasible_idx);
         let pareto: Vec<Plan> = frontier.iter().map(mk_plan).collect();
         PlanSet {
             objective: self.config.objective.clone(),

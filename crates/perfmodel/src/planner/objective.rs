@@ -435,56 +435,55 @@ impl Objective {
         }
     }
 
-    /// Ranks `idx` (indices into `evals`, in deterministic enumeration
-    /// order) best-first under this objective. Plain objectives stable-
-    /// sort by [`Objective::key`] (ties keep enumeration order);
-    /// lexicographic objectives run the tolerance-filter cascade: each
-    /// stage keeps candidates within `rel_tolerance · |best|` of its best
-    /// key, the last stage ranks the survivors, and filtered-out
-    /// candidates follow (later eliminations first, each stage's group
-    /// ordered by the key that eliminated it) so the result is a total
-    /// order over all of `idx`.
-    pub(crate) fn rank(
-        &self,
-        evals: &[Evaluation],
-        idx: &[usize],
-        ctx: &ObjectiveCtx,
-    ) -> Vec<usize> {
-        let sort_by_key = |mut ix: Vec<usize>, obj: &Objective| -> Vec<usize> {
-            let keys: Vec<f64> = evals.iter().map(|e| obj.key(e, ctx)).collect();
-            ix.sort_by(|&a, &b| keys[a].total_cmp(&keys[b]));
-            ix
-        };
-        let Objective::Lexicographic { stages } = self else {
-            return sort_by_key(idx.to_vec(), self);
-        };
-        if stages.is_empty() {
-            return idx.to_vec();
+    /// The ranking stages, primary first, each with its relative
+    /// tolerance: a lexicographic objective's stages, or a plain
+    /// objective as its own single stage (its tolerance unused, as the
+    /// last stage's is).
+    pub(crate) fn stages(&self) -> Vec<(&Objective, f64)> {
+        match self {
+            Objective::Lexicographic { stages } => stages
+                .iter()
+                .map(|s| (&s.objective, s.rel_tolerance))
+                .collect(),
+            plain => vec![(plain, 0.0)],
         }
+    }
+
+    /// Ranks `idx` (indices into `keys`, in deterministic enumeration
+    /// order) best-first under this objective, where `keys[i][s]` is
+    /// candidate `i`'s [`Objective::key`] under stage `s` of
+    /// [`Objective::stages`]. One tolerance-filter cascade: each stage
+    /// but the last keeps the candidates within `rel_tolerance · |best|`
+    /// of its best key, the last stage stable-sorts the survivors (ties
+    /// keep enumeration order), and filtered-out candidates follow
+    /// (later eliminations first, each stage's group ordered by the key
+    /// that eliminated it), so the result is a total order over all of
+    /// `idx`. A plain objective is one stage: a stable sort by its key.
+    pub(crate) fn rank(&self, keys: &[&[f64]], idx: &[usize]) -> Vec<usize> {
+        let stages = self.stages();
+        let Some((_, filters)) = stages.split_last() else {
+            return idx.to_vec();
+        };
         let mut survivors: Vec<usize> = idx.to_vec();
         // Eliminated groups, in stage order; reversed on output.
         let mut eliminated: Vec<Vec<usize>> = Vec::new();
-        for stage in &stages[..stages.len() - 1] {
-            let keys: Vec<f64> = evals.iter().map(|e| stage.objective.key(e, ctx)).collect();
+        for (s, &(_, rel_tolerance)) in filters.iter().enumerate() {
             let best = survivors
                 .iter()
-                .map(|&i| keys[i])
+                .map(|&i| keys[i][s])
                 .min_by(f64::total_cmp)
                 .unwrap_or(0.0);
-            let cut = best + stage.rel_tolerance.max(0.0) * best.abs();
-            let (keep, drop): (Vec<usize>, Vec<usize>) =
-                survivors.iter().partition(|&&i| keys[i] <= cut);
-            let mut drop = drop;
-            drop.sort_by(|&a, &b| keys[a].total_cmp(&keys[b]));
+            let cut = best + rel_tolerance.max(0.0) * best.abs();
+            let (keep, mut drop): (Vec<usize>, Vec<usize>) =
+                survivors.iter().partition(|&&i| keys[i][s] <= cut);
+            drop.sort_by(|&a, &b| keys[a][s].total_cmp(&keys[b][s]));
             eliminated.push(drop);
             survivors = keep;
         }
-        let last = &stages[stages.len() - 1].objective;
-        let mut out = sort_by_key(survivors, last);
-        for group in eliminated.into_iter().rev() {
-            out.extend(group);
-        }
-        out
+        let last = filters.len();
+        survivors.sort_by(|&a, &b| keys[a][last].total_cmp(&keys[b][last]));
+        survivors.extend(eliminated.into_iter().rev().flatten());
+        survivors
     }
 }
 

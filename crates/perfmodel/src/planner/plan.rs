@@ -157,30 +157,19 @@ pub(super) fn dominates(a: &[f64], b: &[f64]) -> bool {
     a.iter().zip(b).all(|(x, y)| x <= y) && a.iter().zip(b).any(|(x, y)| x < y)
 }
 
-/// Exact Pareto frontier of `idx` (indices into `evals`) under the
-/// lower-is-better key vectors of `objectives` and [`dominates`]. Exact
-/// key ties are mutually non-dominating, so duplicates of a frontier
-/// point all appear. Output is ordered by the first objective's key
-/// (ties keep enumeration order).
-pub(crate) fn pareto_frontier(
-    evals: &[Evaluation],
-    idx: &[usize],
-    objectives: &[Objective],
-    ctx: &ObjectiveCtx,
-) -> Vec<usize> {
-    if objectives.is_empty() {
-        return Vec::new();
-    }
-    let keys: Vec<Vec<f64>> = evals
-        .iter()
-        .map(|e| objectives.iter().map(|o| o.key(e, ctx)).collect())
-        .collect();
+/// Exact Pareto frontier of `idx` (indices into `keys`) under
+/// [`dominates`], where `keys[i]` is candidate `i`'s lower-is-better key
+/// vector across the frontier objectives, at least one. Exact key ties
+/// are mutually non-dominating, so duplicates of a frontier point all
+/// appear. Output is ordered by the first objective's key (ties keep
+/// enumeration order).
+pub(crate) fn pareto_frontier(keys: &[&[f64]], idx: &[usize]) -> Vec<usize> {
     let mut frontier: Vec<usize> = Vec::new();
     for &i in idx {
-        if frontier.iter().any(|&j| dominates(&keys[j], &keys[i])) {
+        if frontier.iter().any(|&j| dominates(keys[j], keys[i])) {
             continue;
         }
-        frontier.retain(|&j| !dominates(&keys[i], &keys[j]));
+        frontier.retain(|&j| !dominates(keys[i], keys[j]));
         frontier.push(i);
     }
     frontier.sort_by(|&a, &b| keys[a][0].total_cmp(&keys[b][0]));

@@ -269,7 +269,11 @@ pub struct TrainingReport {
 /// is priced). Deterministic given its arguments.
 ///
 /// Returns [`UnsupportedConfig`] for configurations outside the
-/// iteration simulator's envelope, exactly as [`simulate_iteration`].
+/// iteration simulator's envelope, exactly as [`simulate_iteration`], and
+/// [`UnsupportedConfig::Invalid`], before any replay work, when `params`
+/// sets a straggler stage (the fault plan drives stragglers) or a
+/// checkpoint interval that is not positive (NaN included;
+/// `f64::INFINITY` disables checkpointing).
 pub fn simulate_training(
     model: &TransformerConfig,
     cfg: &ParallelConfig,
@@ -279,14 +283,19 @@ pub fn simulate_training(
     plan: &FaultPlan,
     params: &TrainingParams,
 ) -> Result<TrainingReport, UnsupportedConfig> {
-    assert!(
-        params.sim.straggler_stage.is_none(),
-        "straggler injection is driven by the fault plan; leave SimParams::straggler_stage unset"
-    );
-    assert!(
-        params.checkpoint_interval_s > 0.0,
-        "checkpoint interval must be positive (use INFINITY to disable)"
-    );
+    let invalid = |message: &str| UnsupportedConfig::Invalid {
+        message: message.into(),
+    };
+    if params.sim.straggler_stage.is_some() {
+        return Err(invalid(
+            "straggler injection is driven by the fault plan; leave SimParams::straggler_stage unset",
+        ));
+    }
+    if params.checkpoint_interval_s.is_nan() || params.checkpoint_interval_s <= 0.0 {
+        return Err(invalid(
+            "checkpoint interval must be positive (use INFINITY to disable)",
+        ));
+    }
     let spec = &sys.reliability;
 
     let base = simulate_iteration(model, cfg, placement, global_batch, sys, &params.sim)?;
@@ -582,6 +591,53 @@ mod tests {
         assert!((r.useful_iterations as i64 - expected).abs() <= 1);
         let span = r.useful_iterations as f64 * base.iteration_time;
         assert!((r.wall_clock_s - span).abs() < 1e-6 * span);
+    }
+
+    /// Inputs the replay cannot honour return `Invalid` before any replay
+    /// work: a straggler stage set by the caller, a checkpoint interval
+    /// that is zero, negative or NaN (each once an `assert!` panic), and
+    /// the two placements `simulate_iteration` rejects.
+    #[test]
+    fn invalid_inputs_are_typed_errors() {
+        let (model, cfg, pl) = cfg_175b();
+        let s = sys();
+        let plan = FaultPlan::failure_free(1_000.0);
+        let replay = |pl: &Placement, params: &TrainingParams| {
+            simulate_training(&model, &cfg, pl, 1024, &s, &plan, params)
+        };
+        let invalid = |message: &str| {
+            Err(UnsupportedConfig::Invalid {
+                message: message.into(),
+            })
+        };
+        let straggler = TrainingParams {
+            sim: SimParams {
+                straggler_stage: Some(0),
+                ..SimParams::ideal()
+            },
+            ..TrainingParams::new(f64::INFINITY, 0.0, 0.0)
+        };
+        assert_eq!(
+            replay(&pl, &straggler),
+            invalid(
+                "straggler injection is driven by the fault plan; leave SimParams::straggler_stage unset"
+            )
+        );
+        for interval in [0.0, -60.0, f64::NAN] {
+            assert_eq!(
+                replay(&pl, &TrainingParams::new(interval, 0.0, 0.0)),
+                invalid("checkpoint interval must be positive (use INFINITY to disable)"),
+                "interval {interval}"
+            );
+        }
+        let params = TrainingParams::new(f64::INFINITY, 0.0, 0.0);
+        for (v1, vp, vd, message) in [
+            (3, 1, 1, "v1|n1 violated (3 does not divide 4)"),
+            (4, 2, 2, "placement packs 16 GPUs into a domain of 4"),
+        ] {
+            let bad = Placement { v1, v2: 1, vp, vd };
+            assert_eq!(replay(&bad, &params), invalid(message));
+        }
     }
 
     #[test]

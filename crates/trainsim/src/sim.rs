@@ -73,9 +73,13 @@ pub enum UnsupportedConfig {
     /// ZeRO-3 weight sharding: per-microbatch weight gathers are not in
     /// the simulated schedule.
     Zero3,
-    /// The configuration failed [`perfmodel::ParallelConfig::validate`]
-    /// outright — not a simulator limitation but a caller error, reported
-    /// as data instead of a panic so sweeps survive bad corners.
+    /// The input failed validation outright: the configuration
+    /// [`perfmodel::ParallelConfig::validate`], the placement
+    /// [`perfmodel::Placement::validate`] at the system's NVS size, or
+    /// `simulate_training`'s checks of its
+    /// [`TrainingParams`](crate::TrainingParams). Not a simulator
+    /// limitation but a caller error, reported as data instead of a panic
+    /// so sweeps survive bad corners.
     Invalid {
         /// The validator's rejection message.
         message: String,
@@ -123,8 +127,8 @@ pub struct IterationReport {
 /// Returns [`UnsupportedConfig`] for schedule features the simulator
 /// does not model (interleaved pipelines, ZeRO-3) so joint-search
 /// cross-checks can skip those candidates, and
-/// [`UnsupportedConfig::Invalid`] for configurations that fail
-/// validation outright.
+/// [`UnsupportedConfig::Invalid`] for a configuration, or a placement on
+/// `sys`, that fails validation outright.
 pub fn simulate_iteration(
     model: &TransformerConfig,
     cfg: &ParallelConfig,
@@ -134,6 +138,7 @@ pub fn simulate_iteration(
     params: &SimParams,
 ) -> Result<IterationReport, UnsupportedConfig> {
     cfg.validate(model, global_batch)
+        .and_then(|()| placement.validate(cfg, sys.nvs_size))
         .map_err(|message| UnsupportedConfig::Invalid { message })?;
     if cfg.interleave > 1 {
         return Err(UnsupportedConfig::Interleaved {
@@ -407,6 +412,28 @@ mod tests {
         // The error is a real std error with a skippable message.
         let e = UnsupportedConfig::Interleaved { interleave: 4 };
         assert!(e.to_string().contains("1F1B"));
+    }
+
+    /// Placements `Placement::validate` rejects on GPT3-175B (4, 1, 16,
+    /// 8) over A100-NVS4: a `v1` that does not divide `n1` (once a panic
+    /// inside the collectives) and 16 GPUs packed into a 4-GPU domain
+    /// (once priced as an 18 s iteration) are invalid inputs.
+    #[test]
+    fn invalid_placements_are_typed_errors() {
+        let (model, cfg, _) = cfg_175b();
+        let probes = [
+            ((3, 1, 1), "v1|n1 violated (3 does not divide 4)"),
+            ((4, 2, 2), "placement packs 16 GPUs into a domain of 4"),
+        ];
+        for ((v1, vp, vd), message) in probes {
+            let pl = Placement { v1, v2: 1, vp, vd };
+            assert_eq!(
+                simulate_iteration(&model, &cfg, &pl, 1024, &sys(), &SimParams::ideal()),
+                Err(UnsupportedConfig::Invalid {
+                    message: message.into()
+                })
+            );
+        }
     }
 
     /// A configuration whose `n1·n2` overflows `u64` fails validation as

@@ -5,7 +5,7 @@
 //! model"; serving asks "how many concurrent requests of *varying* length
 //! can we answer within a latency budget". [`InferenceConfig`] captures
 //! the serving side of that question in the same strategy-agnostic spirit
-//! as [`TransformerConfig`](crate::TransformerConfig): prompt and output
+//! as [`TransformerConfig`]: prompt and output
 //! length distributions, an aggregate request arrival rate, and the
 //! continuous-batching ceiling. How those requests are scheduled onto a
 //! parallelized model (KV-cache capacity, prefill/decode pricing,

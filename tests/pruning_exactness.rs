@@ -12,6 +12,14 @@
 //! worker threads. The [`perfmodel::search_stats`] counters must
 //! actually observe shared-memo traffic and prune activity.
 //!
+//! Both paths rank and filter the same key rows, so a keying bug they
+//! share would pass those pins. `execute` is therefore also checked
+//! against a reference `PlanSet` built from `Planner::evaluations` with
+//! the public `Objective::key` and `Objective::value`, by a ranking and a
+//! frontier that key every evaluation themselves
+//! (`assert_matches_reference`): on random spaces, under NaN scores,
+//! under the goodput failure regimes and on a `ServingSlo` query.
+//!
 //! Counter tests deliberately avoid `reset_search_stats`: the counters
 //! are process-global and the tests in this binary run concurrently, so
 //! each test asserts on monotone *deltas* (counters only ever increase)
@@ -28,8 +36,8 @@
 )]
 
 use fmperf::prelude::*;
-use perfmodel::clear_space_store;
 use perfmodel::ord::time_cmp;
+use perfmodel::{clear_space_store, ObjectiveCtx, Score};
 use proptest::prelude::*;
 use rayon::ThreadPoolBuilder;
 use systems::{NetworkSpec, SystemSpec};
@@ -303,8 +311,8 @@ fn plan_set_fingerprint(ps: &PlanSet) -> u64 {
 
 /// `execute` twice — ranked pruning on (the default) and off — and
 /// require bit-identical `PlanSet`s, both structurally and by FNV
-/// fingerprint.
-fn assert_ranked_exact(planner: &Planner) {
+/// fingerprint. Returns the pruned one.
+fn assert_ranked_exact(planner: &Planner) -> PlanSet {
     let pruned = planner.clone().execute();
     let unpruned = planner.clone().prune(false).execute();
     assert_eq!(
@@ -320,6 +328,150 @@ fn assert_ranked_exact(planner: &Planner) {
         format!("{pruned:?}"),
         format!("{unpruned:?}"),
         "pruned vs unpruned PlanSet diverged"
+    );
+    pruned
+}
+
+// ---------------------------------------------------------------------------
+// The reference ranking and frontier (see the module docs): they key every
+// evaluation themselves, through the public `Objective::key`, instead of
+// reading the pipeline's key rows.
+// ---------------------------------------------------------------------------
+
+/// `objective`'s ranking of `idx` (indices into `evals`): plain objectives
+/// stable-sort by their key; lexicographic ones keep, stage by stage, the
+/// candidates within `rel_tolerance · |best|` of the stage's best key, the
+/// last stage ranks the survivors, and the eliminated groups follow, later
+/// eliminations first, each ordered by the key that eliminated it.
+fn reference_rank(
+    objective: &Objective,
+    evals: &[Evaluation],
+    idx: &[usize],
+    ctx: &ObjectiveCtx,
+) -> Vec<usize> {
+    let sort_by_key = |mut ix: Vec<usize>, obj: &Objective| -> Vec<usize> {
+        let keys: Vec<f64> = evals.iter().map(|e| obj.key(e, ctx)).collect();
+        ix.sort_by(|&a, &b| keys[a].total_cmp(&keys[b]));
+        ix
+    };
+    let Objective::Lexicographic { stages } = objective else {
+        return sort_by_key(idx.to_vec(), objective);
+    };
+    let Some((last, filters)) = stages.split_last() else {
+        return idx.to_vec();
+    };
+    let mut survivors: Vec<usize> = idx.to_vec();
+    let mut eliminated: Vec<Vec<usize>> = Vec::new();
+    for stage in filters {
+        let keys: Vec<f64> = evals.iter().map(|e| stage.objective.key(e, ctx)).collect();
+        let best = survivors
+            .iter()
+            .map(|&i| keys[i])
+            .min_by(f64::total_cmp)
+            .unwrap_or(0.0);
+        let cut = best + stage.rel_tolerance.max(0.0) * best.abs();
+        let (keep, mut drop): (Vec<usize>, Vec<usize>) =
+            survivors.iter().partition(|&&i| keys[i] <= cut);
+        drop.sort_by(|&a, &b| keys[a].total_cmp(&keys[b]));
+        eliminated.push(drop);
+        survivors = keep;
+    }
+    let mut out = sort_by_key(survivors, &last.objective);
+    for group in eliminated.into_iter().rev() {
+        out.extend(group);
+    }
+    out
+}
+
+/// The exact Pareto frontier of `idx` (indices into `evals`) across
+/// `objectives`' keys, ordered by the first objective's key (ties keep
+/// enumeration order). Exact ties and NaN keys dominate nothing.
+fn reference_frontier(
+    evals: &[Evaluation],
+    idx: &[usize],
+    objectives: &[Objective],
+    ctx: &ObjectiveCtx,
+) -> Vec<usize> {
+    let dominates = |a: &[f64], b: &[f64]| {
+        a.iter().zip(b).all(|(x, y)| x <= y) && a.iter().zip(b).any(|(x, y)| x < y)
+    };
+    let keys: Vec<Vec<f64>> = evals
+        .iter()
+        .map(|e| objectives.iter().map(|o| o.key(e, ctx)).collect())
+        .collect();
+    let mut frontier: Vec<usize> = Vec::new();
+    for &i in idx {
+        if frontier.iter().any(|&j| dominates(&keys[j], &keys[i])) {
+            continue;
+        }
+        frontier.retain(|&j| !dominates(&keys[i], &keys[j]));
+        frontier.push(i);
+    }
+    frontier.sort_by(|&a, &b| keys[a][0].total_cmp(&keys[b][0]));
+    frontier
+}
+
+/// `planner`'s `PlanSet` rebuilt from `evals`, its unpruned sweep
+/// (`Planner::evaluations`, which keys only the iteration time): the
+/// reference ranking and frontier over the feasible evaluations, and each
+/// reported plan scored by `Objective::value` under the ranking objective,
+/// then each frontier objective not already scored.
+fn reference_plan_set(
+    planner: &Planner,
+    model: &TransformerConfig,
+    evals: &[Evaluation],
+) -> PlanSet {
+    let cfg = planner.config();
+    let ctx = planner.objective_ctx();
+    let pareto_objectives = if cfg.pareto.is_empty() {
+        vec![cfg.objective.clone()]
+    } else {
+        cfg.pareto.clone()
+    };
+    let feasible: Vec<usize> = (0..evals.len()).filter(|&i| evals[i].feasible).collect();
+    let mut scored = vec![cfg.objective.clone()];
+    for o in &pareto_objectives {
+        if !scored.contains(o) {
+            scored.push(o.clone());
+        }
+    }
+    let plan = |&i: &usize| Plan {
+        model: *model,
+        global_batch: ctx.global_batch,
+        eval: evals[i].clone(),
+        scores: scored
+            .iter()
+            .map(|o| Score {
+                objective: o.clone(),
+                value: o.value(&evals[i], &ctx),
+            })
+            .collect(),
+    };
+    let ranked = reference_rank(&cfg.objective, evals, &feasible, &ctx);
+    let frontier = reference_frontier(evals, &feasible, &pareto_objectives, &ctx);
+    PlanSet {
+        objective: cfg.objective.clone(),
+        pareto_objectives,
+        candidates: evals.len() as u64,
+        feasible: feasible.len() as u64,
+        top: ranked.iter().take(cfg.top_k).map(plan).collect(),
+        pareto: frontier.iter().map(plan).collect(),
+    }
+}
+
+/// Asserts that `plans`, `planner.execute()`'s result, has the `Debug`
+/// text of [`reference_plan_set`] over `evals`, `planner`'s unpruned
+/// sweep (`Debug` treats NaN as equal to NaN).
+fn assert_matches_reference(
+    plans: &PlanSet,
+    planner: &Planner,
+    model: &TransformerConfig,
+    evals: &[Evaluation],
+) {
+    assert_eq!(
+        format!("{plans:?}"),
+        format!("{:?}", reference_plan_set(planner, model, evals)),
+        "execute() vs the reference ranking and frontier"
     );
 }
 
@@ -449,15 +601,16 @@ fn ranked_pruning_handles_nan_scores_exactly() {
             ],
         },
     ];
+    let space = planner(&model, &sys, 128, 1024, TpStrategy::OneD);
+    let evals = space.evaluations();
     for objective in nan_objectives {
-        let planner = Planner::new(&model, &sys)
-            .gpus(128)
-            .global_batch(1024)
-            .strategy(TpStrategy::OneD)
+        let planner = space
+            .clone()
             .objective(objective)
             .top_k(8)
             .pareto([Objective::IterationTime, Objective::HbmHeadroom]);
-        assert_ranked_exact(&planner);
+        let plans = assert_ranked_exact(&planner);
+        assert_matches_reference(&plans, &planner, &model, &evals);
     }
 }
 
@@ -526,17 +679,21 @@ fn goodput_prunes_are_exact_under_failure_regimes() {
     for (i, spec) in goodput_specs().into_iter().enumerate() {
         let sys = b200_nvs8().with_reliability(spec);
         let spaces = [
-            Planner::new(&gpt175, &sys)
-                .gpu_counts([128, 512, 4096])
-                .global_batch(1024)
-                .strategy(TpStrategy::OneD),
-            planner(&gpt1t, &sys, 1024, 4096, TpStrategy::Summa),
+            (
+                &gpt175,
+                Planner::new(&gpt175, &sys)
+                    .gpu_counts([128, 512, 4096])
+                    .global_batch(1024)
+                    .strategy(TpStrategy::OneD),
+            ),
+            (&gpt1t, planner(&gpt1t, &sys, 1024, 4096, TpStrategy::Summa)),
         ];
         // Under the NaN specs every SUMMA candidate is on the frontier,
         // whose quadratic construction takes seconds per query in the
         // debug profile; those specs run on the 1D space alone.
         let spaces = if i < 2 { &spaces[..] } else { &spaces[..1] };
-        for space in spaces {
+        for (model, space) in spaces {
+            let evals = space.evaluations();
             for objective in &objectives {
                 for frontier in &frontiers {
                     for k in [1, 8] {
@@ -546,6 +703,7 @@ fn goodput_prunes_are_exact_under_failure_regimes() {
                             .pareto(frontier.clone())
                             .top_k(k);
                         let reference = fresh(&pools[0], || p.clone().prune(false).execute());
+                        assert_matches_reference(&reference, &p, model, &evals);
                         for (pool, n) in pools.iter().zip([1, 2, 8]) {
                             let pruned = fresh(pool, || p.execute());
                             assert_eq!(
@@ -557,6 +715,42 @@ fn goodput_prunes_are_exact_under_failure_regimes() {
                     }
                 }
             }
+        }
+    }
+}
+
+#[test]
+fn serving_slo_ranking_and_frontier_match_the_reference() {
+    // perfbench's serving op: `ServingSlo` on GPT3-175B chat traffic at 64
+    // B200 GPUs, whose default frontier repeats the ranking objective, and
+    // the same ranking beside a frontier that repeats it one column after
+    // `TokensPerSecPerGpu`. The serving objectives bound no key, so these
+    // queries never prune and only the reference can catch a keying bug.
+    // At 1, 2 and 8 workers.
+    let chat = gpt3_175b_chat();
+    let sys = b200_nvs8();
+    let slo = Objective::ServingSlo {
+        slo: SloSpec {
+            ttft_p50: 0.12,
+            ttft_p99: 0.16,
+            tpot_p50: 0.03,
+            tpot_p99: 0.05,
+        },
+    };
+    let space = planner(&chat.model, &sys, 64, 1024, TpStrategy::OneD).serving(chat.traffic);
+    let evals = space.evaluations();
+    let queries = [
+        space.clone().objective(slo.clone()),
+        space
+            .objective(slo.clone())
+            .pareto([Objective::TokensPerSecPerGpu, slo]),
+    ];
+    let pools = [pool(1), pool(2), pool(8)];
+    for p in &queries {
+        for pool in &pools {
+            let plans = fresh(pool, || p.execute());
+            assert!(!plans.top.is_empty() && !plans.pareto.is_empty());
+            assert_matches_reference(&plans, p, &chat.model, &evals);
         }
     }
 }
@@ -711,6 +905,7 @@ proptest! {
         .pareto(pareto_variant(pareto_idx))
         .top_k(top_k);
         let reference = fresh(&pool(1), || planner.clone().prune(false).execute());
+        assert_matches_reference(&reference, &planner, &model, &planner.evaluations());
         let ref_fp = plan_set_fingerprint(&reference);
         for n in [1usize, 2, 8] {
             let pruned = fresh(&pool(n), || planner.clone().execute());
