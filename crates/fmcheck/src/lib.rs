@@ -4,12 +4,11 @@
 //! bit-identical at any thread count.
 //!
 //! A miniature loom/shuttle-style model checker: protocol models of the
-//! real concurrent code (the L2 memo shard insert race, the search's
-//! k-th-best threshold, the rayon-pool chunk claim) explored under an
-//! exhaustive DFS scheduler with a seeded random-walk fallback, asserting
-//! schedule-independence of every result. See [`sched`] for the explorer
-//! and the "writing a new model" guide, and [`models`] for the three
-//! protocols and their regression twins.
+//! real concurrent code (the L2 memo shard insert race and the rayon-pool
+//! chunk claim) explored under an exhaustive DFS scheduler with a seeded
+//! random-walk fallback, asserting schedule-independence of every result.
+//! See [`sched`] for the explorer and the "writing a new model" guide, and
+//! [`models`] for the two protocols and their regression twins.
 //!
 //! The workspace's static checks are not here: they are rustc and clippy
 //! lints, declared once in the root `Cargo.toml`'s `[workspace.lints]`

@@ -1,21 +1,24 @@
-//! fmsched models of three concurrency protocols on the search hot path,
+//! fmsched models of two concurrency protocols on the search hot path,
 //! each with a *regression twin* re-introducing a historical (or
 //! representative) bug so the checker's teeth are themselves tested.
 //!
 //! | Model | Real code | Claim |
 //! |-------|-----------|-------|
 //! | [`ShardedMemo`] | `perfmodel::partition::cache::memo_f64` (L2 shard insert race) | racing first-computes of a *pure* function publish bit-identical values; no lost insert; every caller returns the same bits |
-//! | [`TopkIncumbent`] | `perfmodel::ord::TopkIncumbent` (the search's k-th-best threshold and best key: mutex k-set, both cells written under the lock, relaxed readers; `k = 1` is the single-optimum incumbent) | threshold and best key are monotone non-increasing; the threshold never falls below the true k-th-best key and ends at the k-th-best published key; the best key ends at the smallest published key; k-th-incumbent pruning never drops a true top-k candidate |
 //! | [`ChunkClaim`] | `vendor/rayon` chunk claim/steal (`fetch_add` self-scheduling) | every chunk is claimed exactly once, all slots are filled, and the reassembled output is input-ordered regardless of interleaving |
 //!
-//! The twins (`impure_compute`, `torn_publish`, `split_claim`)
-//! correspond to an earlier duplicate profile build (which was only
-//! harmless because the build is pure — the twin shows exactly why
-//! purity is load-bearing), a k-th-best threshold published outside the
-//! k-set lock with a blind store (a stale maximum raises the threshold),
-//! and a read-then-write chunk claim that double-processes chunks. The
+//! The twins (`impure_compute`, `split_claim`) correspond to an earlier
+//! duplicate profile build (which was only harmless because the build is
+//! pure — the twin shows exactly why purity is load-bearing) and a
+//! read-then-write chunk claim that double-processes chunks. The
 //! regression tests in `tests/sched_protocols.rs` assert
 //! [`crate::sched::explore`] finds each of them.
+//!
+//! The search's k-th-best threshold (`perfmodel::ord::TopkIncumbent`) has
+//! no model: the pruned stages run in order on the calling thread, so
+//! nothing shares it between threads. Its pruning rule is checked on one
+//! thread, by the property test in `perfmodel::ord` and by
+//! `tests/pruning_exactness.rs`.
 
 use crate::sched::Model;
 
@@ -168,277 +171,6 @@ impl Model for ShardedMemo {
         if shared != first {
             return Err(format!(
                 "table holds {shared:#x} but callers returned {first:#x}"
-            ));
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Ranked-path k-th-best threshold: locked k-set + published min-threshold
-// ---------------------------------------------------------------------------
-
-/// Per-thread program counter for [`TopkIncumbent`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum TopkPc {
-    /// Relaxed-read the published threshold for the prune check.
-    ReadThreshold,
-    /// Insert into the k-set and min-publish the new maximum — one atomic
-    /// step, because the real code does both under the k-set mutex.
-    Insert,
-    /// `torn_publish` twin only: the threshold store escaped the lock and
-    /// lands later, blindly.
-    StorePublish,
-    /// Finished (published or pruned).
-    Done,
-}
-
-/// Model of the search's shared k-th-best threshold
-/// (`perfmodel::ord::TopkIncumbent`; `k = 1` is the single-optimum
-/// incumbent): each thread holds one candidate with an admissible lower
-/// bound (`lb <= key`); it relaxed-reads the published threshold, gives
-/// up if `lb` already exceeds it (the k-th-incumbent prune), otherwise
-/// evaluates and, under the k-set lock, inserts its key into the k-best
-/// set, lowers the best key to it if it improves, and lowers the
-/// threshold to the set's maximum — compare-then-store, never upward.
-///
-/// Claims, on **every** schedule:
-/// * the threshold and the best key are monotone non-increasing, and the
-///   threshold never falls below the true k-th-best key over *all*
-///   candidates — a stale read can only be conservative
-///   ([`crate::sched::Model::check_step`]);
-/// * no pruned thread held a true top-k candidate (at least `k` strictly
-///   better keys exist), the final threshold equals the k-th-best
-///   *published* key exactly, and the final best key equals the smallest
-///   published key ([`crate::sched::Model::check_final`]).
-///
-/// The `torn_publish` twin hoists the threshold store out of the k-set
-/// lock and drops the min: a thread computes the set's maximum, stalls,
-/// and blindly stores it after a faster thread already published a lower
-/// threshold — the threshold moves *up*, re-admitting candidates the
-/// tighter threshold had excluded.
-#[derive(Debug, Clone)]
-pub struct TopkIncumbent {
-    /// Regression twin: publish with an out-of-lock blind store instead
-    /// of an in-lock monotone min.
-    pub torn_publish: bool,
-    k: usize,
-    /// `(lower_bound, key)` per thread; `lb <= key` is asserted at
-    /// construction (admissibility is a documented precondition of the
-    /// real code, not something the checker should discover).
-    candidates: Vec<(u64, u64)>,
-    /// The k best published keys (mutex-serialized in the real code).
-    kept: Vec<u64>,
-    threshold: u64,
-    prev_threshold: u64,
-    best: u64,
-    prev_best: u64,
-    pc: Vec<TopkPc>,
-    /// Twin only: the stale maximum awaiting its blind store.
-    register: Vec<u64>,
-    /// Threads that pruned (for the final claim's bookkeeping).
-    pruned: Vec<bool>,
-}
-
-impl TopkIncumbent {
-    /// One thread per candidate, retaining the `k` best keys. Panics if
-    /// `k` is zero, there are fewer than `k` candidates (the threshold
-    /// would never publish), or any bound is inadmissible (`lb > key`).
-    pub fn new(k: usize, candidates: &[(u64, u64)], torn_publish: bool) -> Self {
-        assert!(k > 0, "a zero-k threshold retains nothing");
-        assert!(
-            candidates.len() >= k,
-            "need at least k candidates to ever publish a threshold"
-        );
-        assert!(
-            candidates.iter().all(|&(lb, key)| lb <= key),
-            "lower bounds must be admissible (lb <= key): {candidates:?}"
-        );
-        let n = candidates.len();
-        Self {
-            torn_publish,
-            k,
-            candidates: candidates.to_vec(),
-            kept: Vec::new(),
-            threshold: u64::MAX,
-            prev_threshold: u64::MAX,
-            best: u64::MAX,
-            prev_best: u64::MAX,
-            pc: vec![TopkPc::ReadThreshold; n],
-            register: vec![0; n],
-            pruned: vec![false; n],
-        }
-    }
-
-    /// Index of the worst (largest) retained key.
-    fn worst(&self) -> usize {
-        let mut worst = 0;
-        for i in 1..self.kept.len() {
-            if self.kept[i] > self.kept[worst] {
-                worst = i;
-            }
-        }
-        worst
-    }
-}
-
-impl Model for TopkIncumbent {
-    fn name(&self) -> &'static str {
-        "topk-incumbent"
-    }
-
-    fn threads(&self) -> usize {
-        self.candidates.len()
-    }
-
-    fn reset(&mut self) {
-        self.kept.clear();
-        self.threshold = u64::MAX;
-        self.prev_threshold = u64::MAX;
-        self.best = u64::MAX;
-        self.prev_best = u64::MAX;
-        self.pc.fill(TopkPc::ReadThreshold);
-        self.register.fill(0);
-        self.pruned.fill(false);
-    }
-
-    fn done(&self, tid: usize) -> bool {
-        self.pc[tid] == TopkPc::Done
-    }
-
-    fn step(&mut self, tid: usize) {
-        self.prev_threshold = self.threshold;
-        self.prev_best = self.best;
-        let (lb, key) = self.candidates[tid];
-        match self.pc[tid] {
-            TopkPc::ReadThreshold => {
-                // One relaxed load; pruning on a *stale* threshold is
-                // sound because the threshold only decreases.
-                if lb > self.threshold {
-                    self.pruned[tid] = true;
-                    self.pc[tid] = TopkPc::Done;
-                } else {
-                    self.pc[tid] = TopkPc::Insert;
-                }
-            }
-            TopkPc::Insert => {
-                // The k-set update and both cell writes are one atomic
-                // step: the real code holds the mutex for all three.
-                self.best = self.best.min(key);
-                let entered = if self.kept.len() < self.k {
-                    self.kept.push(key);
-                    true
-                } else {
-                    let worst = self.worst();
-                    if key < self.kept[worst] {
-                        self.kept[worst] = key;
-                        true
-                    } else {
-                        false // k-set unchanged, threshold already right
-                    }
-                };
-                if entered && self.kept.len() == self.k {
-                    let max = self.kept[self.worst()];
-                    if self.torn_publish {
-                        // The bug: the store escapes the lock; publish
-                        // later, from a register that can go stale.
-                        self.register[tid] = max;
-                        self.pc[tid] = TopkPc::StorePublish;
-                        return;
-                    }
-                    // Compare-then-store under the lock: monotone by
-                    // construction.
-                    self.threshold = self.threshold.min(max);
-                }
-                self.pc[tid] = TopkPc::Done;
-            }
-            TopkPc::StorePublish => {
-                // Blind store of the stale maximum — no min, no CAS.
-                self.threshold = self.register[tid];
-                self.pc[tid] = TopkPc::Done;
-            }
-            TopkPc::Done => unreachable!("stepped a finished thread"),
-        }
-    }
-
-    fn check_step(&self) -> Result<(), String> {
-        if self.threshold > self.prev_threshold {
-            return Err(format!(
-                "threshold moved up: {} -> {} (must be monotone non-increasing)",
-                self.prev_threshold, self.threshold
-            ));
-        }
-        if self.best > self.prev_best {
-            return Err(format!(
-                "best key moved up: {} -> {} (must be monotone non-increasing)",
-                self.prev_best, self.best
-            ));
-        }
-        // Admissible floor: the k-set only ever holds published keys, so
-        // its maximum — and therefore every published threshold — is at
-        // least the true k-th-best key over all candidates.
-        let mut keys: Vec<u64> = self.candidates.iter().map(|&(_, key)| key).collect();
-        keys.sort_unstable();
-        let kth_best = keys[self.k - 1];
-        if self.threshold < kth_best {
-            return Err(format!(
-                "threshold {} fell below the true k-th best {kth_best} \
-                 (prunes true top-k candidates)",
-                self.threshold
-            ));
-        }
-        Ok(())
-    }
-
-    fn check_final(&self) -> Result<(), String> {
-        // No true top-k candidate pruned: every pruned key is provably
-        // outranked by at least k strictly better keys.
-        for (tid, &(_, key)) in self.candidates.iter().enumerate() {
-            if !self.pruned[tid] {
-                continue;
-            }
-            let outranked = self
-                .candidates
-                .iter()
-                .enumerate()
-                .filter(|&(j, &(_, kj))| j != tid && kj < key)
-                .count();
-            if outranked < self.k {
-                return Err(format!(
-                    "pruned thread {tid} (key {key}) with only {outranked} strictly \
-                     better keys (k = {}): a true top-k candidate was lost",
-                    self.k
-                ));
-            }
-        }
-        // Convergence: the final threshold is exactly the k-th-best
-        // published key (every unpruned thread published).
-        let mut published: Vec<u64> = self
-            .candidates
-            .iter()
-            .enumerate()
-            .filter(|&(tid, _)| !self.pruned[tid])
-            .map(|(_, &(_, key))| key)
-            .collect();
-        published.sort_unstable();
-        let expect = if published.len() >= self.k {
-            published[self.k - 1]
-        } else {
-            u64::MAX
-        };
-        if self.threshold != expect {
-            return Err(format!(
-                "final threshold {} != k-th best published key {expect} \
-                 (published: {published:?})",
-                self.threshold
-            ));
-        }
-        let smallest = published.first().copied().unwrap_or(u64::MAX);
-        if self.best != smallest {
-            return Err(format!(
-                "final best key {} != smallest published key {smallest} \
-                 (published: {published:?})",
-                self.best
             ));
         }
         Ok(())
@@ -618,35 +350,5 @@ mod tests {
         assert!(r.passed(), "{:?}", r.violation);
         let bad = explore(&mut ChunkClaim::new(2, 2, true), &Budget::default());
         assert!(bad.violation.is_some());
-    }
-
-    #[test]
-    fn topk_incumbent_is_correct_and_twin_is_caught() {
-        // A winner, a runner-up, a dominated straggler, and a candidate
-        // whose bound prunes against the published threshold.
-        let cands = [(2, 9), (1, 4), (3, 12), (10, 11)];
-        let r = explore(
-            &mut TopkIncumbent::new(2, &cands, false),
-            &Budget::default(),
-        );
-        assert!(r.passed(), "{:?}", r.violation);
-        assert!(r.exhaustive);
-        let bad = explore(
-            &mut TopkIncumbent::new(2, &cands[..3], true),
-            &Budget::default(),
-        );
-        assert!(bad.violation.is_some());
-        // k = 1: the single-optimum incumbent.
-        let r = explore(
-            &mut TopkIncumbent::new(1, &[(5, 10), (1, 3), (2, 7)], false),
-            &Budget::default(),
-        );
-        assert!(r.passed(), "{:?}", r.violation);
-    }
-
-    #[test]
-    #[should_panic(expected = "admissible")]
-    fn inadmissible_topk_bounds_are_rejected_at_construction() {
-        let _ = TopkIncumbent::new(1, &[(11, 10)], false);
     }
 }

@@ -1,4 +1,4 @@
-//! fmsched acceptance suite: the three real protocols verified at
+//! fmsched acceptance suite: the two real protocols verified at
 //! CI-meaningful exploration depths, the historical regression shapes
 //! provably *caught*, and the bridge test tying the `chunk-claim`
 //! model to the vendored rayon pool that actually runs.
@@ -7,7 +7,7 @@
 //! bridge test installs a process-wide `rayon::sched_hook` observer and
 //! must not share a process with other pool users.
 
-use fmcheck::models::{ChunkClaim, ShardedMemo, TopkIncumbent};
+use fmcheck::models::{ChunkClaim, ShardedMemo};
 use fmcheck::sched::{explore, Budget, ViolationKind};
 
 /// The acceptance floor from the PR issue: the exhaustive explorer must
@@ -22,48 +22,17 @@ fn protocols_hold_on_every_schedule_at_acceptance_depth() {
     assert!(memo.passed(), "l2-memo: {:?}", memo.violation);
     assert!(memo.exhaustive, "l2-memo must be explored exhaustively");
 
-    // 3 candidates through the threshold at k = 1, the single-optimum
-    // incumbent: a bound that prunes against the winner, a winning
-    // candidate, and a dominated one racing the publish.
-    let cands = [(2, 9), (1, 4), (3, 12)];
-    let inc = explore(
-        &mut TopkIncumbent::new(1, &cands, false),
-        &Budget::default(),
-    );
-    assert!(inc.passed(), "topk-incumbent k=1: {:?}", inc.violation);
-    assert!(
-        inc.exhaustive,
-        "topk-incumbent k=1 must be explored exhaustively"
-    );
-
-    // 4 candidates through the k-th-best threshold with k = 2: a
-    // winner, a runner-up, a dominated straggler, and one whose
-    // admissible bound prunes against the published threshold on the
-    // schedules where it arrives late.
-    let topk_cands = [(2, 9), (1, 4), (3, 12), (10, 11)];
-    let topk = explore(
-        &mut TopkIncumbent::new(2, &topk_cands, false),
-        &Budget::default(),
-    );
-    assert!(topk.passed(), "topk-incumbent: {:?}", topk.violation);
-    assert!(
-        topk.exhaustive,
-        "topk-incumbent must be explored exhaustively"
-    );
-
     // 3 workers × 4 chunks through the claim counter.
     let pool = explore(&mut ChunkClaim::new(3, 4, false), &Budget::default());
     assert!(pool.passed(), "chunk-claim: {:?}", pool.violation);
     assert!(pool.exhaustive, "chunk-claim must be explored exhaustively");
 
-    let total = memo.schedules + inc.schedules + topk.schedules + pool.schedules;
+    let total = memo.schedules + pool.schedules;
     assert!(
         total >= SCHEDULE_FLOOR,
         "exhaustive coverage regressed: {total} < {SCHEDULE_FLOOR} schedules \
-         (memo {}, incumbent {}, topk {}, pool {})",
+         (memo {}, pool {})",
         memo.schedules,
-        inc.schedules,
-        topk.schedules,
         pool.schedules
     );
 }
@@ -85,30 +54,6 @@ fn regression_duplicate_profile_build_is_caught() {
     );
     // The counterexample is a real schedule, replayable by hand: both
     // threads must have probed before either inserted.
-    assert!(v.schedule.len() >= 4, "counterexample too short: {v:?}");
-}
-
-/// Seeded regression for the ranked path: a k-th-best threshold store
-/// hoisted out of the k-set lock (and stripped of its monotone min) lets
-/// a stale maximum overwrite a lower threshold published in between —
-/// the threshold moves *up*, re-admitting candidates a tighter threshold
-/// had excluded. The monotonicity invariant must catch it on some
-/// schedule.
-#[test]
-fn regression_torn_topk_publish_is_caught() {
-    let cands = [(2, 9), (1, 4), (3, 12)];
-    let r = explore(&mut TopkIncumbent::new(2, &cands, true), &Budget::default());
-    let v = r
-        .violation
-        .expect("torn top-k threshold publish must be caught");
-    assert_eq!(v.kind, ViolationKind::Invariant);
-    assert!(
-        v.message.contains("moved up") || v.message.contains("k-th best"),
-        "unexpected violation: {}",
-        v.message
-    );
-    // The counterexample is a real schedule: two threads must have
-    // entered the k-set before either stale store landed.
     assert!(v.schedule.len() >= 4, "counterexample too short: {v:?}");
 }
 

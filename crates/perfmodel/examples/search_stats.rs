@@ -18,12 +18,13 @@
 //! threads and times the pruned single optimum at each width: one
 //! untimed warm-up call, then the mean of 30 timed calls. Each call
 //! starts from a cleared space store, so it times the whole pipeline:
-//! enumeration, profile builds and assessment as well as the seed and
-//! sweep. On a machine with at least 4 cores, the 8-thread mean must be
-//! at most half the 1-thread mean, or the example exits non-zero. With
-//! fewer cores, 8 workers time-slice the same cores, so the times
-//! measure scheduling overhead rather than speedup: it prints them and
-//! skips the ratio, saying so.
+//! enumeration, profile builds, ledgers and bounds, which fan out over
+//! the pool, as well as the assessment, seed and sweep, which run in
+//! order on the calling thread. On a machine with at least 4 cores, the
+//! 8-thread mean must be at most half the 1-thread mean, or the example
+//! exits non-zero. With fewer cores, 8 workers time-slice the same cores,
+//! so the times measure scheduling overhead rather than speedup: it
+//! prints them and skips the ratio, saying so.
 //!
 //! ```text
 //! cargo run --release -p perfmodel --example search_stats

@@ -18,15 +18,13 @@
 //!   information) never prunes. Under `total_cmp` NaN sorts *above*
 //!   every threshold and would prune a candidate whose true time is
 //!   unknown — an unsound cutoff. The distinction is pinned by the
-//!   property tests below and by the `topk-incumbent` fmsched model
-//!   (`fmcheck::models::TopkIncumbent`).
+//!   property tests below.
 //!
-//! The search's one shared cutoff is [`TopkIncumbent`]: the k-th-best
-//! and best keys, written under one lock and read lock-free.
+//! The search's ranking cutoff is [`TopkIncumbent`]: the k-th-best and
+//! best keys, single-thread state of the pruned stages, which run in
+//! order on the calling thread.
 
 use std::cmp::Ordering;
-use std::sync::atomic::{AtomicU64, Ordering as MemOrdering};
-use std::sync::Mutex;
 
 /// Total-order comparison of two times (`f64::total_cmp`): the single
 /// comparator behind every search ranking and tie-break.
@@ -54,108 +52,100 @@ pub fn exceeds_bound(lb: f64, bound: f64) -> bool {
     lb > bound
 }
 
-/// Shared concurrent k-th-best threshold for the search's branch-and-
-/// bound (`k = 1` is the single-optimum incumbent): workers
-/// [`TopkIncumbent::publish`] every evaluated ranking key, and readers
-/// prune a candidate when its admissible key lower bound exceeds
+/// The k-th-best threshold of the search's branch-and-bound (`k = 1` is
+/// the single-optimum incumbent): the search
+/// [`TopkIncumbent::publish`]es every evaluated ranking key, and prunes a
+/// candidate when its admissible key lower bound exceeds
 /// [`TopkIncumbent::threshold`] — the current k-th best key.
 ///
-/// Internals: the k best keys seen so far live behind a small mutex. The
-/// published threshold (the worst retained key) and the running best key
-/// are `AtomicU64` cells written only under that mutex, compare-then-
-/// store, and only ever lowered. Relaxed readers may therefore observe a
-/// *stale* (higher) value but never a torn or raised one — staleness
-/// costs a missed prune, never an unsound one. The threshold is `+inf`
-/// until `k` keys have been published (nothing is prunable before k
-/// candidates are ranked) and `-inf` for `k = 0` (an empty top-k retains
-/// nothing).
+/// The pruned stages run in order on the calling thread, so this is plain
+/// single-thread state: the k best keys seen so far, the threshold (the
+/// worst retained key) and the running best key. Both cells only ever
+/// fall. The threshold is `+inf` until `k` keys have been published
+/// (nothing is prunable before k candidates are ranked) and `-inf` for
+/// `k = 0` (an empty top-k retains nothing).
 ///
 /// NaN keys — positive, as `Objective::key` returns them — are kept in
 /// the k-set — they rank last under the total order, so any real key
 /// displaces them — but never lower a cell ([`is_improvement`] rejects
 /// them), so a NaN score can neither make the threshold sticky nor prune
-/// through it. Keys may be negative
-/// (maximizing objectives negate their value), so the cells compare
-/// decoded floats under `total_cmp`, not raw bit patterns.
-/// Model-checked as `fmcheck::models::TopkIncumbent` (`topk-incumbent`).
+/// through it. Keys may be negative (maximizing objectives negate their
+/// value), so the cells compare floats under `total_cmp`, not raw bit
+/// patterns.
 pub struct TopkIncumbent {
     k: usize,
-    kept: Mutex<Vec<f64>>,
-    threshold: AtomicU64,
-    best: AtomicU64,
+    kept: Vec<f64>,
+    threshold: f64,
+    best: f64,
 }
 
 impl TopkIncumbent {
     /// A threshold retaining the `k` best published keys.
     pub fn new(k: usize) -> Self {
-        let seed = if k == 0 {
-            f64::NEG_INFINITY
-        } else {
-            f64::INFINITY
-        };
         Self {
             k,
-            kept: Mutex::new(Vec::with_capacity(k.min(1024))),
-            threshold: AtomicU64::new(seed.to_bits()),
-            best: AtomicU64::new(f64::INFINITY.to_bits()),
+            kept: Vec::with_capacity(k.min(1024)),
+            threshold: if k == 0 {
+                f64::NEG_INFINITY
+            } else {
+                f64::INFINITY
+            },
+            best: f64::INFINITY,
         }
     }
 
-    /// The current k-th-best key (relaxed load; stale reads are only ever
-    /// *higher* than the true threshold, i.e. conservative).
+    /// The current k-th-best key.
     pub fn threshold(&self) -> f64 {
-        f64::from_bits(self.threshold.load(MemOrdering::Relaxed))
+        self.threshold
     }
 
-    /// The best (total-order smallest) key published so far (relaxed).
+    /// The best (total-order smallest) key published so far.
     pub fn best(&self) -> f64 {
-        f64::from_bits(self.best.load(MemOrdering::Relaxed))
+        self.best
     }
 
     /// Publishes one evaluated candidate's ranking key, lowering the best
     /// key when it improves and the threshold when the key enters the
     /// k-set.
-    pub fn publish(&self, key: f64) {
-        let mut kept = self.kept.lock().unwrap_or_else(|e| e.into_inner());
-        lower(&self.best, key);
+    pub fn publish(&mut self, key: f64) {
+        lower(&mut self.best, key);
         if self.k == 0 {
             return;
         }
-        if kept.len() < self.k {
-            kept.push(key);
+        if self.kept.len() < self.k {
+            self.kept.push(key);
         } else {
             let mut worst = 0;
-            for (i, &v) in kept.iter().enumerate().skip(1) {
-                if is_improvement(kept[worst], v) {
+            for (i, &v) in self.kept.iter().enumerate().skip(1) {
+                if is_improvement(self.kept[worst], v) {
                     worst = i;
                 }
             }
-            if is_improvement(key, kept[worst]) {
-                kept[worst] = key;
+            if is_improvement(key, self.kept[worst]) {
+                self.kept[worst] = key;
             } else {
                 // k-set unchanged, threshold already published.
                 return;
             }
         }
-        if kept.len() == self.k {
-            let mut max = kept[0];
-            for &v in &kept[1..] {
+        if self.kept.len() == self.k {
+            let mut max = self.kept[0];
+            for &v in &self.kept[1..] {
                 if is_improvement(max, v) {
                     max = v;
                 }
             }
-            lower(&self.threshold, max);
+            lower(&mut self.threshold, max);
         }
     }
 }
 
 /// Lowers `cell` to `value` when it improves under the total order: never
 /// to a positive NaN, the only NaN `Objective::key` returns (a negative
-/// NaN would improve on every cell). Callers hold the [`TopkIncumbent`]
-/// lock, which makes the compare-then-store race-free.
-fn lower(cell: &AtomicU64, value: f64) {
-    if is_improvement(value, f64::from_bits(cell.load(MemOrdering::Relaxed))) {
-        cell.store(value.to_bits(), MemOrdering::Relaxed);
+/// NaN would improve on every cell).
+fn lower(cell: &mut f64, value: f64) {
+    if is_improvement(value, *cell) {
+        *cell = value;
     }
 }
 
@@ -177,7 +167,7 @@ mod tests {
     fn nan_keys_never_publish() {
         // A NaN key enters the k-set but lowers neither cell, so the next
         // real key still publishes: no NaN can make a cell sticky.
-        let topk = TopkIncumbent::new(1);
+        let mut topk = TopkIncumbent::new(1);
         topk.publish(f64::NAN);
         assert_eq!(topk.threshold(), f64::INFINITY);
         assert_eq!(topk.best(), f64::INFINITY);
@@ -215,8 +205,8 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(500))]
 
-        /// Replays the ranked planner's k-th-incumbent loop (prune on a
-        /// stale threshold, evaluate, publish) over adversarial signed
+        /// Replays the ranked planner's k-th-incumbent loop (prune on the
+        /// threshold, evaluate, publish) over adversarial signed
         /// keys and NaN/infinite bounds, and requires the surviving top-k
         /// to equal the exact sequential top-k: a NaN key must never make
         /// the threshold sticky, never prune an exactly-tied-or-better
@@ -240,7 +230,7 @@ mod tests {
                 ranked_candidate(k4, x4),
                 ranked_candidate(k5, x5),
             ];
-            let topk = TopkIncumbent::new(k);
+            let mut topk = TopkIncumbent::new(k);
             let mut prev_thr = topk.threshold();
             let mut survivors = Vec::new();
             for (i, &(lb, key)) in cands.iter().enumerate() {

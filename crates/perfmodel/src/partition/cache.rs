@@ -137,10 +137,12 @@ pub(crate) fn build_profiles(
 // * **L1** — a thread-local `HashMap`, probed first without a lock. It
 //   serves the all-hit steady state.
 // * **L2** — a process-global, 64-way-sharded `RwLock` map shared by all
-//   workers. The vendored rayon pool spawns fresh scoped threads per
-//   parallel call, so every worker starts with an empty L1 and reads what
-//   its siblings and earlier calls published here; only a first compute
-//   takes a shard's write lock.
+//   workers. The vendored rayon pool runs each parallel call on the
+//   calling thread plus helpers spawned for that call, so only the helpers
+//   start with an empty L1; they read what the caller, their siblings and
+//   earlier calls published here. Only a first compute takes a shard's
+//   write lock. The pruned search stages run on the calling thread, whose
+//   L1 stays warm from call to call.
 //
 // # Key scheme
 //
@@ -169,11 +171,11 @@ pub(crate) fn build_profiles(
 /// Profiling counters for the S3 search hot path (process-global).
 ///
 /// Returned by [`search_stats`]; reset with [`reset_search_stats`].
-/// Counter updates are batched thread-locally and flushed when a worker
-/// thread exits (the vendored pool joins its scoped workers before a
+/// Counter updates are batched thread-locally and flushed when a helper
+/// thread exits (the vendored pool joins the helpers it spawns before a
 /// parallel call returns) and by [`search_stats`] itself for the calling
-/// thread — so reading stats *between* searches from the thread that ran
-/// them sees every event. Note the counters are global: concurrent
+/// thread, which works as the pool's worker 0 — so reading stats
+/// *between* searches from the thread that ran them sees every event. Note the counters are global: concurrent
 /// searches (e.g. parallel `cargo test` threads) add to the same tallies,
 /// so tests should assert on deltas, not absolute values.
 ///
@@ -185,13 +187,17 @@ pub(crate) fn build_profiles(
 /// computed for such a space (one probe per pass) and from every
 /// evaluation (seeds, sweep, or the unpruned sweep); the three prune
 /// counters from the eliminate and sweep stages, split by query kind as
-/// each field says.
+/// each field says. A query that prunes runs those stages in order on the
+/// calling thread, so its prune counters read the same at every pool
+/// width, and so do its memo counters once its space is warm: L2 hits come
+/// from the helpers of stage 0 and of the unpruned sweep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Collective-time memo probes answered by the thread-local L1.
     pub memo_local_hits: u64,
     /// Probes that missed L1 but hit the shared L2 — exactly the work
-    /// per-thread caches used to redo per worker before sharing.
+    /// per-thread caches used to redo per worker before sharing. Mostly
+    /// the pool's helper threads, which start with an empty L1.
     pub memo_shared_hits: u64,
     /// Probes that computed (and published) a new value.
     pub memo_misses: u64,
@@ -538,7 +544,7 @@ mod tests {
     fn shared_memo_publishes_across_threads() {
         // A value computed on one thread must be visible to a brand-new
         // thread (empty L1) through the shared L2 — the property that
-        // stops the pool's fresh scoped workers from re-pricing the same
+        // stops the pool's fresh helper threads from re-pricing the same
         // collectives per worker.
         let key = fnv([0x7e57, line!() as u64, 0x5eed]);
         let before = search_stats();

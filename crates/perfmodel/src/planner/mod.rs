@@ -7,8 +7,9 @@
 //!   plus arbitrary user [`Planner::constrain`] predicates;
 //! * an [`Objective`] — iteration time, training days, tokens/s/GPU, HBM
 //!   headroom, GPU-seconds cost, or weighted/lexicographic combinations;
-//! * execution over the rayon pool against the space's stored
-//!   placement-free work (see [the space store](#the-space-store)),
+//! * execution against the space's stored placement-free work (see
+//!   [the space store](#the-space-store)), with the independent work on
+//!   the rayon pool (see [which stages fan out](#which-stages-fan-out)),
 //!   bit-identical across thread counts;
 //!
 //! into a [`PlanSet`]: the top-k ranked [`Plan`]s **and** the exact
@@ -35,10 +36,10 @@
 //!    enumeration order and the stored memory ledger gates each on HBM;
 //!    when the query can prune, admissible lower bounds on the ranking
 //!    key and on every frontier key (`Objective::key_lower_bound` over
-//!    the stored time bound) are derived in parallel.
+//!    the stored time bound) are derived.
 //! 2. **Seed**: the `top_k` lowest-bound candidates are evaluated
-//!    unconditionally. The worker that evaluates a candidate keys it,
-//!    once: a row of [`Objective::key`] under the ranking objective's
+//!    unconditionally. Each evaluated candidate is keyed once, where it
+//!    is evaluated: a row of [`Objective::key`] under the ranking objective's
 //!    stages, then under the frontier objectives, an objective that
 //!    appears twice keyed once (`Query::key_row`). The seeds' ranking
 //!    keys set the k-th-best threshold ([`crate::ord::TopkIncumbent`])
@@ -48,9 +49,9 @@
 //!    objective, and — only when a frontier is asked for — its bound
 //!    vector is strictly dominated by an evaluated point. A NaN bound
 //!    never prunes ([`crate::ord::exceeds_bound`]).
-//! 4. **Sweep** (parallel): the survivors are evaluated and keyed
-//!    best-first, each checked once more against the live threshold and
-//!    frontier archive.
+//! 4. **Sweep**: the survivors are evaluated and keyed best-first, each
+//!    checked once more against the threshold and the frontier archive,
+//!    which every evaluation before it has tightened.
 //! 5. **Reassemble** the evaluations and their key rows in enumeration
 //!    order. [`Planner::execute`] ranks the rows and takes their frontier
 //!    (`Objective::rank`, `pareto_frontier`) without keying anything
@@ -63,13 +64,31 @@
 //! top-k or the frontier, so every result is bit-identical to the
 //! unpruned sweep's ([`SearchSpace::prune`]). The bounds assume finite,
 //! non-negative collective times, so a query on a network that
-//! [`validate_system`] rejects does not prune at all. Races on the shared
-//! threshold only change *which redundant work is skipped*. Each stage
-//! evaluates its batch with one work item per candidate, which prices
-//! every placement of the candidate's stored group list once, in
+//! [`validate_system`] rejects does not prune at all. Each evaluation
+//! prices every placement of the candidate's stored group list once, in
 //! [`crate::enumerate_placements`] order, and keeps the winner's
 //! breakdown ([`crate::search`]). Skip counts are reported through
 //! [`crate::search_stats`].
+//!
+//! # Which stages fan out
+//!
+//! Stages 1–4 of a query that prunes run in order on the calling thread.
+//! The pool keeps only independent work: stage 0 on a store miss
+//! (enumeration, profiles, ledgers and time bounds), and the unpruned
+//! sweep ([`Planner::evaluations`], the serving objectives and
+//! [`Planner::include_infeasible`]), one work item per candidate. The
+//! pruned stages stay in order because fanning them out costs more than
+//! it saves:
+//!
+//! * the sweep's threshold tightens with each evaluation, so a parallel
+//!   sweep evaluates candidates an in-order sweep skips, and its workers
+//!   contend on the shared threshold and archive;
+//! * the assess arithmetic costs about 20–200 ns per candidate, while
+//!   spawning and joining one scoped thread costs 18–34 µs (medians of
+//!   3,000 on a 2-vCPU host, at different loads).
+//!
+//! So a pruned query evaluates the same candidates at every pool width,
+//! and once warm it reads every memo price from the calling thread's L1.
 //!
 //! # The space store
 //!
@@ -156,7 +175,7 @@ use crate::search::{best_placement_with_memory, enumerate_partitions};
 use plan::{dominates, pareto_frontier, plan_of};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use store::{SpaceEntry, SpaceStore};
 use systems::SystemSpec;
 use txmodel::{InferenceConfig, TransformerConfig};
@@ -195,13 +214,11 @@ fn relax_down(bound: f64) -> f64 {
     }
 }
 
-/// Shared archive of evaluated candidates' exact frontier key vectors —
-/// the pipeline's dominance oracle, kept frontier-filtered so it stays
-/// small. Workers race on it through a mutex; a stale read only misses a
-/// prune, never fabricates one.
+/// Archive of evaluated candidates' exact frontier key vectors — the
+/// pipeline's dominance oracle, kept frontier-filtered so it stays small.
 #[derive(Default)]
 struct DominanceArchive {
-    points: Mutex<Vec<Vec<f64>>>,
+    points: Vec<Vec<f64>>,
 }
 
 impl DominanceArchive {
@@ -214,8 +231,7 @@ impl DominanceArchive {
     /// either. NaN or `-inf` components make every comparison false:
     /// vacuous bounds never prune.
     fn strictly_covers(&self, lb: &[f64]) -> bool {
-        let points = self.points.lock().unwrap_or_else(|e| e.into_inner());
-        points
+        self.points
             .iter()
             .any(|p| p.len() == lb.len() && p.iter().zip(lb).all(|(&pj, &lj)| pj < relax_down(lj)))
     }
@@ -225,13 +241,12 @@ impl DominanceArchive {
     /// dominates ([`dominates`], the final frontier's predicate).
     /// Eviction never shrinks what the archive covers: the evicting
     /// point is componentwise no worse than the evicted one.
-    fn insert(&self, kv: &[f64]) {
-        let mut points = self.points.lock().unwrap_or_else(|e| e.into_inner());
-        if points.iter().any(|p| dominates(p, kv)) {
+    fn insert(&mut self, kv: &[f64]) {
+        if self.points.iter().any(|p| dominates(p, kv)) {
             return;
         }
-        points.retain(|p| !dominates(kv, p));
-        points.push(kv.to_vec());
+        self.points.retain(|p| !dominates(kv, p));
+        self.points.push(kv.to_vec());
     }
 }
 
@@ -252,11 +267,11 @@ struct Query<'q> {
 }
 
 impl Query<'_> {
-    /// How the query keys an evaluation, once, in the worker that
-    /// evaluates it: the key row holds [`Objective::key`] under each of
-    /// the ranking objective's [`Objective::stages`], then under each
-    /// frontier objective. An objective that appears twice is keyed once
-    /// and its key copied. Twice means the same `Debug` text, which tells
+    /// How the query keys an evaluation, once, where it is evaluated: the
+    /// key row holds [`Objective::key`] under each of the ranking
+    /// objective's [`Objective::stages`], then under each frontier
+    /// objective. An objective that appears twice is keyed once and its
+    /// key copied. Twice means the same `Debug` text, which tells
     /// every non-NaN parameter bit apart, so the copy is the key the
     /// repeat would compute.
     fn key_row(&self) -> impl Fn(&Evaluation) -> Vec<f64> + Sync + '_ {
@@ -279,13 +294,13 @@ impl Query<'_> {
     }
 }
 
-/// A candidate past the memory gate, with its stage-1 assessment.
+/// A candidate past the memory gate of a query that prunes, with its
+/// stage-1 assessment.
 struct Candidate {
     /// Position in the space's enumeration (its index in the
     /// [`SpaceEntry`]).
     index: usize,
-    /// Admissible lower bound on the ranking key (`-inf` when the query
-    /// does not prune).
+    /// Admissible lower bound on the ranking key.
     rank_lb: f64,
     /// Admissible lower bounds on the frontier keys, in query order.
     frontier_lb: Vec<f64>,
@@ -300,6 +315,67 @@ struct Sweep {
     candidates: u64,
     /// Of those, the ones that fit in HBM.
     feasible: u64,
+}
+
+/// The running cutoffs of a query that prunes (stages 2–4): the
+/// k-th-best threshold over the ranking keys and, when a frontier is asked
+/// for, the dominance archive over the frontier keys.
+struct Cutoffs {
+    topk: ord::TopkIncumbent,
+    archive: Option<DominanceArchive>,
+    /// Key-row columns of the ranking objective's stages; the frontier
+    /// keys follow them.
+    stages: usize,
+    /// The primary stage's tolerance, for a multi-stage lexicographic
+    /// objective.
+    lex_cut_tol: Option<f64>,
+}
+
+impl Cutoffs {
+    fn new(q: &Query) -> Self {
+        let stages = q.objective.stages();
+        Self {
+            topk: ord::TopkIncumbent::new(q.top_k),
+            archive: (!q.frontier.is_empty()).then(DominanceArchive::default),
+            stages: stages.len(),
+            lex_cut_tol: (stages.len() > 1).then(|| stages[0].1.max(0.0)),
+        }
+    }
+
+    /// Publishes one evaluated candidate's key row
+    /// ([`Query::key_row`]). The ranking key is the primary stage's (0
+    /// with no stage, as `Objective::key` has it).
+    fn publish(&mut self, row: &[f64]) {
+        self.topk
+            .publish(if self.stages == 0 { 0.0 } else { row[0] });
+        if let Some(archive) = &mut self.archive {
+            archive.insert(&row[self.stages..]);
+        }
+    }
+
+    /// Whether `c` can be skipped: at least k evaluated candidates
+    /// outrank it. For a multi-stage lexicographic objective its bound
+    /// must also clear the primary stage's tolerance cut above the best
+    /// key: a candidate inside the band survives to later stages, where
+    /// no admissible bound exists. The cut `b + tol·|b|` is monotone in
+    /// `b` only for `tol ≤ 1`; wider tolerances never prune. With a
+    /// frontier, an evaluated point must also strictly dominate its bound
+    /// vector.
+    fn prune(&self, c: &Candidate) -> bool {
+        ord::exceeds_bound(c.rank_lb, relax_up(self.topk.threshold()))
+            && match self.lex_cut_tol {
+                None => true,
+                Some(tol) if tol <= 1.0 => {
+                    let best = self.topk.best();
+                    ord::exceeds_bound(c.rank_lb, relax_up(best + tol * best.abs()))
+                }
+                Some(_) => false,
+            }
+            && self
+                .archive
+                .as_ref()
+                .is_none_or(|a| a.strictly_covers(&c.frontier_lb))
+    }
 }
 
 /// The serializable part of a planner: everything except the model/system
@@ -645,8 +721,7 @@ impl<'a> Planner<'a> {
             && validate::validate_network(&self.system.network).is_ok();
 
         // Stage 1 (assess): the user constraints and the memory gate over
-        // the stored candidates and ledgers; when the query prunes, its
-        // key bounds over the stored time bounds.
+        // the stored candidates and ledgers.
         let passed: Vec<usize> = (0..entry.candidates.len())
             .filter(|&i| {
                 (q.keep_infeasible || entry.memory[i].fits(hbm))
@@ -656,21 +731,24 @@ impl<'a> Planner<'a> {
                         .all(|pred| pred(&entry.candidates[i]))
             })
             .collect();
-        let time_lb = if prune {
-            entry.time_lower_bounds(self)
-        } else {
-            &[]
-        };
+        let candidates = passed.len() as u64;
+        let feasible = passed
+            .iter()
+            .filter(|&&i| entry.memory[i].fits(hbm))
+            .count() as u64;
+        let key_row = q.key_row();
+        if !prune {
+            return Sweep {
+                evals: self.evaluate_batch(entry, &passed, &key_row),
+                candidates,
+                feasible,
+            };
+        }
+        // The query's key bounds over the stored time bounds.
+        let time_lb = entry.time_lower_bounds(self);
         let mut work: Vec<Candidate> = passed
-            .par_iter()
-            .map(|&index| {
-                if !prune {
-                    return Candidate {
-                        index,
-                        rank_lb: f64::NEG_INFINITY,
-                        frontier_lb: Vec::new(),
-                    };
-                }
+            .into_iter()
+            .map(|index| {
                 let memory = &entry.memory[index];
                 let b = CandidateBounds {
                     time_lb: time_lb[index],
@@ -689,20 +767,6 @@ impl<'a> Planner<'a> {
                 }
             })
             .collect();
-        let candidates = work.len() as u64;
-        let feasible = work
-            .iter()
-            .filter(|c| entry.memory[c.index].fits(hbm))
-            .count() as u64;
-        let key_row = q.key_row();
-        if !prune {
-            let evals = self.evaluate_batch(entry, &work, &|_| false, &key_row, &|_| {});
-            return Sweep {
-                evals: evals.into_iter().map(|(_, e, row)| (e, row)).collect(),
-                candidates,
-                feasible,
-            };
-        }
 
         // Stage 2 (seed): the top_k smallest bounds, ties broken by
         // enumeration index — a total order, so the seed set is
@@ -715,52 +779,35 @@ impl<'a> Planner<'a> {
             work.select_nth_unstable_by(k - 1, by_bound);
         }
         let mut rest = work.split_off(k);
-        let topk = ord::TopkIncumbent::new(q.top_k);
-        let archive = (!q.frontier.is_empty()).then(DominanceArchive::default);
-        // The ranking key is the primary stage's (0 with no stage, as
-        // `Objective::key` has it); the frontier keys follow the stages.
-        let stages = q.objective.stages();
-        let publish = |row: &[f64]| {
-            topk.publish(if stages.is_empty() { 0.0 } else { row[0] });
-            if let Some(archive) = &archive {
-                archive.insert(&row[stages.len()..]);
-            }
+        let mut cutoffs = Cutoffs::new(q);
+        let mut evaluated = Vec::new();
+        let mut evaluate_and_publish = |c: &Candidate, cutoffs: &mut Cutoffs| {
+            let e = self.evaluate(entry, c.index);
+            let row = key_row(&e);
+            cutoffs.publish(&row);
+            evaluated.push((c.index, e, row));
         };
-        let mut evaluated = self.evaluate_batch(entry, &work, &|_| false, &key_row, &publish);
-
-        // A candidate may be skipped once at least k evaluated candidates
-        // outrank it. For a multi-stage lexicographic objective its bound
-        // must also clear the primary stage's tolerance cut above the
-        // best key: a candidate inside the band survives to later stages,
-        // where no admissible bound exists. The cut `b + tol·|b|` is
-        // monotone in `b` only for `tol ≤ 1`; wider tolerances never
-        // prune.
-        let lex_cut_tol = (stages.len() > 1).then(|| stages[0].1.max(0.0));
-        let prunable = |c: &Candidate| {
-            ord::exceeds_bound(c.rank_lb, relax_up(topk.threshold()))
-                && match lex_cut_tol {
-                    None => true,
-                    Some(tol) if tol <= 1.0 => {
-                        let best = topk.best();
-                        ord::exceeds_bound(c.rank_lb, relax_up(best + tol * best.abs()))
-                    }
-                    Some(_) => false,
-                }
-                && archive
-                    .as_ref()
-                    .is_none_or(|a| a.strictly_covers(&c.frontier_lb))
-        };
+        for c in &work {
+            evaluate_and_publish(c, &mut cutoffs);
+        }
 
         // Stage 3 (eliminate against the seeds' threshold).
         let before = rest.len();
-        rest.retain(|c| !prunable(c));
+        rest.retain(|c| !cutoffs.prune(c));
         let eliminated = (before - rest.len()) as u64;
 
-        // Stage 4 (sweep the survivors best-first, parallel).
+        // Stage 4 (sweep the survivors best-first): each is checked once
+        // more against the cutoffs, which every evaluation before it has
+        // tightened.
         rest.sort_unstable_by(by_bound);
-        let swept = self.evaluate_batch(entry, &rest, &prunable, &key_row, &publish);
-        let skipped = (rest.len() - swept.len()) as u64;
-        evaluated.extend(swept);
+        let mut skipped = 0;
+        for c in &rest {
+            if cutoffs.prune(c) {
+                skipped += 1;
+            } else {
+                evaluate_and_publish(c, &mut cutoffs);
+            }
+        }
         if q.frontier.is_empty() {
             note_dominated_pruned(eliminated);
             note_bound_pruned(skipped);
@@ -777,40 +824,39 @@ impl<'a> Planner<'a> {
         }
     }
 
-    /// Evaluates the entries of `batch` that `skip` lets through under
-    /// their best placement, one work item per candidate, keys each
-    /// evaluation with `key_row` in the same work item and hands the row
-    /// to `publish`, and returns `(enumeration index, evaluation, key
-    /// row)` triples in batch order.
+    /// Evaluates candidate `index` of `entry` under its best placement.
+    fn evaluate(&self, entry: &SpaceEntry, index: usize) -> Evaluation {
+        let (profile, fps) = entry.profile(index);
+        best_placement_with_memory(
+            profile,
+            *fps,
+            self.model,
+            &entry.candidates[index],
+            entry.placements(index),
+            self.config.space.global_batch,
+            self.system,
+            entry.memory[index],
+        )
+    }
+
+    /// The unpruned sweep: evaluates the candidates at the enumeration
+    /// indices `batch` on the pool, one work item per candidate, keys each
+    /// evaluation with `key_row` in the same work item, and returns the
+    /// `(evaluation, key row)` pairs in batch order. The candidates are
+    /// independent, so this is the one search stage over a stored entry
+    /// that fans out.
     fn evaluate_batch(
         &self,
         entry: &SpaceEntry,
-        batch: &[Candidate],
-        skip: &(dyn Fn(&Candidate) -> bool + Sync),
+        batch: &[usize],
         key_row: &(dyn Fn(&Evaluation) -> Vec<f64> + Sync),
-        publish: &(dyn Fn(&[f64]) + Sync),
-    ) -> Vec<(usize, Evaluation, Vec<f64>)> {
-        let global_batch = self.config.space.global_batch;
+    ) -> Vec<(Evaluation, Vec<f64>)> {
         batch
             .par_iter()
-            .filter_map(|c| {
-                if skip(c) {
-                    return None;
-                }
-                let (profile, fps) = entry.profile(c.index);
-                let e = best_placement_with_memory(
-                    profile,
-                    *fps,
-                    self.model,
-                    &entry.candidates[c.index],
-                    entry.placements(c.index),
-                    global_batch,
-                    self.system,
-                    entry.memory[c.index],
-                );
+            .map(|&index| {
+                let e = self.evaluate(entry, index);
                 let row = key_row(&e);
-                publish(&row);
-                Some((c.index, e, row))
+                (e, row)
             })
             .collect()
     }
@@ -1146,6 +1192,48 @@ mod tests {
             assert_eq!(p.eval.config.total_gpus(), 512, "{}", p.eval.config);
             assert!(p.scores[0].value.is_finite(), "{:?}", p.scores);
         }
+    }
+
+    #[test]
+    fn a_nan_parameter_objective_is_scored_once() {
+        // `PartialEq` never equates an objective that carries a NaN with
+        // itself, so the default frontier's repeat was scored again.
+        let model = gpt3_175b().config;
+        let sys = b200_nvs8();
+        let days = Objective::TrainingDays {
+            iterations: f64::NAN,
+        };
+        let plans = Planner::new(&model, &sys)
+            .gpus(128)
+            .global_batch(1024)
+            .strategy(TpStrategy::OneD)
+            .objective(days.clone())
+            .execute();
+        let best = plans.best().expect("a feasible configuration exists");
+        assert_eq!(best.scores.len(), 1, "{:?}", best.scores);
+        assert!(best.score(&days).is_some_and(f64::is_nan));
+        let columns = plans.to_artifact("days", "days").columns;
+        assert_eq!(columns.iter().filter(|c| *c == "days").count(), 1);
+    }
+
+    #[test]
+    fn signed_zero_weights_are_scored_apart() {
+        // `PartialEq` equates weights of 0.0 and -0.0, whose keys the key
+        // row tells apart.
+        let model = gpt3_175b().config;
+        let sys = b200_nvs8();
+        let weighted = |w: f64| {
+            Objective::weighted([(Objective::IterationTime, 1.0), (Objective::GpuSeconds, w)])
+        };
+        let plans = Planner::new(&model, &sys)
+            .gpus(128)
+            .global_batch(1024)
+            .strategy(TpStrategy::OneD)
+            .objective(weighted(0.0))
+            .pareto([weighted(-0.0)])
+            .execute();
+        let best = plans.best().expect("a feasible configuration exists");
+        assert_eq!(best.scores.len(), 2, "{:?}", best.scores);
     }
 
     #[test]

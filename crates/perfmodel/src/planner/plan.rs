@@ -31,13 +31,22 @@ pub struct Plan {
 }
 
 impl Plan {
-    /// The score under `objective`, if it was among the planner's.
+    /// The score under `objective`, if it was among the planner's: the
+    /// score whose objective has the same `Debug` text, the rule the
+    /// search's key row uses.
     pub fn score(&self, objective: &Objective) -> Option<f64> {
         self.scores
             .iter()
-            .find(|s| &s.objective == objective)
+            .find(|s| same_objective(&s.objective, objective))
             .map(|s| s.value)
     }
+}
+
+/// Whether two objectives are the same one: the same `Debug` text, which
+/// tells every non-NaN parameter bit apart, `-0.0` included, and equates a
+/// NaN parameter with itself. `PartialEq` does neither.
+fn same_objective(a: &Objective, b: &Objective) -> bool {
+    format!("{a:?}") == format!("{b:?}")
 }
 
 /// The result of one [`crate::Planner`] execution: the top-k ranked plans
@@ -123,7 +132,8 @@ impl PlanSet {
     }
 }
 
-/// Builds the [`Plan`] for one evaluation under the planner's objectives.
+/// Builds the [`Plan`] for one evaluation under the planner's objectives,
+/// an objective that appears twice scored once.
 pub(crate) fn plan_of(
     eval: &Evaluation,
     model: &TransformerConfig,
@@ -132,7 +142,7 @@ pub(crate) fn plan_of(
 ) -> Plan {
     let mut scores: Vec<Score> = Vec::new();
     for o in objectives {
-        if scores.iter().any(|s| &s.objective == o) {
+        if scores.iter().any(|s| same_objective(&s.objective, o)) {
             continue;
         }
         scores.push(Score {

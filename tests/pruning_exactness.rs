@@ -184,7 +184,7 @@ fn prunes_are_exact_with_interleave_and_zero3() {
 
 #[test]
 fn prunes_are_exact_across_thread_counts() {
-    // The shared-threshold race must never change the selected optimum.
+    // The pool width must never change the selected optimum.
     let model = vit_64k().config;
     let sys = b200_nvs8();
     let p = planner(&model, &sys, 256, 4096, TpStrategy::Summa);
@@ -198,9 +198,10 @@ fn prunes_are_exact_across_thread_counts() {
 #[test]
 fn shared_memo_serves_fresh_worker_threads() {
     // Warm the process-wide shared table on the calling thread, then run
-    // the same search on a fresh 8-worker pool from a cleared space
-    // store: the workers' thread-local L1 memos start empty, so their
-    // hits must come from the shared L2.
+    // the same search on an 8-worker pool from a cleared space store:
+    // the pool's helper threads start with empty thread-local L1 memos,
+    // so the hits of the stage-0 bounds they price must come from the
+    // shared L2.
     let model = vit_64k().config;
     let sys = b200_nvs8();
     let p = planner(&model, &sys, 256, 4096, TpStrategy::Summa);
