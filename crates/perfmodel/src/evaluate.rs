@@ -28,6 +28,7 @@ use collectives::{
     collective_time, p2p_time, Algorithm, Collective, CommGroup,
 };
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 use systems::SystemSpec;
 use txmodel::TransformerConfig;
 
@@ -536,8 +537,19 @@ pub fn dp_sync_groups(
     parts
 }
 
-/// Largest divisor of `n` that is ≤ `cap` (≥ 1).
+/// Largest divisor of `n` that is ≤ `cap` (≥ 1; 1 when `n` or `cap` is
+/// 0).
+///
+/// A `cap` in `1..=n` that divides `n` is its own answer, returned
+/// before the trial-division loop. The search's callers pass a
+/// placement's share of the group, and on the placements they price that
+/// share is such a `cap`: all 43,630 calls of a cold and a warm
+/// perfbench `plan` pass return early. The loop answers every other
+/// `(n, cap)`.
 pub(crate) fn largest_divisor_at_most(n: u64, cap: u64) -> u64 {
+    if (1..=n).contains(&cap) && n.is_multiple_of(cap) {
+        return cap;
+    }
     let mut best = 1;
     let mut d = 1;
     while d * d <= n {
@@ -792,7 +804,20 @@ pub(crate) fn iteration_time_lower_bound(
 /// bound), and a `Lexicographic` objective bounds its primary stage's
 /// key. The serving metrics (`TokensPerSecPerGpu`, `ServingSlo`) report
 /// `-inf`, which never prunes.
-#[derive(Debug, Clone, Copy)]
+///
+/// # One goodput fraction per run
+///
+/// `goodput_fraction` caches `f`, which the first bound that reads it
+/// computes: a top-level goodput objective or a `Weighted` or
+/// `Lexicographic` term nested in one. `f` depends only on the bit
+/// patterns of `gpus` and `checkpoint_bytes` and on the query's context,
+/// so the planner's stage 1 keeps one value across a run of consecutive
+/// candidates that share those two fields, replacing it when either
+/// changes (a multi-count space breaks runs at every GPU count). Every
+/// candidate of the run reads the bits its own computation would give,
+/// and a query with no goodput column computes none. A value built for
+/// one query's context is never read under another's.
+#[derive(Debug, Clone)]
 pub(crate) struct CandidateBounds {
     /// Admissible lower bound on the candidate's iteration time over
     /// every placement, seconds.
@@ -803,6 +828,19 @@ pub(crate) struct CandidateBounds {
     pub gpus: f64,
     /// Exact per-writer checkpoint bytes (weight + optimizer shard).
     pub checkpoint_bytes: f64,
+    /// The exact goodput fraction of `gpus` and `checkpoint_bytes` under
+    /// the query's context, once a bound has read it (see
+    /// `exact_goodput_fraction` in the planner's objectives).
+    pub goodput_fraction: OnceCell<Option<f64>>,
+}
+
+impl CandidateBounds {
+    /// Whether a candidate with `gpus` GPUs and `checkpoint_bytes` per
+    /// writer has this one's goodput fraction: both match bit for bit.
+    pub(crate) fn same_goodput_run(&self, gpus: f64, checkpoint_bytes: f64) -> bool {
+        self.gpus.to_bits() == gpus.to_bits()
+            && self.checkpoint_bytes.to_bits() == checkpoint_bytes.to_bits()
+    }
 }
 
 /// Evaluates a configuration + placement from scratch (builds the layer
@@ -1018,6 +1056,61 @@ mod tests {
         assert_eq!(largest_divisor_at_most(64, 15), 8);
         assert_eq!(largest_divisor_at_most(12, 5), 4);
         assert_eq!(largest_divisor_at_most(7, 3), 1);
+    }
+
+    /// `largest_divisor_at_most` without its early return: the
+    /// trial-division loop alone.
+    fn largest_divisor_by_trial_division(n: u64, cap: u64) -> u64 {
+        let mut best = 1;
+        let mut d = 1;
+        while d * d <= n {
+            if n.is_multiple_of(d) {
+                if d <= cap && d > best {
+                    best = d;
+                }
+                let q = n / d;
+                if q <= cap && q > best {
+                    best = q;
+                }
+            }
+            d += 1;
+        }
+        best
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(20_000))]
+
+        /// The early return answers as the loop does. `n = a·b`, so `a`
+        /// is a divisor the early return takes; `pick` also draws
+        /// `n = 0`, `n = 1`, primes, `cap = 0` and `cap > n`.
+        #[test]
+        fn largest_divisor_matches_the_trial_division_loop(
+            a in 1u64..=3_000,
+            b in 1u64..=3_000,
+            c in 0u64..=10_000_000,
+            pick in 0usize..8,
+        ) {
+            const PRIMES: [u64; 4] = [2, 7_919, 65_537, 999_983];
+            let n = match pick {
+                0 => 0,
+                1 => 1,
+                2 => PRIMES[(a % 4) as usize],
+                _ => a * b,
+            };
+            let cap = match pick {
+                3 => a,
+                4 => 0,
+                5 => n + 1 + c,
+                6 => c % (n + 1),
+                _ => c,
+            };
+            let (got, want) = (
+                largest_divisor_at_most(n, cap),
+                largest_divisor_by_trial_division(n, cap),
+            );
+            proptest::prop_assert!(got == want, "n = {n}, cap = {cap}: {got} against {want}");
+        }
     }
 
     #[test]

@@ -33,10 +33,16 @@
 //!    store, or built there on a miss. A group's list is enumerated when
 //!    a stage first evaluates one of its candidates.
 //! 1. **Assess**: the user constraints filter the stored candidates in
-//!    enumeration order and the stored memory ledger gates each on HBM;
-//!    when the query can prune, admissible lower bounds on the ranking
-//!    key and on every frontier key (`Objective::key_lower_bound` over
-//!    the stored time bound) are derived.
+//!    enumeration order and the stored memory ledger gates each on HBM.
+//!    When the query can prune, each candidate gets one bound row of
+//!    admissible lower bounds (`Objective::key_lower_bound` over the
+//!    stored time bound): the ranking key's, then each frontier key's,
+//!    an objective that repeats an earlier column bounded once, by the
+//!    key row's rule (`Query::bound_columns`). The ranking bound travels
+//!    with the candidate; the frontier bounds go into one flat buffer.
+//!    A run of consecutive candidates that share a GPU count and
+//!    checkpoint bytes computes one goodput fraction
+//!    (`CandidateBounds`).
 //! 2. **Seed**: the `top_k` lowest-bound candidates are evaluated
 //!    unconditionally. Each evaluated candidate is keyed once, where it
 //!    is evaluated: a row of [`Objective::key`] under the ranking objective's
@@ -74,8 +80,9 @@
 //!
 //! Stages 1–4 of a query that prunes run in order on the calling thread.
 //! The pool keeps only independent work: stage 0 on a store miss
-//! (enumeration, profiles, ledgers and time bounds), and the unpruned
-//! sweep ([`Planner::evaluations`], the serving objectives and
+//! (enumeration, profiles, ledgers, and the time bounds in work items of
+//! whole profiles, so one worker prices each pass-level memo key), and the
+//! unpruned sweep ([`Planner::evaluations`], the serving objectives and
 //! [`Planner::include_infeasible`]), one work item per candidate. The
 //! pruned stages stay in order because fanning them out costs more than
 //! it saves:
@@ -175,6 +182,7 @@ use crate::search::{best_placement_with_memory, enumerate_partitions};
 use plan::{dominates, pareto_frontier, plan_of};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use std::cell::OnceCell;
 use std::sync::Arc;
 use store::{SpaceEntry, SpaceStore};
 use systems::SystemSpec;
@@ -276,34 +284,78 @@ impl Query<'_> {
     /// repeat would compute.
     fn key_row(&self) -> impl Fn(&Evaluation) -> Vec<f64> + Sync + '_ {
         let stages = self.objective.stages().into_iter().map(|s| s.0);
-        let objectives: Vec<&Objective> = stages.chain(self.frontier).collect();
+        let columns = Columns::new(stages.chain(self.frontier).collect());
+        move |e| {
+            let mut row = Vec::with_capacity(columns.objectives.len());
+            columns.fill_row(&mut row, |o| o.key(e, self.ctx));
+            row
+        }
+    }
+
+    /// How stage 1 bounds a candidate, by [`Query::key_row`]'s rule: the
+    /// bound row holds `Objective::key_lower_bound` under the ranking
+    /// objective, then under each frontier objective, and an objective
+    /// whose `Debug` text repeats an earlier column is bounded once and
+    /// its bound copied.
+    ///
+    /// The copy is the bound the repeat would compute for every non-NaN
+    /// parameter, because `Debug` tells those bits apart. It is safe for a
+    /// NaN parameter too, whatever the two NaNs' payloads: a NaN bound
+    /// never prunes, since [`ord::exceeds_bound`] and
+    /// [`DominanceArchive::strictly_covers`] compare with `>` and `<`.
+    /// Only column 0, the ranking bound, is sorted with `total_cmp`, and
+    /// column 0 is never a copy.
+    fn bound_columns(&self) -> Columns<'_> {
+        Columns::new(
+            std::iter::once(self.objective)
+                .chain(self.frontier)
+                .collect(),
+        )
+    }
+}
+
+/// The objectives of a key or bound row, each with the column its value
+/// is read from: its own, or the first earlier one with the same `Debug`
+/// text ([`Query::key_row`], [`Query::bound_columns`]).
+struct Columns<'q> {
+    objectives: Vec<&'q Objective>,
+    first: Vec<usize>,
+}
+
+impl<'q> Columns<'q> {
+    fn new(objectives: Vec<&'q Objective>) -> Self {
         let text: Vec<String> = objectives.iter().map(|o| format!("{o:?}")).collect();
-        // The column each key is read from: its first occurrence.
-        let first: Vec<usize> = (0..text.len())
+        let first = (0..text.len())
             .map(|j| text[..j].iter().position(|t| *t == text[j]).unwrap_or(j))
             .collect();
-        move |e| {
-            let mut row = Vec::with_capacity(objectives.len());
-            for (o, &i) in objectives.iter().zip(&first) {
-                // Column `i` is already in the row exactly when it repeats.
-                let key = row.get(i).copied().unwrap_or_else(|| o.key(e, self.ctx));
-                row.push(key);
-            }
-            row
+        Self { objectives, first }
+    }
+
+    /// Refills `row` with `value` of each column's objective, computed
+    /// at its first occurrence and copied for a repeat.
+    fn fill_row(&self, row: &mut Vec<f64>, value: impl Fn(&Objective) -> f64) {
+        row.clear();
+        for (o, &i) in self.objectives.iter().zip(&self.first) {
+            // Column `i` is already in the row exactly when it repeats.
+            let v = row.get(i).copied().unwrap_or_else(|| value(o));
+            row.push(v);
         }
     }
 }
 
 /// A candidate past the memory gate of a query that prunes, with its
-/// stage-1 assessment.
+/// stage-1 ranking bound. Its frontier bounds sit in stage 1's flat
+/// buffer at `slot` ([`Planner::bound_candidates`]). The seed select and
+/// the survivor sort reorder the candidates, so the slot travels with
+/// each, and they move 16-byte records.
 struct Candidate {
     /// Position in the space's enumeration (its index in the
     /// [`SpaceEntry`]).
-    index: usize,
+    index: u32,
+    /// Its row in the frontier-bound buffer.
+    slot: u32,
     /// Admissible lower bound on the ranking key.
     rank_lb: f64,
-    /// Admissible lower bounds on the frontier keys, in query order.
-    frontier_lb: Vec<f64>,
 }
 
 /// What the pipeline returns for one [`Query`].
@@ -326,6 +378,9 @@ struct Cutoffs {
     /// Key-row columns of the ranking objective's stages; the frontier
     /// keys follow them.
     stages: usize,
+    /// Frontier objectives: the stride of stage 1's frontier-bound
+    /// buffer.
+    frontier: usize,
     /// The primary stage's tolerance, for a multi-stage lexicographic
     /// objective.
     lex_cut_tol: Option<f64>,
@@ -338,6 +393,7 @@ impl Cutoffs {
             topk: ord::TopkIncumbent::new(q.top_k),
             archive: (!q.frontier.is_empty()).then(DominanceArchive::default),
             stages: stages.len(),
+            frontier: q.frontier.len(),
             lex_cut_tol: (stages.len() > 1).then(|| stages[0].1.max(0.0)),
         }
     }
@@ -360,8 +416,9 @@ impl Cutoffs {
     /// no admissible bound exists. The cut `b + tol·|b|` is monotone in
     /// `b` only for `tol ≤ 1`; wider tolerances never prune. With a
     /// frontier, an evaluated point must also strictly dominate its bound
-    /// vector.
-    fn prune(&self, c: &Candidate) -> bool {
+    /// vector, which `frontier_lb`, stage 1's flat buffer, holds at `c`'s
+    /// slot.
+    fn prune(&self, c: &Candidate, frontier_lb: &[f64]) -> bool {
         ord::exceeds_bound(c.rank_lb, relax_up(self.topk.threshold()))
             && match self.lex_cut_tol {
                 None => true,
@@ -371,10 +428,10 @@ impl Cutoffs {
                 }
                 Some(_) => false,
             }
-            && self
-                .archive
-                .as_ref()
-                .is_none_or(|a| a.strictly_covers(&c.frontier_lb))
+            && self.archive.as_ref().is_none_or(|a| {
+                let start = c.slot as usize * self.frontier;
+                a.strictly_covers(&frontier_lb[start..start + self.frontier])
+            })
     }
 }
 
@@ -744,29 +801,7 @@ impl<'a> Planner<'a> {
                 feasible,
             };
         }
-        // The query's key bounds over the stored time bounds.
-        let time_lb = entry.time_lower_bounds(self);
-        let mut work: Vec<Candidate> = passed
-            .into_iter()
-            .map(|index| {
-                let memory = &entry.memory[index];
-                let b = CandidateBounds {
-                    time_lb: time_lb[index],
-                    memory_total: memory.total(),
-                    gpus: entry.candidates[index].total_gpus() as f64,
-                    checkpoint_bytes: memory.weights + memory.optimizer,
-                };
-                Candidate {
-                    index,
-                    rank_lb: q.objective.key_lower_bound(&b, q.ctx),
-                    frontier_lb: q
-                        .frontier
-                        .iter()
-                        .map(|o| o.key_lower_bound(&b, q.ctx))
-                        .collect(),
-                }
-            })
-            .collect();
+        let (mut work, frontier_lb) = self.bound_candidates(entry, q, &passed);
 
         // Stage 2 (seed): the top_k smallest bounds, ties broken by
         // enumeration index — a total order, so the seed set is
@@ -782,10 +817,11 @@ impl<'a> Planner<'a> {
         let mut cutoffs = Cutoffs::new(q);
         let mut evaluated = Vec::new();
         let mut evaluate_and_publish = |c: &Candidate, cutoffs: &mut Cutoffs| {
-            let e = self.evaluate(entry, c.index);
+            let index = c.index as usize;
+            let e = self.evaluate(entry, index);
             let row = key_row(&e);
             cutoffs.publish(&row);
-            evaluated.push((c.index, e, row));
+            evaluated.push((index, e, row));
         };
         for c in &work {
             evaluate_and_publish(c, &mut cutoffs);
@@ -793,7 +829,7 @@ impl<'a> Planner<'a> {
 
         // Stage 3 (eliminate against the seeds' threshold).
         let before = rest.len();
-        rest.retain(|c| !cutoffs.prune(c));
+        rest.retain(|c| !cutoffs.prune(c, &frontier_lb));
         let eliminated = (before - rest.len()) as u64;
 
         // Stage 4 (sweep the survivors best-first): each is checked once
@@ -802,7 +838,7 @@ impl<'a> Planner<'a> {
         rest.sort_unstable_by(by_bound);
         let mut skipped = 0;
         for c in &rest {
-            if cutoffs.prune(c) {
+            if cutoffs.prune(c, &frontier_lb) {
                 skipped += 1;
             } else {
                 evaluate_and_publish(c, &mut cutoffs);
@@ -822,6 +858,51 @@ impl<'a> Planner<'a> {
             candidates,
             feasible,
         }
+    }
+
+    /// Stage 1's bounds for the candidates of `entry` at the enumeration
+    /// indices `passed`: one bound row each over the stored time bounds
+    /// ([`Query::bound_columns`]). Returns the [`Candidate`]s in `passed`
+    /// order, each holding its ranking bound, and one flat buffer of
+    /// their frontier bounds, `q.frontier.len()` to a candidate at its
+    /// slot. Consecutive candidates that share a GPU count and checkpoint
+    /// bytes share one [`CandidateBounds`], so that run computes one
+    /// goodput fraction.
+    fn bound_candidates(
+        &self,
+        entry: &SpaceEntry,
+        q: &Query,
+        passed: &[usize],
+    ) -> (Vec<Candidate>, Vec<f64>) {
+        let time_lb = entry.time_lower_bounds(self);
+        let columns = q.bound_columns();
+        let mut row = Vec::with_capacity(columns.objectives.len());
+        let mut work = Vec::with_capacity(passed.len());
+        let mut frontier_lb = Vec::with_capacity(passed.len() * q.frontier.len());
+        let mut run: Option<CandidateBounds> = None;
+        for (slot, &index) in passed.iter().enumerate() {
+            let memory = &entry.memory[index];
+            let gpus = entry.candidates[index].total_gpus() as f64;
+            let checkpoint_bytes = memory.weights + memory.optimizer;
+            run.take_if(|b| !b.same_goodput_run(gpus, checkpoint_bytes));
+            let b = run.get_or_insert_with(|| CandidateBounds {
+                time_lb: 0.0,
+                memory_total: 0.0,
+                gpus,
+                checkpoint_bytes,
+                goodput_fraction: OnceCell::new(),
+            });
+            b.time_lb = time_lb[index];
+            b.memory_total = memory.total();
+            columns.fill_row(&mut row, |o| o.key_lower_bound(b, q.ctx));
+            frontier_lb.extend_from_slice(&row[1..]);
+            work.push(Candidate {
+                index: index as u32,
+                slot: slot as u32,
+                rank_lb: row[0],
+            });
+        }
+        (work, frontier_lb)
     }
 
     /// Evaluates candidate `index` of `entry` under its best placement.
@@ -1234,6 +1315,169 @@ mod tests {
             .execute();
         let best = plans.best().expect("a feasible configuration exists");
         assert_eq!(best.scores.len(), 2, "{:?}", best.scores);
+    }
+
+    /// What stage 1 did for one query: the candidates it bounded, its
+    /// `key_lower_bound` calls (nested ones included) and goodput
+    /// fractions, and the goodput runs among its candidates.
+    #[derive(Debug, PartialEq)]
+    struct StageOne {
+        candidates: usize,
+        bounds: u64,
+        fractions: u64,
+        runs: usize,
+    }
+
+    /// Runs stage 1 of `p`'s pruned query under `objective` and
+    /// `frontier` over `entry`, `p`'s space entry, and checks every bound
+    /// row bit for bit against direct `key_lower_bound` calls, each on a
+    /// `CandidateBounds` of its own.
+    fn check_bound_rows(
+        p: &Planner,
+        entry: &SpaceEntry,
+        objective: &Objective,
+        frontier: &[Objective],
+    ) -> StageOne {
+        let ctx = p.objective_ctx();
+        let q = Query {
+            objective,
+            top_k: 8,
+            frontier,
+            keep_infeasible: false,
+            prune: true,
+            ctx: &ctx,
+        };
+        let hbm = p.system.gpu.hbm_capacity;
+        let passed: Vec<usize> = (0..entry.candidates.len())
+            .filter(|&i| entry.memory[i].fits(hbm))
+            .collect();
+        let time_lb = entry.time_lower_bounds(p);
+        let (bounds, fractions) = objective::tally::read();
+        let (work, frontier_lb) = p.bound_candidates(entry, &q, &passed);
+        let (bounds_after, fractions_after) = objective::tally::read();
+
+        let facts = |i: usize| {
+            let memory = &entry.memory[i];
+            (
+                entry.candidates[i].total_gpus() as f64,
+                memory.weights + memory.optimizer,
+            )
+        };
+        let direct = |o: &Objective, i: usize| {
+            let (gpus, checkpoint_bytes) = facts(i);
+            let b = CandidateBounds {
+                time_lb: time_lb[i],
+                memory_total: entry.memory[i].total(),
+                gpus,
+                checkpoint_bytes,
+                goodput_fraction: OnceCell::new(),
+            };
+            o.key_lower_bound(&b, &ctx).to_bits()
+        };
+        let stride = frontier.len();
+        assert_eq!(work.len(), passed.len());
+        assert_eq!(frontier_lb.len(), passed.len() * stride);
+        for (slot, (c, &i)) in work.iter().zip(&passed).enumerate() {
+            assert_eq!((c.index as usize, c.slot as usize), (i, slot));
+            assert_eq!(c.rank_lb.to_bits(), direct(objective, i), "{objective:?}");
+            let row: Vec<u64> = frontier_lb[slot * stride..][..stride]
+                .iter()
+                .map(|lb| lb.to_bits())
+                .collect();
+            let want: Vec<u64> = frontier.iter().map(|o| direct(o, i)).collect();
+            assert_eq!(row, want, "{objective:?} / {frontier:?}, candidate {i}");
+        }
+        let runs = 1 + passed
+            .windows(2)
+            .filter(|w| {
+                let ((g0, c0), (g1, c1)) = (facts(w[0]), facts(w[1]));
+                (g0.to_bits(), c0.to_bits()) != (g1.to_bits(), c1.to_bits())
+            })
+            .count();
+        StageOne {
+            candidates: passed.len(),
+            bounds: bounds_after - bounds,
+            fractions: fractions_after - fractions,
+            runs,
+        }
+    }
+
+    #[test]
+    fn stage_one_bound_rows_match_direct_bounds() {
+        let sys = b200_nvs8();
+        let (gpt1t, gpt175) = (gpt3_1t().config, gpt3_175b().config);
+        let store = SpaceStore::new(store::SPACE_STORE_BUDGET);
+        let summa = Planner::new(&gpt1t, &sys)
+            .gpus(16384)
+            .global_batch(4096)
+            .strategy(TpStrategy::Summa);
+        let summa_entry = store.entry(&summa);
+        let multi = Planner::new(&gpt175, &sys)
+            .gpu_counts([512, 1024, 2048, 4096])
+            .global_batch(1024)
+            .strategy(TpStrategy::OneD);
+        let multi_entry = store.entry(&multi);
+        let goodput = Objective::ExpectedGoodput;
+        let days = Objective::EffectiveTrainingDays { iterations: 1e5 };
+
+        // The perfbench GPT3-1T SUMMA sweep: its default frontier repeats
+        // the ranking objective, which is bounded once, and each run of
+        // candidates sharing a GPU count and checkpoint bytes computes
+        // one goodput fraction.
+        let sweep = check_bound_rows(
+            &summa,
+            &summa_entry,
+            &goodput,
+            std::slice::from_ref(&goodput),
+        );
+        assert_eq!(
+            sweep,
+            StageOne {
+                candidates: 8_125,
+                bounds: 8_125,
+                fractions: 331,
+                runs: 331,
+            }
+        );
+        // The ranked SUMMA query: three distinct columns, no goodput.
+        let ranked = check_bound_rows(
+            &summa,
+            &summa_entry,
+            &Objective::IterationTime,
+            &[Objective::IterationTime, Objective::HbmHeadroom],
+        );
+        assert_eq!((ranked.bounds, ranked.fractions), (2 * 8_125, 0));
+
+        // A multi-count space, whose goodput runs break at each GPU count.
+        for (objective, frontier) in [
+            (&goodput, vec![days.clone(), goodput.clone()]),
+            (&days, vec![days.clone()]),
+        ] {
+            let s = check_bound_rows(&multi, &multi_entry, objective, &frontier);
+            assert_eq!(s.fractions as usize, s.runs, "{objective:?}");
+            assert!(s.runs >= 4, "{s:?}");
+        }
+
+        // A NaN parameter: the repeat is copied, and a NaN bound never
+        // prunes whatever its payload.
+        let nan_days = Objective::TrainingDays {
+            iterations: f64::NAN,
+        };
+        let s = check_bound_rows(
+            &multi,
+            &multi_entry,
+            &nan_days,
+            std::slice::from_ref(&nan_days),
+        );
+        assert_eq!((s.bounds as usize, s.fractions), (s.candidates, 0));
+
+        // Weights of 0.0 and -0.0 print apart, so the twin stays a column
+        // of its own: each candidate takes two weighted bounds, each with
+        // its nested leaf bound. Their bounds differ in sign (0·x against
+        // -0·x), which the bit comparison sees.
+        let headroom = |w: f64| Objective::weighted([(Objective::HbmHeadroom, w)]);
+        let s = check_bound_rows(&multi, &multi_entry, &headroom(0.0), &[headroom(-0.0)]);
+        assert_eq!(s.bounds as usize, 4 * s.candidates);
     }
 
     #[test]

@@ -328,6 +328,8 @@ impl Objective {
     /// worst relative SLO violation depending on whether the placement
     /// meets the targets, so no single monotone substitution bounds it.
     pub(crate) fn key_lower_bound(&self, b: &CandidateBounds, ctx: &ObjectiveCtx) -> f64 {
+        #[cfg(test)]
+        tally::bump(&tally::BOUNDS);
         match self {
             Objective::IterationTime => b.time_lb,
             Objective::TrainingDays { iterations } => {
@@ -492,11 +494,43 @@ impl Objective {
 /// or degraded-link inflation at its GPU count is NaN: a placement that
 /// exposes a bucket to it then has a NaN goodput key, so the key bound
 /// must be NaN too.
+///
+/// Computed once per [`CandidateBounds`] and cached there, so a run of
+/// candidates that share `b`'s GPU count and checkpoint bytes, which the
+/// planner's stage 1 bounds with one `CandidateBounds`, computes it once
+/// (see [`CandidateBounds`]).
 fn exact_goodput_fraction(b: &CandidateBounds, ctx: &ObjectiveCtx) -> Option<f64> {
-    let terms = placement_free_terms(b.gpus as u64, b.checkpoint_bytes, ctx);
-    let nan_inflation =
-        terms.straggler_inflation.is_nan() || terms.degraded_comm_inflation.is_nan();
-    (!nan_inflation).then_some(terms.fraction)
+    *b.goodput_fraction.get_or_init(|| {
+        #[cfg(test)]
+        tally::bump(&tally::FRACTIONS);
+        let terms = placement_free_terms(b.gpus as u64, b.checkpoint_bytes, ctx);
+        let nan_inflation =
+            terms.straggler_inflation.is_nan() || terms.degraded_comm_inflation.is_nan();
+        (!nan_inflation).then_some(terms.fraction)
+    })
+}
+
+/// This thread's count of [`Objective::key_lower_bound`] calls, nested
+/// ones included, and of the goodput fractions [`exact_goodput_fraction`]
+/// computes, for the planner's stage-1 tests.
+#[cfg(test)]
+pub(crate) mod tally {
+    use std::cell::Cell;
+    use std::thread::LocalKey;
+
+    thread_local! {
+        pub(crate) static BOUNDS: Cell<u64> = const { Cell::new(0) };
+        pub(crate) static FRACTIONS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(crate) fn bump(counter: &'static LocalKey<Cell<u64>>) {
+        counter.with(|c| c.set(c.get() + 1));
+    }
+
+    /// The two counts so far: bounds, then fractions.
+    pub(crate) fn read() -> (u64, u64) {
+        (BOUNDS.with(Cell::get), FRACTIONS.with(Cell::get))
+    }
 }
 
 /// A reported metric value of one [`crate::Plan`].

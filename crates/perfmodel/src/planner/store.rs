@@ -50,6 +50,11 @@
 //! result rather than computing it again. Evaluations racing on one
 //! group's placement list instead each enumerate it, and the first to
 //! finish stores it, so no worker sleeps on another's enumeration.
+//!
+//! The bounds themselves fan out in work items of whole profiles, since
+//! the candidates of one TP tuple share their pass-level memo keys: one
+//! worker prices each of those keys, so a cold space takes the same memo
+//! misses at every pool width ([`SpaceEntry::time_lower_bounds`]).
 
 use super::{Planner, SearchSpace};
 use crate::config::{ParallelConfig, Placement};
@@ -60,6 +65,7 @@ use crate::placement::enumerate_placements;
 use crate::plan::LayerProfile;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -80,6 +86,11 @@ const CANDIDATE_BYTES: usize = 128;
 /// The units one stored profile is charged: a layer profile with its
 /// communication patterns takes 0.4–1.3 kB.
 const PROFILE_CHARGE: usize = 10;
+
+/// The fewest candidates in one work item of the time-bound fan-out
+/// ([`SpaceEntry::time_lower_bounds`]), which holds whole profiles: the
+/// rayon shim's chunk cap, so an item costs about what a chunk did.
+const PROFILE_BATCH: usize = 64;
 
 /// The store every [`Planner`] reads.
 pub(crate) static SPACE_STORE: SpaceStore = SpaceStore::new(SPACE_STORE_BUDGET);
@@ -202,29 +213,69 @@ impl SpaceEntry {
     /// every placement (`-inf`, which never prunes, for a candidate past
     /// HBM). Built once per entry, by the first query that needs it; `p`
     /// is any planner of this entry's space.
+    ///
+    /// The pool gets work items of whole profiles: all the candidates of
+    /// a TP tuple, in enumeration order, and the next tuple's, until an
+    /// item holds [`PROFILE_BATCH`] candidates. Those candidates share
+    /// their pass-level memo keys, so the one worker that bounds them
+    /// prices each key once and reads it from its L1 after, at any width;
+    /// split across workers, two could race on the same first computes
+    /// and both price them. Each bound is then placed at its candidate's
+    /// index.
     pub(crate) fn time_lower_bounds(&self, p: &Planner) -> &[f64] {
         self.time_lb.get_or_init(|| {
             let hbm = p.system.gpu.hbm_capacity;
             let global_batch = p.config.space.global_batch;
             let sys_fp = system_fingerprint(p.system);
-            indices(self.candidates.len())
+            // The candidates grouped by profile, in enumeration order
+            // within each (a counting sort), then cut into work items of
+            // whole profiles, each at least `PROFILE_BATCH` candidates.
+            let mut end = vec![0; self.profiles.len()];
+            for &profile in &self.profile_of {
+                end[profile as usize] += 1;
+            }
+            let mut total = 0;
+            for slot in &mut end {
+                total += *slot;
+                *slot = total - *slot;
+            }
+            let mut order = vec![0; self.candidates.len()];
+            for (i, &profile) in self.profile_of.iter().enumerate() {
+                order[end[profile as usize]] = i;
+                end[profile as usize] += 1;
+            }
+            let mut items = Vec::new();
+            let mut start = 0;
+            for (profile, &stop) in end.iter().enumerate() {
+                if stop - start >= PROFILE_BATCH || profile + 1 == end.len() {
+                    items.push(start..stop);
+                    start = stop;
+                }
+            }
+            let bound = |i: usize| {
+                if !self.memory[i].fits(hbm) {
+                    return f64::NEG_INFINITY;
+                }
+                let (profile, fps) = self.profile(i);
+                iteration_time_lower_bound(
+                    profile,
+                    p.model,
+                    &self.candidates[i],
+                    global_batch,
+                    p.system,
+                    sys_fp,
+                    *fps,
+                )
+            };
+            let per_item: Vec<Vec<f64>> = items
                 .par_iter()
-                .map(|&i| {
-                    if !self.memory[i].fits(hbm) {
-                        return f64::NEG_INFINITY;
-                    }
-                    let (profile, fps) = self.profile(i);
-                    iteration_time_lower_bound(
-                        profile,
-                        p.model,
-                        &self.candidates[i],
-                        global_batch,
-                        p.system,
-                        sys_fp,
-                        *fps,
-                    )
-                })
-                .collect()
+                .map(|item: &Range<usize>| order[item.clone()].iter().map(|&i| bound(i)).collect())
+                .collect();
+            let mut time_lb = vec![0.0; self.candidates.len()];
+            for (&i, lb) in order.iter().zip(per_item.into_iter().flatten()) {
+                time_lb[i] = lb;
+            }
+            time_lb
         })
     }
 }

@@ -197,23 +197,36 @@ fn prunes_are_exact_across_thread_counts() {
 
 #[test]
 fn shared_memo_serves_fresh_worker_threads() {
-    // Warm the process-wide shared table on the calling thread, then run
-    // the same search on an 8-worker pool from a cleared space store:
-    // the pool's helper threads start with empty thread-local L1 memos,
-    // so the hits of the stage-0 bounds they price must come from the
-    // shared L2.
+    // Warm the process-wide shared table on this thread, then rerun the
+    // same search on an 8-worker pool from a cleared space store, called
+    // from a freshly spawned thread. That thread's thread-local L1 memo
+    // is empty, as the pool's helpers' are, so whichever worker prices
+    // the stage-0 bounds (the spawned thread, or a helper that starts
+    // first) reads them from the shared L2, however the workers are
+    // scheduled. Run from this thread, whose L1 the first search warmed,
+    // a rerun on a busy host took every chunk of the bounds itself before
+    // a helper started and never reached L2. No other test in this
+    // binary searches this space, so none can store it again between the
+    // clear and the rerun.
     let model = vit_64k().config;
     let sys = b200_nvs8();
-    let p = planner(&model, &sys, 256, 4096, TpStrategy::Summa);
+    let p = planner(&model, &sys, 512, 4096, TpStrategy::Summa);
     let warm = p.best_evaluation().unwrap();
 
     let before = search_stats();
-    let par = fresh(&pool(8), || p.best_evaluation()).unwrap();
-    let after = search_stats();
-    assert_eq!(warm, par);
+    let (par, after) = std::thread::scope(|s| {
+        s.spawn(|| {
+            let par = fresh(&pool(8), || p.best_evaluation());
+            // Flushes the spawned thread's tallies before it exits.
+            (par, search_stats())
+        })
+        .join()
+        .unwrap()
+    });
+    assert_eq!(Some(warm), par);
     assert!(
         after.memo_shared_hits > before.memo_shared_hits,
-        "8-thread rerun should hit the shared memo table: {before:?} -> {after:?}"
+        "the rerun from a fresh thread should hit the shared memo table: {before:?} -> {after:?}"
     );
 }
 
