@@ -1,185 +1,26 @@
-//! fmsched models of two concurrency protocols on the search hot path,
-//! each with a *regression twin* re-introducing a historical (or
-//! representative) bug so the checker's teeth are themselves tested.
+//! The fmsched model of the concurrency protocol on the search hot path,
+//! with a *regression twin* that re-introduces a representative bug, so
+//! the checker's teeth are themselves tested.
 //!
 //! | Model | Real code | Claim |
 //! |-------|-----------|-------|
-//! | [`ShardedMemo`] | `perfmodel::partition::cache::memo_f64` (L2 shard insert race) | racing first-computes of a *pure* function publish bit-identical values; no lost insert; every caller returns the same bits |
 //! | [`ChunkClaim`] | `vendor/rayon` chunk claim/steal (`fetch_add` self-scheduling) | every chunk is claimed exactly once, all slots are filled, and the reassembled output is input-ordered regardless of interleaving |
 //!
-//! The twins (`impure_compute`, `split_claim`) correspond to an earlier
-//! duplicate profile build (which was only harmless because the build is
-//! pure — the twin shows exactly why purity is load-bearing) and a
-//! read-then-write chunk claim that double-processes chunks. The
-//! regression tests in `tests/sched_protocols.rs` assert
-//! [`crate::sched::explore`] finds each of them.
+//! The twin (`split_claim`) is a read-then-write chunk claim that
+//! double-processes chunks. The regression test in
+//! `tests/sched_protocols.rs` asserts [`crate::sched::explore`] finds it.
 //!
-//! The search's k-th-best threshold (`perfmodel::ord::TopkIncumbent`) has
-//! no model: the pruned stages run in order on the calling thread, so
-//! nothing shares it between threads. Its pruning rule is checked on one
-//! thread, by the property test in `perfmodel::ord` and by
-//! `tests/pruning_exactness.rs`.
+//! Two protocols have no model, because nothing races in them any more.
+//! The search's k-th-best threshold (`perfmodel::ord::TopkIncumbent`) is
+//! single-thread state: the pruned stages run in order on the calling
+//! thread. Its pruning rule is checked on one thread, by the property test
+//! in `perfmodel::ord` and by `tests/pruning_exactness.rs`. The pricing
+//! memo (`perfmodel::partition::cache::memo_f64`) computes and inserts a
+//! missed key while it holds its shard's mutex, so each key is computed
+//! once; its unit test `racing_first_probes_compute_once` drives the real
+//! function from four threads.
 
 use crate::sched::Model;
-
-/// The pure value `compute` publishes (arbitrary; only identity
-/// matters).
-const PURE_VALUE: u64 = 0x1234_5678;
-
-// ---------------------------------------------------------------------------
-// L2 sharded memo: racing first-computes
-// ---------------------------------------------------------------------------
-
-/// Per-thread program counter for [`ShardedMemo`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MemoPc {
-    /// Probe the shared shard under the read lock (one atomic step).
-    Probe,
-    /// Compute the value outside any lock.
-    Compute,
-    /// Insert under the write lock (last-write-wins, one atomic step).
-    Insert,
-    /// Finished; `ret` holds the value returned to the caller.
-    Done,
-}
-
-/// Model of `memo_f64`'s shared-L2 protocol for one key on one shard:
-/// probe under the read lock; on miss, compute outside any lock, then
-/// insert under the write lock (last write wins). Mirrors
-/// `crates/perfmodel/src/partition/cache.rs`.
-///
-/// The interesting schedules are the ones where several threads miss the
-/// probe *before* any insert lands: all of them compute and all of them
-/// insert. The protocol is correct anyway — but only because the
-/// computed value is a pure function of the key. Setting
-/// `impure_compute` makes the value thread-dependent (the shape a
-/// non-deterministic profile build would have) and the checker finds
-/// schedules where callers observe different bits.
-#[derive(Debug, Clone)]
-pub struct ShardedMemo {
-    /// Regression twin: computed value depends on the thread id.
-    pub impure_compute: bool,
-    threads: usize,
-    /// The shard's entry for the key (`None` = absent).
-    shared: Option<u64>,
-    /// Entry was published at some point (append-only check).
-    published: bool,
-    pc: Vec<MemoPc>,
-    /// Per-thread computed value (valid after `Compute`).
-    computed: Vec<u64>,
-    /// Per-thread value returned to the caller (valid at `Done`).
-    ret: Vec<u64>,
-}
-
-impl ShardedMemo {
-    /// `threads` concurrent callers of `memo_f64` for the same key.
-    pub fn new(threads: usize, impure_compute: bool) -> Self {
-        Self {
-            impure_compute,
-            threads,
-            shared: None,
-            published: false,
-            pc: vec![MemoPc::Probe; threads],
-            computed: vec![0; threads],
-            ret: vec![0; threads],
-        }
-    }
-
-    fn compute(&self, tid: usize) -> u64 {
-        if self.impure_compute {
-            // The bug shape: a value that depends on *who* computes it
-            // (e.g. a profile build reading ambient mutable state).
-            PURE_VALUE + tid as u64
-        } else {
-            PURE_VALUE
-        }
-    }
-}
-
-impl Model for ShardedMemo {
-    fn name(&self) -> &'static str {
-        "l2-memo"
-    }
-
-    fn threads(&self) -> usize {
-        self.threads
-    }
-
-    fn reset(&mut self) {
-        self.shared = None;
-        self.published = false;
-        self.pc.fill(MemoPc::Probe);
-        self.computed.fill(0);
-        self.ret.fill(0);
-    }
-
-    fn done(&self, tid: usize) -> bool {
-        self.pc[tid] == MemoPc::Done
-    }
-
-    fn step(&mut self, tid: usize) {
-        match self.pc[tid] {
-            MemoPc::Probe => match self.shared {
-                // Hit: adopt the published bits, done.
-                Some(v) => {
-                    self.ret[tid] = v;
-                    self.pc[tid] = MemoPc::Done;
-                }
-                None => self.pc[tid] = MemoPc::Compute,
-            },
-            MemoPc::Compute => {
-                self.computed[tid] = self.compute(tid);
-                self.pc[tid] = MemoPc::Insert;
-            }
-            MemoPc::Insert => {
-                // Write-lock insert: last write wins. The real map's
-                // `insert` overwrites; the caller returns its *own*
-                // computed value (exactly like `memo_f64`).
-                self.shared = Some(self.computed[tid]);
-                self.published = true;
-                self.ret[tid] = self.computed[tid];
-                self.pc[tid] = MemoPc::Done;
-            }
-            MemoPc::Done => unreachable!("stepped a finished thread"),
-        }
-    }
-
-    fn check_step(&self) -> Result<(), String> {
-        // Append-only: once published, the entry never disappears.
-        if self.published && self.shared.is_none() {
-            return Err("published memo entry disappeared".to_string());
-        }
-        Ok(())
-    }
-
-    fn check_final(&self) -> Result<(), String> {
-        // No lost insert: at least one thread missed (the key started
-        // absent), so the entry must exist afterwards.
-        let Some(shared) = self.shared else {
-            return Err("no memo entry after all callers finished (lost insert)".to_string());
-        };
-        // Linearizability-style claim: every caller (and the table)
-        // observed one single value.
-        let first = self.ret[0];
-        if self.ret.iter().any(|&r| r != first) {
-            return Err(format!(
-                "callers returned different bits: {:?} (memoized value must be \
-                 schedule-independent)",
-                self.ret
-            ));
-        }
-        if shared != first {
-            return Err(format!(
-                "table holds {shared:#x} but callers returned {first:#x}"
-            ));
-        }
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rayon-pool chunk claim/steal
-// ---------------------------------------------------------------------------
 
 /// Per-thread program counter for [`ChunkClaim`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -334,15 +175,6 @@ impl Model for ChunkClaim {
 mod tests {
     use super::*;
     use crate::sched::{explore, Budget};
-
-    #[test]
-    fn memo_is_correct_and_twin_is_caught() {
-        let r = explore(&mut ShardedMemo::new(3, false), &Budget::default());
-        assert!(r.passed(), "{:?}", r.violation);
-        assert!(r.exhaustive);
-        let bad = explore(&mut ShardedMemo::new(2, true), &Budget::default());
-        assert!(bad.violation.is_some());
-    }
 
     #[test]
     fn chunk_claim_is_correct_and_twin_is_caught() {

@@ -6,19 +6,18 @@
 //! A [`Model`] is a small, faithful re-statement of one real protocol
 //! (see [`crate::models`]) as `threads()` programs of *atomic steps* —
 //! each step is one shared-memory operation at exactly the granularity
-//! the real code's synchronization primitives guarantee (one
-//! `AtomicU64::compare_exchange`, one map insert under a write lock, one
-//! `fetch_add` chunk claim). Every boundary between steps is a
-//! preemption point.
+//! the real code's synchronization primitives guarantee (one `fetch_add`
+//! chunk claim, one store into a result slot). Every boundary between
+//! steps is a preemption point. Every modelled protocol is lock-free, so
+//! a thread that has not finished can always take a step.
 //!
 //! [`explore`] enumerates *schedules* — sequences of thread ids — with
 //! an exhaustive depth-first search: at every preemption point it forks
-//! one branch per enabled thread, replaying the (deterministic) model
+//! one branch per unfinished thread, replaying the (deterministic) model
 //! from its initial state down each prefix. After every step the model's
 //! [`Model::check_step`] invariant must hold; when all threads have
-//! finished, [`Model::check_final`] must hold. A state where some thread
-//! is unfinished but none is enabled is reported as a deadlock, and an
-//! execution exceeding the step budget as a livelock.
+//! finished, [`Model::check_final`] must hold. An execution exceeding the
+//! step budget is reported as a livelock.
 //!
 //! Above the exhaustive budget ([`Budget::max_schedules`]) the explorer
 //! degrades to a *seeded random walk*: `random_walks` schedules drawn
@@ -44,7 +43,7 @@
 /// One protocol model: `threads()` programs of atomic steps over shared
 /// state. See the module docs for how to write one.
 pub trait Model {
-    /// Short name for reports (e.g. `"l2-memo"`).
+    /// Short name for reports (e.g. `"chunk-claim"`).
     fn name(&self) -> &'static str;
 
     /// Number of threads in the protocol.
@@ -58,16 +57,8 @@ pub trait Model {
     /// True when thread `tid` has finished its program.
     fn done(&self, tid: usize) -> bool;
 
-    /// True when thread `tid` can take a step right now. The default —
-    /// "enabled unless done" — suits lock-free protocols; models with
-    /// blocking (e.g. a held write lock) override it, and the explorer
-    /// reports all-blocked states as deadlocks.
-    fn enabled(&self, tid: usize) -> bool {
-        !self.done(tid)
-    }
-
     /// Executes thread `tid`'s next atomic step. Only called when
-    /// `enabled(tid)`.
+    /// `!done(tid)`.
     fn step(&mut self, tid: usize);
 
     /// Safety invariant checked after every step.
@@ -112,8 +103,6 @@ impl Default for Budget {
 pub enum ViolationKind {
     /// `check_step` or `check_final` failed.
     Invariant,
-    /// Unfinished threads, none enabled.
-    Deadlock,
     /// Step budget exceeded ([`Budget::max_steps`]).
     Livelock,
 }
@@ -212,29 +201,21 @@ fn dfs(model: &mut dyn Model, budget: &Budget, prefix: &mut Vec<usize>, report: 
         });
         return;
     }
-    let enabled: Vec<usize> = (0..model.threads()).filter(|&t| model.enabled(t)).collect();
-    if enabled.is_empty() {
-        if (0..model.threads()).all(|t| model.done(t)) {
-            report.schedules += 1;
-            if let Err(m) = model.check_final() {
-                report.violation = Some(Violation {
-                    kind: ViolationKind::Invariant,
-                    schedule: prefix.clone(),
-                    message: m,
-                });
-            } else if report.schedules >= budget.max_schedules {
-                report.exhaustive = false;
-            }
-        } else {
+    let runnable: Vec<usize> = (0..model.threads()).filter(|&t| !model.done(t)).collect();
+    if runnable.is_empty() {
+        report.schedules += 1;
+        if let Err(m) = model.check_final() {
             report.violation = Some(Violation {
-                kind: ViolationKind::Deadlock,
+                kind: ViolationKind::Invariant,
                 schedule: prefix.clone(),
-                message: "unfinished threads but none enabled".to_string(),
+                message: m,
             });
+        } else if report.schedules >= budget.max_schedules {
+            report.exhaustive = false;
         }
         return;
     }
-    for tid in enabled {
+    for tid in runnable {
         prefix.push(tid);
         dfs(model, budget, prefix, report);
         prefix.pop();
@@ -269,27 +250,19 @@ fn random_walks(model: &mut dyn Model, budget: &Budget, report: &mut Report) {
                 });
                 break 'walk;
             }
-            let enabled: Vec<usize> = (0..model.threads()).filter(|&t| model.enabled(t)).collect();
-            if enabled.is_empty() {
-                if (0..model.threads()).all(|t| model.done(t)) {
-                    if let Err(m) = model.check_final() {
-                        report.violation = Some(Violation {
-                            kind: ViolationKind::Invariant,
-                            schedule,
-                            message: m,
-                        });
-                        break 'walk;
-                    }
-                    break;
+            let runnable: Vec<usize> = (0..model.threads()).filter(|&t| !model.done(t)).collect();
+            if runnable.is_empty() {
+                if let Err(m) = model.check_final() {
+                    report.violation = Some(Violation {
+                        kind: ViolationKind::Invariant,
+                        schedule,
+                        message: m,
+                    });
+                    break 'walk;
                 }
-                report.violation = Some(Violation {
-                    kind: ViolationKind::Deadlock,
-                    schedule,
-                    message: "unfinished threads but none enabled".to_string(),
-                });
-                break 'walk;
+                break;
             }
-            let tid = enabled[(xorshift(&mut rng) % enabled.len() as u64) as usize];
+            let tid = runnable[(xorshift(&mut rng) % runnable.len() as u64) as usize];
             model.step(tid);
             schedule.push(tid);
             if let Err(m) = model.check_step() {
@@ -466,44 +439,5 @@ mod tests {
         };
         let r = explore(&mut m, &budget);
         assert!(r.violation.is_some(), "{r:?}");
-    }
-
-    /// A model where thread 1 waits forever on a flag nobody sets.
-    struct Stuck {
-        stepped: bool,
-    }
-
-    impl Model for Stuck {
-        fn name(&self) -> &'static str {
-            "stuck"
-        }
-        fn threads(&self) -> usize {
-            2
-        }
-        fn reset(&mut self) {
-            self.stepped = false;
-        }
-        fn done(&self, tid: usize) -> bool {
-            tid == 0 && self.stepped
-        }
-        fn enabled(&self, tid: usize) -> bool {
-            match tid {
-                0 => !self.stepped,
-                _ => false, // blocked forever
-            }
-        }
-        fn step(&mut self, _tid: usize) {
-            self.stepped = true;
-        }
-        fn check_final(&self) -> Result<(), String> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn deadlock_is_detected() {
-        let r = explore(&mut Stuck { stepped: false }, &Budget::default());
-        let v = r.violation.expect("deadlock");
-        assert_eq!(v.kind, ViolationKind::Deadlock);
     }
 }

@@ -1,13 +1,13 @@
-//! fmsched acceptance suite: the two real protocols verified at
-//! CI-meaningful exploration depths, the historical regression shapes
-//! provably *caught*, and the bridge test tying the `chunk-claim`
-//! model to the vendored rayon pool that actually runs.
+//! fmsched acceptance suite: the rayon pool's chunk claim verified at a
+//! CI-meaningful exploration depth, its regression shape provably
+//! *caught*, and the bridge test tying the `chunk-claim` model to the
+//! vendored rayon pool that actually runs.
 //!
 //! This is a dedicated integration binary (not unit tests) because the
 //! bridge test installs a process-wide `rayon::sched_hook` observer and
 //! must not share a process with other pool users.
 
-use fmcheck::models::{ChunkClaim, ShardedMemo};
+use fmcheck::models::ChunkClaim;
 use fmcheck::sched::{explore, Budget, ViolationKind};
 
 /// The acceptance floor from the PR issue: the exhaustive explorer must
@@ -16,45 +16,15 @@ const SCHEDULE_FLOOR: u64 = 10_000;
 
 #[test]
 fn protocols_hold_on_every_schedule_at_acceptance_depth() {
-    // 3 callers racing the memo: every interleaving of probe/compute/
-    // insert, including the all-miss duplicate-compute fan.
-    let memo = explore(&mut ShardedMemo::new(3, false), &Budget::default());
-    assert!(memo.passed(), "l2-memo: {:?}", memo.violation);
-    assert!(memo.exhaustive, "l2-memo must be explored exhaustively");
-
     // 3 workers × 4 chunks through the claim counter.
     let pool = explore(&mut ChunkClaim::new(3, 4, false), &Budget::default());
     assert!(pool.passed(), "chunk-claim: {:?}", pool.violation);
     assert!(pool.exhaustive, "chunk-claim must be explored exhaustively");
-
-    let total = memo.schedules + pool.schedules;
     assert!(
-        total >= SCHEDULE_FLOOR,
-        "exhaustive coverage regressed: {total} < {SCHEDULE_FLOOR} schedules \
-         (memo {}, pool {})",
-        memo.schedules,
+        pool.schedules >= SCHEDULE_FLOOR,
+        "exhaustive coverage regressed: {} < {SCHEDULE_FLOOR} schedules",
         pool.schedules
     );
-}
-
-/// Historical regression 1 (pre-PR-6 shape): the shared profile cache
-/// built profiles under a non-deterministic race where the *value* could
-/// depend on which thread computed it. The memo protocol is only correct
-/// because computes are pure — re-injecting an impure compute must
-/// produce a schedule where callers observe different bits.
-#[test]
-fn regression_duplicate_profile_build_is_caught() {
-    let r = explore(&mut ShardedMemo::new(2, true), &Budget::default());
-    let v = r.violation.expect("impure memo compute must be caught");
-    assert_eq!(v.kind, ViolationKind::Invariant);
-    assert!(
-        v.message.contains("different bits") || v.message.contains("callers returned"),
-        "unexpected violation: {}",
-        v.message
-    );
-    // The counterexample is a real schedule, replayable by hand: both
-    // threads must have probed before either inserted.
-    assert!(v.schedule.len() >= 4, "counterexample too short: {v:?}");
 }
 
 /// A split (read-then-write) chunk claim double-processes chunks — the

@@ -33,10 +33,11 @@ use crate::plan::LayerProfile;
 use crate::planner::SPACE_STORE;
 use rayon::prelude::*;
 use std::cell::{Cell, RefCell};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{LazyLock, RwLock};
+use std::sync::{LazyLock, Mutex, PoisonError};
 use systems::{GpuSpec, SystemSpec};
 use txmodel::TransformerConfig;
 
@@ -136,13 +137,14 @@ pub(crate) fn build_profiles(
 //
 // * **L1** — a thread-local `HashMap`, probed first without a lock. It
 //   serves the all-hit steady state.
-// * **L2** — a process-global, 64-way-sharded `RwLock` map shared by all
-//   workers. The vendored rayon pool runs each parallel call on the
+// * **L2** — a process-global map of 64 `Mutex`-guarded shards shared by
+//   all workers. The vendored rayon pool runs each parallel call on the
 //   calling thread plus helpers spawned for that call, so only the helpers
 //   start with an empty L1; they read what the caller, their siblings and
-//   earlier calls published here. Only a first compute takes a shard's
-//   write lock. The pruned search stages run on the calling thread, whose
-//   L1 stays warm from call to call.
+//   earlier calls stored here. An L1 miss locks its key's shard, and a key
+//   the shard lacks is computed and inserted before the lock is released.
+//   The pruned search stages run on the calling thread, whose L1 stays
+//   warm from call to call.
 //
 // # Key scheme
 //
@@ -163,9 +165,10 @@ pub(crate) fn build_profiles(
 // # Sharing lifecycle and determinism
 //
 // L2 is append-only for the process lifetime: entries are never evicted
-// or mutated, and each `f64` value is a pure function of its key. Two
-// workers racing on the same first compute insert **bit-identical**
-// values, so last-write-wins is harmless. Memoization therefore changes
+// or mutated. Each key is computed **once per process**, by the first
+// worker to ask for it; a worker that asks while it is being computed
+// waits for that value. Each `f64` value is a pure function of its key, so
+// which worker computes it cannot change its bits: memoization changes
 // only speed, never a result, at any thread count.
 
 /// Profiling counters for the S3 search hot path (process-global).
@@ -190,7 +193,9 @@ pub(crate) fn build_profiles(
 /// each field says. A query that prunes runs those stages in order on the
 /// calling thread, so its prune counters read the same at every pool
 /// width, and so do its memo counters once its space is warm: L2 hits come
-/// from the helpers of stage 0 and of the unpruned sweep.
+/// from the helpers of stage 0 and of the unpruned sweep. Memo misses read
+/// the same at every width, cold or warm, since each key is computed once
+/// per process.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchStats {
     /// Collective-time memo probes answered by the thread-local L1.
@@ -199,7 +204,9 @@ pub struct SearchStats {
     /// per-thread caches used to redo per worker before sharing. Mostly
     /// the pool's helper threads, which start with an empty L1.
     pub memo_shared_hits: u64,
-    /// Probes that computed (and published) a new value.
+    /// Probes that computed a new value and stored it in L2: one per
+    /// distinct key per process, whichever worker asks first, so the count
+    /// is the same at every pool width.
     pub memo_misses: u64,
     /// Layer profiles constructed for a space the planner's space store
     /// does not hold: one per distinct TP tuple of the space.
@@ -409,57 +416,56 @@ thread_local! {
 const MEMO_SHARDS: usize = 64;
 
 /// L2: the shared, sharded pricing memo (see the section comment above
-/// for the sharing lifecycle). Sharding keeps write locks from
-/// serializing concurrent first computes; reads take a shard's `RwLock`
-/// read lock, which is uncontended once the table is warm.
-static SHARED_MEMO: LazyLock<Vec<RwLock<MemoMap>>> = LazyLock::new(|| {
+/// for the sharing lifecycle). Sharding keeps one key's compute from
+/// holding up the keys of the other 63 shards.
+static SHARED_MEMO: LazyLock<Vec<Mutex<MemoMap>>> = LazyLock::new(|| {
     (0..MEMO_SHARDS)
-        .map(|_| RwLock::new(HashMap::default()))
+        .map(|_| Mutex::new(HashMap::default()))
         .collect()
 });
 
 #[inline]
-fn shard_of(key: u64) -> &'static RwLock<MemoMap> {
+fn shard_of(key: u64) -> &'static Mutex<MemoMap> {
     &SHARED_MEMO[(key >> (64 - MEMO_SHARDS.trailing_zeros())) as usize]
 }
 
-/// Returns the memoized value for `key`, computing (and publishing) it on
-/// the first request anywhere in the process. The value must be a pure
-/// function of the key: racing first computes then insert bit-identical
-/// values, keeping results independent of thread count.
+/// Returns the memoized value for `key`, computing and storing it on the
+/// first request anywhere in the process.
+///
+/// An L1 miss locks the key's shard and returns the stored value, or runs
+/// `compute` and inserts its value while it holds the lock, so each key is
+/// computed once per process at any pool width. A worker that asks for
+/// the key meanwhile, or for any other key of the shard, waits for the
+/// lock.
+///
+/// The value must be a pure function of the key: the first worker to ask
+/// computes it, so purity is what keeps results independent of thread
+/// count. `compute` runs under the shard's lock, so it must never probe
+/// the memo itself: the only callers, `pass_comm_time` and
+/// `pass_comm_lower_bound` in `crate::evaluate`, price their patterns
+/// directly.
 pub(crate) fn memo_f64(key: u64, compute: impl FnOnce() -> f64) -> f64 {
     if let Some(v) = COLLECTIVE_MEMO.with(|m| m.borrow().get(&key).copied()) {
         bump(|c| &c.local_hits);
         return v;
     }
-    let shard = shard_of(key);
-    // Poison-tolerant: a panicked holder can at worst have skipped an
-    // insert of a pure value — the map is never torn, so continuing with
-    // the inner guard is sound (and keeps one worker's panic from
-    // cascading into every other search thread).
-    let shared = shard
-        .read()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .get(&key)
-        .copied();
-    let v = match shared {
-        Some(v) => {
+    // Poison-tolerant: a compute that panicked left its shard poisoned
+    // without inserting anything, so the map is never torn, and continuing
+    // with the inner guard keeps one worker's panic from cascading into
+    // every other search thread.
+    let mut shard = shard_of(key).lock().unwrap_or_else(PoisonError::into_inner);
+    let v = match shard.entry(key) {
+        Entry::Occupied(stored) => {
             bump(|c| &c.shared_hits);
-            v
+            *stored.get()
         }
-        None => {
-            // Compute outside any lock: pricing can be expensive and must
-            // not serialize other shard traffic (duplicate computes are
-            // rare and harmless — identical bits).
+        Entry::Vacant(slot) => {
             let v = compute();
             bump(|c| &c.misses);
-            shard
-                .write()
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .insert(key, v);
-            v
+            *slot.insert(v)
         }
     };
+    drop(shard);
     COLLECTIVE_MEMO.with(|m| m.borrow_mut().insert(key, v));
     v
 }
@@ -558,6 +564,37 @@ mod tests {
         let after = search_stats();
         assert!(after.memo_misses > before.memo_misses);
         assert!(after.memo_shared_hits > before.memo_shared_hits);
+    }
+
+    #[test]
+    fn racing_first_probes_compute_once() {
+        // Four threads ask for one fresh key at the same moment. The
+        // compute sleeps, so the others ask while it runs: they must wait
+        // for its value rather than compute the key again.
+        use std::sync::Barrier;
+        use std::time::Duration;
+        const THREADS: usize = 4;
+        let key = fnv([0x0ace, line!() as u64]);
+        let calls = AtomicU64::new(0);
+        let start = Barrier::new(THREADS);
+        let bits: Vec<u64> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        memo_f64(key, || {
+                            calls.fetch_add(1, Ordering::Relaxed);
+                            std::thread::sleep(Duration::from_millis(20));
+                            3.75
+                        })
+                        .to_bits()
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+        assert_eq!(calls.load(Ordering::Relaxed), 1, "computes of one key");
+        assert!(bits.iter().all(|&b| b == 3.75f64.to_bits()), "{bits:x?}");
     }
 
     #[test]

@@ -80,12 +80,14 @@
 //!
 //! Stages 1–4 of a query that prunes run in order on the calling thread.
 //! The pool keeps only independent work: stage 0 on a store miss
-//! (enumeration, profiles, ledgers, and the time bounds in work items of
-//! whole profiles, so one worker prices each pass-level memo key), and the
-//! unpruned sweep ([`Planner::evaluations`], the serving objectives and
-//! [`Planner::include_infeasible`]), one work item per candidate. The
-//! pruned stages stay in order because fanning them out costs more than
-//! it saves:
+//! (enumeration, profiles, ledgers, and the time bounds, one candidate to
+//! a work item in profile order, so that two workers rarely ask for one
+//! memo key at once), and the unpruned sweep ([`Planner::evaluations`],
+//! the serving objectives and [`Planner::include_infeasible`]), one work
+//! item per candidate. The pricing memo computes each pass-level key
+//! once, under its shard's lock, so those fan-outs take the same memo
+//! misses at every width. The pruned stages stay in order because
+//! fanning them out costs more than it saves:
 //!
 //! * the sweep's threshold tightens with each evaluation, so a parallel
 //!   sweep evaluates candidates an in-order sweep skips, and its workers

@@ -51,10 +51,11 @@
 //! group's placement list instead each enumerate it, and the first to
 //! finish stores it, so no worker sleeps on another's enumeration.
 //!
-//! The bounds themselves fan out in work items of whole profiles, since
-//! the candidates of one TP tuple share their pass-level memo keys: one
-//! worker prices each of those keys, so a cold space takes the same memo
-//! misses at every pool width ([`SpaceEntry::time_lower_bounds`]).
+//! The bounds themselves fan out over the candidates in profile order.
+//! The memo computes each pass-level key once under its shard's lock, so
+//! a cold space takes the same memo misses at every pool width, and the
+//! profile order keeps two workers from asking for one key at once
+//! ([`SpaceEntry::time_lower_bounds`]).
 
 use super::{Planner, SearchSpace};
 use crate::config::{ParallelConfig, Placement};
@@ -65,7 +66,6 @@ use crate::placement::enumerate_placements;
 use crate::plan::LayerProfile;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -86,11 +86,6 @@ const CANDIDATE_BYTES: usize = 128;
 /// The units one stored profile is charged: a layer profile with its
 /// communication patterns takes 0.4–1.3 kB.
 const PROFILE_CHARGE: usize = 10;
-
-/// The fewest candidates in one work item of the time-bound fan-out
-/// ([`SpaceEntry::time_lower_bounds`]), which holds whole profiles: the
-/// rayon shim's chunk cap, so an item costs about what a chunk did.
-const PROFILE_BATCH: usize = 64;
 
 /// The store every [`Planner`] reads.
 pub(crate) static SPACE_STORE: SpaceStore = SpaceStore::new(SPACE_STORE_BUDGET);
@@ -214,22 +209,21 @@ impl SpaceEntry {
     /// HBM). Built once per entry, by the first query that needs it; `p`
     /// is any planner of this entry's space.
     ///
-    /// The pool gets work items of whole profiles: all the candidates of
-    /// a TP tuple, in enumeration order, and the next tuple's, until an
-    /// item holds [`PROFILE_BATCH`] candidates. Those candidates share
-    /// their pass-level memo keys, so the one worker that bounds them
-    /// prices each key once and reads it from its L1 after, at any width;
-    /// split across workers, two could race on the same first computes
-    /// and both price them. Each bound is then placed at its candidate's
-    /// index.
+    /// The pool bounds the candidates in profile order, one work item per
+    /// candidate, and each bound is then placed at its candidate's index.
+    /// The candidates of one TP tuple share their pass-level memo keys,
+    /// which the memo computes once whichever worker asks first, so a cold
+    /// space takes the same memo misses at every pool width. The order is
+    /// for speed: enumeration order repeats each tuple once per pipeline
+    /// degree, so two workers on neighbouring chunks would ask for the same
+    /// keys, and one would often wait on the other's compute.
     pub(crate) fn time_lower_bounds(&self, p: &Planner) -> &[f64] {
         self.time_lb.get_or_init(|| {
             let hbm = p.system.gpu.hbm_capacity;
             let global_batch = p.config.space.global_batch;
             let sys_fp = system_fingerprint(p.system);
             // The candidates grouped by profile, in enumeration order
-            // within each (a counting sort), then cut into work items of
-            // whole profiles, each at least `PROFILE_BATCH` candidates.
+            // within each (a counting sort).
             let mut end = vec![0; self.profiles.len()];
             for &profile in &self.profile_of {
                 end[profile as usize] += 1;
@@ -243,14 +237,6 @@ impl SpaceEntry {
             for (i, &profile) in self.profile_of.iter().enumerate() {
                 order[end[profile as usize]] = i;
                 end[profile as usize] += 1;
-            }
-            let mut items = Vec::new();
-            let mut start = 0;
-            for (profile, &stop) in end.iter().enumerate() {
-                if stop - start >= PROFILE_BATCH || profile + 1 == end.len() {
-                    items.push(start..stop);
-                    start = stop;
-                }
             }
             let bound = |i: usize| {
                 if !self.memory[i].fits(hbm) {
@@ -267,12 +253,9 @@ impl SpaceEntry {
                     *fps,
                 )
             };
-            let per_item: Vec<Vec<f64>> = items
-                .par_iter()
-                .map(|item: &Range<usize>| order[item.clone()].iter().map(|&i| bound(i)).collect())
-                .collect();
+            let bounds: Vec<f64> = order.par_iter().map(|&i| bound(i)).collect();
             let mut time_lb = vec![0.0; self.candidates.len()];
-            for (&i, lb) in order.iter().zip(per_item.into_iter().flatten()) {
+            for (&i, lb) in order.iter().zip(bounds) {
                 time_lb[i] = lb;
             }
             time_lb

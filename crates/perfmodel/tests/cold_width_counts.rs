@@ -1,13 +1,14 @@
 //! A cold query that prunes takes the same memo misses at every pool
 //! width.
 //!
-//! Stage 0 of a cold query fans the placement-free time bounds out in
-//! work items of whole profiles. The candidates of one profile share their
-//! pass-level memo keys, so one worker prices each key once, whichever
-//! workers take part; the later stages run in order on the calling
-//! thread. Each run gets a system of its own (a perturbed IB latency,
-//! which the memo keys and the space store's key both read), so every run
-//! is cold in the memo and in the store. The counters behind
+//! Stage 0 of a cold query fans the placement-free time bounds out over
+//! the pool. The candidates of one profile share their pass-level memo
+//! keys, and the memo computes a missed key while it holds the key's
+//! shard lock, so each key is priced once, whichever workers take part
+//! and whichever reaches a key first; the later stages run in order on
+//! the calling thread. Each run gets a system of its own (a perturbed IB
+//! latency, which the memo keys and the space store's key both read), so
+//! every run is cold in the memo and in the store. The counters behind
 //! `search_stats` are process-wide, so this binary holds one test and
 //! runs nothing else that moves them.
 

@@ -118,6 +118,12 @@ impl FaultPlan {
     /// Each process draws from its own seeded RNG stream, so adding a
     /// failure mode never perturbs the arrivals of another. Deterministic
     /// given `(spec, gpus, nics, slow_links, horizon_s, seed)`.
+    ///
+    /// # Panics
+    ///
+    /// When `horizon_s` is not positive and finite, or when a process's
+    /// rate is NaN or infinite (a NaN straggler probability, or a GPU MTBF
+    /// so small that the hard-failure rate overflows).
     pub fn sample(
         spec: &ReliabilitySpec,
         gpus: u64,
@@ -131,31 +137,42 @@ impl FaultPlan {
             "horizon must be positive and finite"
         );
         let mut events = Vec::new();
-        let mut arrivals = |rate: f64, stream: u64, mut make: Box<dyn FnMut() -> FaultEvent>| {
-            if rate <= 0.0 {
-                return;
-            }
-            let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ stream);
-            let mut t = 0.0;
-            loop {
-                let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-                t += -u.ln() / rate;
-                if t >= horizon_s {
-                    break;
+        let mut arrivals =
+            |process: &str, rate: f64, stream: u64, mut make: Box<dyn FnMut() -> FaultEvent>| {
+                // A NaN rate would pass the `<= 0.0` test and an infinite one
+                // makes every interarrival 0: either way the clock never
+                // reaches the horizon and `events` grows without bound.
+                assert!(
+                    rate.is_finite(),
+                    "{process} rate must be finite, got {rate}"
+                );
+                if rate <= 0.0 {
+                    return;
                 }
-                events.push(TimedFault {
-                    at_s: t,
-                    event: make(),
-                });
-            }
-        };
+                let mut rng =
+                    StdRng::seed_from_u64(seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ stream);
+                let mut t = 0.0;
+                loop {
+                    let u: f64 = rng.gen_range(f64::EPSILON..1.0);
+                    t += -u.ln() / rate;
+                    if t >= horizon_s {
+                        break;
+                    }
+                    events.push(TimedFault {
+                        at_s: t,
+                        event: make(),
+                    });
+                }
+            };
         arrivals(
+            "hard-failure",
             spec.system_failure_rate(gpus, nics),
             1,
             Box::new(|| FaultEvent::NodeKill),
         );
         let flap_dur = spec.flap_duration_s;
         arrivals(
+            "link-flap",
             spec.link_flap_rate_per_hour / 3600.0 * slow_links as f64,
             2,
             Box::new(move || FaultEvent::LinkDegrade {
@@ -169,6 +186,7 @@ impl FaultPlan {
             0.0
         };
         arrivals(
+            "straggler",
             strag_rate,
             3,
             Box::new(move || FaultEvent::Straggler {
@@ -560,6 +578,29 @@ mod tests {
             "got {got}, expected ≈{expect}"
         );
         assert_eq!(plan.events.len(), plan.kills());
+    }
+
+    /// A NaN straggler probability makes the straggler rate NaN, which the
+    /// `<= 0.0` test once let through into an arrival loop that never
+    /// reached the horizon.
+    #[test]
+    #[should_panic(expected = "straggler rate must be finite, got NaN")]
+    fn a_nan_rate_stops_sampling() {
+        let spec = ReliabilitySpec {
+            straggler_prob: f64::NAN,
+            ..ReliabilitySpec::datacenter()
+        };
+        let _ = FaultPlan::sample(&spec, 512, 128, 127, 86_400.0, 7);
+    }
+
+    /// The smallest positive GPU MTBF, which `perfmodel::validate_system`
+    /// accepts, makes the hard-failure rate infinite and every
+    /// interarrival 0.
+    #[test]
+    #[should_panic(expected = "hard-failure rate must be finite, got inf")]
+    fn an_infinite_rate_stops_sampling() {
+        let spec = ReliabilitySpec::datacenter().with_gpu_mtbf_hours(5e-324);
+        let _ = FaultPlan::sample(&spec, 512, 128, 127, 86_400.0, 7);
     }
 
     #[test]
